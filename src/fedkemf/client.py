@@ -1,13 +1,11 @@
 """Client-side local training: deep mutual learning and the plain-CE baseline."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
 from .data import Dataset
-from .errors import DivergenceError
 from .seeding import derive_seed
 
 
@@ -21,6 +19,19 @@ class ClientState:
     batch_size: int
     lr: float
     rng_seed: int  # experiment seed; per-epoch streams are derived from it
+    # accuracy of local_model on eval_indices, set whenever client_update
+    # replaces the model; None until the model has been scored
+    val_accuracy: float = None
+
+    @property
+    def eval_indices(self):
+        """The val split, or the train split when the shard had no room for one."""
+        return self.val_indices if len(self.val_indices) else self.train_indices
+
+    def accuracy(self, net: nets.Network, data: Dataset) -> float:
+        """Top-1 accuracy of `net` on this client's eval_indices."""
+        idx = self.eval_indices
+        return nets.evaluate(net, data.features[idx], data.labels[idx])[0]
 
 
 def batch_iterator(indices, batch_size, epoch_seed):
@@ -33,22 +44,17 @@ def batch_iterator(indices, batch_size, epoch_seed):
     return [idx[i:i + batch_size] for i in range(0, idx.size, batch_size)]
 
 
-def _check_finite(loss, client_id, epoch, batch_index):
-    if not math.isfinite(loss):
-        raise DivergenceError(
-            f"client {client_id} diverged at epoch {epoch}, batch {batch_index}",
-            client_id=client_id, epoch=epoch, batch_index=batch_index,
-        )
-
-
-def _checked_logits(net, x, client_id, epoch, batch_index):
-    logits = nets.forward(net, x)
-    if not np.all(np.isfinite(logits)):
-        raise DivergenceError(
-            f"client {client_id} produced non-finite logits at epoch {epoch}, batch {batch_index}",
-            client_id=client_id, epoch=epoch, batch_index=batch_index,
-        )
-    return logits
+def _batches(state: ClientState, data: Dataset, round_index, num_classes):
+    """(context, x, y) per batch of every local epoch; checks the label range once."""
+    train = np.asarray(state.train_indices, dtype=np.int64)
+    labels = data.labels[train]
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("label out of range")
+    for epoch in range(state.epochs):
+        epoch_seed = derive_seed(state.rng_seed, state.client_id, round_index, epoch)
+        for b, batch_idx in enumerate(batch_iterator(train, state.batch_size, epoch_seed)):
+            context = {"client_id": state.client_id, "epoch": epoch, "batch_index": b}
+            yield context, data.features[batch_idx], data.labels[batch_idx]
 
 
 def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
@@ -58,44 +64,40 @@ def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset
     Per batch, the local model steps on CE plus KL toward the knowledge
     network's current distribution, then the knowledge network steps on CE
     plus KL toward the just-updated local model.  The local model persists in
-    the state; only the updated knowledge copy is returned.
+    the state, with its val accuracy; only the updated knowledge copy is
+    returned.  Three forwards per batch: the knowledge net's forward serves
+    both its loss and its step, the local model's forward serves its loss and
+    step, and one more forward of the stepped local model makes the teacher.
 
     Returns (updated_knowledge, mean_train_loss, local_val_accuracy).
     """
-    if knowledge_net.arch.num_classes != state.local_model.arch.num_classes:
+    num_classes = knowledge_net.arch.num_classes
+    if num_classes != state.local_model.arch.num_classes:
         raise ValueError("knowledge and local networks disagree on num_classes")
-    kn = knowledge_net.copy()
-    theta = state.local_model
+    kn = nets.Trainer(knowledge_net, state.lr)
+    theta = nets.Trainer(state.local_model, state.lr)
     losses = []
-    for epoch in range(state.epochs):
-        epoch_seed = derive_seed(state.rng_seed, state.client_id, round_index, epoch)
-        for b, batch_idx in enumerate(batch_iterator(state.train_indices, state.batch_size, epoch_seed)):
-            x = data.features[batch_idx]
-            y = data.labels[batch_idx]
+    for context, x, y in _batches(state, data, round_index, num_classes):
+        g_logits, g_inputs, g_pre = kn.forward(x)
+        nets.check_finite(g_logits, "logits", **context)
+        t_logits, t_inputs, t_pre = theta.forward(x)
+        nets.check_finite(t_logits, "logits", **context)
+        g_probs = nets.softmax_finite(g_logits)
+        loss, delta = nets.loss_and_delta(nets.softmax_finite(t_logits), y, g_probs)
+        nets.check_finite(loss, "loss", **context)
+        theta.step(t_inputs, t_pre, delta, **context)
+        losses.append(loss)
 
-            g_logits = _checked_logits(kn, x, state.client_id, epoch, b)
-            t_logits = _checked_logits(theta, x, state.client_id, epoch, b)
-            teacher = nets.softmax(g_logits)
-            loss = nets.cross_entropy(t_logits, y) + nets.kl_from_probs(
-                teacher, nets.softmax(t_logits)
-            )
-            _check_finite(loss, state.client_id, epoch, b)
-            theta = nets.sgd_step(theta, nets.loss_gradient(theta, x, y, teacher), state.lr)
-            losses.append(loss)
+        t_logits = theta.forward(x)[0]
+        nets.check_finite(t_logits, "logits", **context)
+        kn_loss, delta = nets.loss_and_delta(g_probs, y, nets.softmax_finite(t_logits))
+        nets.check_finite(kn_loss, "loss", **context)
+        kn.step(g_inputs, g_pre, delta, **context)
 
-            t_logits = _checked_logits(theta, x, state.client_id, epoch, b)
-            teacher = nets.softmax(t_logits)
-            kn_loss = nets.cross_entropy(g_logits, y) + nets.kl_from_probs(
-                teacher, nets.softmax(g_logits)
-            )
-            _check_finite(kn_loss, state.client_id, epoch, b)
-            kn = nets.sgd_step(kn, nets.loss_gradient(kn, x, y, teacher), state.lr)
-
-    state.local_model = theta
-    eval_idx = state.val_indices if len(state.val_indices) else state.train_indices
-    val_acc, _ = nets.evaluate(theta, data.features[eval_idx], data.labels[eval_idx])
+    state.local_model = theta.net
+    state.val_accuracy = state.accuracy(theta.net, data)
     mean_loss = float(np.mean(losses)) if losses else 0.0
-    return kn, mean_loss, val_acc
+    return kn.net, mean_loss, state.val_accuracy
 
 
 def local_train(state: ClientState, model: nets.Network, data: Dataset,
@@ -105,18 +107,14 @@ def local_train(state: ClientState, model: nets.Network, data: Dataset,
     Used by the weighted-averaging baseline; the incoming model is copied.
     Returns (trained_model, mean_train_loss).
     """
-    net = model.copy()
+    net = nets.Trainer(model, state.lr)
     losses = []
-    for epoch in range(state.epochs):
-        epoch_seed = derive_seed(state.rng_seed, state.client_id, round_index, epoch)
-        for b, batch_idx in enumerate(batch_iterator(state.train_indices, state.batch_size, epoch_seed)):
-            x = data.features[batch_idx]
-            y = data.labels[batch_idx]
-            loss = nets.cross_entropy(
-                _checked_logits(net, x, state.client_id, epoch, b), y
-            )
-            _check_finite(loss, state.client_id, epoch, b)
-            net = nets.sgd_step(net, nets.loss_gradient(net, x, y), state.lr)
-            losses.append(loss)
+    for context, x, y in _batches(state, data, round_index, model.arch.num_classes):
+        logits, inputs, pre = net.forward(x)
+        nets.check_finite(logits, "logits", **context)
+        loss, delta = nets.loss_and_delta(nets.softmax_finite(logits), y)
+        nets.check_finite(loss, "loss", **context)
+        net.step(inputs, pre, delta, **context)
+        losses.append(loss)
     mean_loss = float(np.mean(losses)) if losses else 0.0
-    return net, mean_loss
+    return net.net, mean_loss

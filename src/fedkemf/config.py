@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-_SENTINEL = object()
-
 
 def _parse_hidden_dims(text):
     """'64,32' -> (64, 32); '-' or '' -> no hidden layers."""
@@ -74,6 +72,16 @@ class ExperimentConfig:
             raise ConfigError("learning rates must be positive")
         if self.local_epochs < 0 or self.distill_epochs < 0:
             raise ConfigError("epoch counts must be non-negative")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        # 0 is a valid partition-only setting; run_experiment rejects an
+        # empty distillation split where one is needed.
+        if not (0 <= self.server_fraction < 1):
+            raise ConfigError("server_fraction must be in [0, 1)")
+        if not (0 <= self.val_fraction < 1):
+            raise ConfigError("val_fraction must be in [0, 1)")
+        if not (self.synth_spread > 0):
+            raise ConfigError("dataset.spread must be positive")
         if self.strategy not in ("max_logits", "avg_logits", "majority_vote"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.server_init not in ("avg_members", "warm_start"):

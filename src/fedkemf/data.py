@@ -130,20 +130,27 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
         raise ValueError("alpha must be positive")
     universe = np.arange(len(dataset)) if indices is None else np.asarray(indices, dtype=np.int64)
     labels = dataset.labels[universe]
+    class_indices = [universe[labels == k] for k in range(dataset.num_classes)]
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
-        shards = [[] for _ in range(num_clients)]
-        for k in range(dataset.num_classes):
-            class_idx = universe[labels == k]
+        splits = []
+        counts = np.zeros(num_clients, dtype=np.int64)
+        for class_idx in class_indices:
             if class_idx.size == 0:
                 continue
             class_idx = rng.permutation(class_idx)
             p = rng.dirichlet(np.full(num_clients, alpha))
             cuts = (np.cumsum(p)[:-1] * class_idx.size).astype(np.int64)
+            counts += np.diff(cuts, prepend=0, append=class_idx.size)
+            splits.append((class_idx, cuts))
+        # Reject a draw on its per-client counts before building any index list.
+        if counts.min() < min_per_client:
+            continue
+        shards = [[] for _ in range(num_clients)]
+        for class_idx, cuts in splits:
             for j, piece in enumerate(np.split(class_idx, cuts)):
-                shards[j].extend(int(i) for i in piece)
-        if all(len(s) >= min_per_client for s in shards):
-            return PartitionMap(shards, float(alpha), int(seed))
+                shards[j].extend(piece.tolist())
+        return PartitionMap(shards, float(alpha), int(seed))
     raise InfeasiblePartitionError(
         f"could not give every client {min_per_client} samples in {max_attempts} draws"
     )

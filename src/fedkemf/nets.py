@@ -63,16 +63,21 @@ class Network:
         return Network(self.arch, self.params.copy())
 
     def layers(self):
-        """Yield (W, b) views into the flat parameter vector, layer by layer."""
-        dims = self.arch.layer_dims
-        off = 0
-        for i in range(len(dims) - 1):
-            fi, fo = dims[i], dims[i + 1]
-            w = self.params[off:off + fi * fo].reshape(fi, fo)
-            off += fi * fo
-            b = self.params[off:off + fo]
-            off += fo
-            yield w, b
+        """(W, b) views into the flat parameter vector, layer by layer."""
+        return _layer_views(self.arch, self.params)
+
+
+def _layer_views(arch: ArchSpec, flat: np.ndarray):
+    """(W, b) views into any flat vector laid out like the parameters of `arch`."""
+    dims = arch.layer_dims
+    views = []
+    off = 0
+    for fi, fo in zip(dims, dims[1:]):
+        w = flat[off:off + fi * fo].reshape(fi, fo)
+        off += fi * fo
+        views.append((w, flat[off:off + fo]))
+        off += fo
+    return views
 
 
 def init_network(arch: ArchSpec, seed: int) -> Network:
@@ -88,23 +93,46 @@ def init_network(arch: ArchSpec, seed: int) -> Network:
     return Network(arch, np.concatenate(chunks))
 
 
-def _forward_cached(net: Network, features: np.ndarray):
-    """Forward pass keeping per-layer inputs and pre-activations for backprop."""
+def _forward_cached(net: Network, features: np.ndarray, layers=None):
+    """Forward pass keeping per-layer inputs and pre-activations for backprop.
+
+    This is the one forward primitive: every other forward goes through it.
+    `layers` may pass precomputed (W, b) views of `net`.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
         raise ValueError(
             f"features must be N x {net.arch.input_dim}, got {x.shape}"
         )
+    if layers is None:
+        layers = net.layers()
     layer_inputs = []
     pre_acts = []
     a = x
-    layer_list = list(net.layers())
-    for i, (w, b) in enumerate(layer_list):
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         layer_inputs.append(a)
         z = a @ w + b
         pre_acts.append(z)
-        a = np.maximum(z, 0.0) if i < len(layer_list) - 1 else z
+        a = np.maximum(z, 0.0) if i < last else z
     return a, layer_inputs, pre_acts
+
+
+def _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta):
+    """Backpropagate the logit gradient `delta` into the (dW, db) views `grad_layers`."""
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grad_layers[i]
+        np.matmul(layer_inputs[i].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
+        if i > 0:
+            delta = (delta @ layers[i][0].T) * (pre_acts[i - 1] > 0.0)
+
+
+def backward(net: Network, layer_inputs, pre_acts, delta) -> np.ndarray:
+    """Flat gradient w.r.t. net.params from a cached forward and its logit gradient."""
+    grad = np.empty_like(net.params)
+    _backward_into(_layer_views(net.arch, grad), net.layers(), layer_inputs, pre_acts, delta)
+    return grad
 
 
 def forward(net: Network, features: np.ndarray) -> np.ndarray:
@@ -118,6 +146,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input must be finite")
+    return softmax_finite(z)
+
+
+def softmax_finite(z):
+    """softmax of logits already known to be finite, without re-scanning them."""
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
@@ -142,9 +175,12 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
         raise ValueError("logits and labels disagree on batch size")
     if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
         raise ValueError("label out of range")
-    q = softmax(logits)
-    picked = q[np.arange(labels.size), labels]
-    return float(-np.mean(np.log(np.maximum(picked, LOG_FLOOR))))
+    return _cross_entropy_rows(softmax(logits), np.arange(labels.size), labels)
+
+
+def _cross_entropy_rows(q, rows, labels):
+    picked = q[rows, labels]
+    return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
 
 
 def kl_divergence(teacher_logits: np.ndarray, student_logits: np.ndarray) -> float:
@@ -162,9 +198,13 @@ def kl_from_probs(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float
     q = np.asarray(student_probs, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("probability arrays must have identical shapes")
+    return _kl_rows(p, q)
+
+
+def _kl_rows(p, q):
     ratio = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    per_row = np.sum(np.where(p > 0.0, p * ratio, 0.0), axis=-1)
-    return float(np.mean(per_row))
+    per_row = np.where(p > 0.0, p * ratio, 0.0).sum(axis=-1)
+    return float(per_row.mean())
 
 
 def loss_value(net: Network, features, labels=None, teacher_probs=None) -> float:
@@ -198,17 +238,38 @@ def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np
             raise ValueError("teacher_probs shape mismatch")
         delta += q - p
     delta /= n
+    return backward(net, layer_inputs, pre_acts, delta)
 
-    layer_list = list(net.layers())
-    grads = [None] * len(layer_list)
-    for i in range(len(layer_list) - 1, -1, -1):
-        w, _ = layer_list[i]
-        gw = layer_inputs[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = (gw, gb)
-        if i > 0:
-            delta = (delta @ w.T) * (pre_acts[i - 1] > 0.0)
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+
+def loss_and_delta(q, labels=None, teacher_probs=None):
+    """Training loss and its logit gradient, both from the softmax rows `q`.
+
+    The same arithmetic as loss_value and loss_gradient, without a second
+    forward or softmax.  The caller has checked the logits behind `q`, the
+    label range and the teacher's shape.
+    """
+    n = q.shape[0]
+    if labels is None:
+        loss = _kl_rows(teacher_probs, q)
+        delta = q - teacher_probs
+    else:
+        rows = np.arange(n)
+        loss = _cross_entropy_rows(q, rows, labels)
+        delta = q.copy()
+        delta[rows, labels] -= 1.0
+        if teacher_probs is not None:
+            loss = loss + _kl_rows(teacher_probs, q)
+            delta += q - teacher_probs
+    delta /= n
+    return loss, delta
+
+
+def check_finite(value, what, **context):
+    """The one finiteness guard: DivergenceError carrying `context` unless all finite."""
+    if not np.isfinite(value).all():
+        where = ", ".join(f"{k}={v}" for k, v in context.items())
+        raise DivergenceError(f"non-finite {what}" + (f" ({where})" if where else ""),
+                              **context)
 
 
 def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
@@ -218,9 +279,37 @@ def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
         raise ValueError("gradient length mismatch")
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite gradient")
+    check_finite(grad, "gradient")
     return Network(net.arch, net.params - lr * grad)
+
+
+class Trainer:
+    """A private copy of a network, stepped in place by vanilla SGD.
+
+    The copy is taken once, as are (W, b) views into its parameters and into
+    one reused gradient buffer, so a step allocates no new Network.  A step
+    is the same arithmetic as sgd_step(net, loss_gradient(...), lr).
+    """
+
+    def __init__(self, net: Network, lr: float):
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.net = net.copy()
+        self.lr = lr
+        self.layers = self.net.layers()
+        self._grad = np.empty_like(self.net.params)
+        self._grad_layers = _layer_views(net.arch, self._grad)
+
+    def forward(self, features):
+        """(logits, layer_inputs, pre_acts) of the current parameters."""
+        return _forward_cached(self.net, features, self.layers)
+
+    def step(self, layer_inputs, pre_acts, delta, **context):
+        """Backpropagate `delta` through the cached forward and apply one SGD step."""
+        _backward_into(self._grad_layers, self.layers, layer_inputs, pre_acts, delta)
+        check_finite(self._grad, "gradient", **context)
+        self._grad *= self.lr
+        self.net.params -= self._grad
 
 
 def evaluate(net: Network, features, labels):

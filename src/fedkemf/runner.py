@@ -11,13 +11,12 @@ from .client import ClientState
 from .config import ExperimentConfig
 from .costs import MB, CostModel, RoundRecord, WireAudit, emit_metrics
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
+from .errors import ConfigError
 from .seeding import (
-    SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_SERVER_SPLIT,
+    SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_PARTITION, SALT_SERVER_SPLIT,
     SALT_TEST_DATA, SALT_VAL_SPLIT, derive_seed,
 )
 from .server import ServerState, run_round
-
-SALT_PARTITION = 909
 
 
 @dataclass
@@ -110,6 +109,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run all rounds, writing metrics, checkpoints, and the partition map."""
     data, test = build_datasets(config)
     server_indices, partition = build_partition(config, data)
+    if config.mode == "fedkemf" and config.distill_epochs and not server_indices:
+        raise ConfigError(
+            f"server_fraction {config.server_fraction} leaves no distillation samples"
+        )
     clients, server = build_states(config, data, server_indices, partition)
 
     os.makedirs(config.out_dir, exist_ok=True)

@@ -16,6 +16,7 @@ SALT_DATA = 505
 SALT_TEST_DATA = 606
 SALT_SERVER_SPLIT = 707
 SALT_VAL_SPLIT = 808
+SALT_PARTITION = 909
 
 
 def derive_seed(*parts) -> int:

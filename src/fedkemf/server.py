@@ -1,15 +1,14 @@
 """Server side: client sampling, ensembling, ensemble distillation, FedAvg."""
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
+from .checkpoint import checkpoint_nbytes
 from .client import batch_iterator, client_update, local_train
 from .data import Dataset
-from .errors import DivergenceError
 from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
 
 STRATEGIES = ("max_logits", "avg_logits", "majority_vote")
@@ -116,33 +115,39 @@ def distill(server: ServerState, members, data: Dataset):
 
     Student starts from the parameter average of the members (or from the
     previous global network under warm_start) and steps on batch-mean KL from
-    the combined teacher distribution.  Returns (student, last_mean_kl).
+    the combined teacher distribution.  The members are frozen, so the
+    teacher is built once per call over the whole split (one forward per
+    member) and sliced per batch.  Returns (student, last_mean_kl).
     """
     if not members:
         raise ValueError("need at least one member to distill")
     if server.init_mode == "warm_start":
-        student = server.global_knowledge.copy()
+        start = server.global_knowledge
     else:
-        student = average_init(members)
+        start = average_init(members)
+    student = nets.Trainer(start, server.distill_lr)
     last_loss = 0.0
+    if server.distill_epochs == 0:
+        return student.net, last_loss
+    x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
+    teacher = teacher_distributions([nets.forward(m, x_split) for m in members], server.strategy)
+    if teacher.shape != (len(x_split), start.arch.num_classes):
+        raise ValueError("teacher distribution shape mismatch")
+    positions = np.arange(len(x_split))
     for epoch in range(server.distill_epochs):
         epoch_seed = derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
         epoch_losses = []
-        for batch_idx in batch_iterator(server.distill_indices, server.batch_size, epoch_seed):
-            x = data.features[batch_idx]
-            teacher = teacher_distributions([nets.forward(m, x) for m in members], server.strategy)
-            loss = nets.kl_from_probs(teacher, nets.softmax(nets.forward(student, x)))
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"distillation diverged at round {server.round}, epoch {epoch}",
-                    round_index=server.round, epoch=epoch,
-                )
-            grad = nets.loss_gradient(student, x, teacher_probs=teacher)
-            student = nets.sgd_step(student, grad, server.distill_lr)
+        for b, pos in enumerate(batch_iterator(positions, server.batch_size, epoch_seed)):
+            context = {"round_index": server.round, "epoch": epoch, "batch_index": b}
+            logits, inputs, pre = student.forward(x_split[pos])
+            nets.check_finite(logits, "distillation logits", **context)
+            loss, delta = nets.loss_and_delta(nets.softmax_finite(logits),
+                                              teacher_probs=teacher[pos])
+            nets.check_finite(loss, "distillation loss", **context)
+            student.step(inputs, pre, delta, **context)
             epoch_losses.append(loss)
-        if epoch_losses:
-            last_loss = float(np.mean(epoch_losses))
-    return student, last_loss
+        last_loss = float(np.mean(epoch_losses))
+    return student.net, last_loss
 
 
 def _run_clients(fn, client_ids, jobs):
@@ -165,57 +170,41 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
 
     Returns per-round stats: sampled ids, mean train loss over sampled
     clients, mean val accuracy over ALL clients' deployed models, and the
-    distillation loss (0.0 in fedavg mode).
+    distillation loss (0.0 in fedavg mode).  In fedkemf mode only the
+    sampled clients' local models change, so every other client's val
+    accuracy is the one stored when its model last changed; a client never
+    scored yet is scored here.
     """
     if mode not in ("fedkemf", "fedavg"):
         raise ValueError(f"unknown mode {mode!r}")
     round_index = server.round + 1
     sampled = sample_clients(len(clients), sample_ratio, round_index, server.rng_seed)
-    ck_bytes = _knowledge_nbytes(server)
+    broadcast = server.global_knowledge
+    ck_bytes = checkpoint_nbytes(broadcast.arch)
+    train = client_update if mode == "fedkemf" else local_train
+
+    results = _run_clients(
+        lambda cid: train(clients[cid], broadcast, data, round_index), sampled, jobs
+    )
+    if audit is not None:
+        for cid in sampled:
+            audit.record_download(round_index, cid, broadcast.arch, ck_bytes)
+            audit.record_upload(round_index, cid, results[cid][0].arch, ck_bytes)
+    members = [results[cid][0] for cid in sampled]  # sampled is id-sorted
+    train_losses = [results[cid][1] for cid in sampled]
+
     distill_loss = 0.0
-
     if mode == "fedkemf":
-        def work(cid):
-            return client_update(clients[cid], server.global_knowledge, data, round_index)
-
-        results = _run_clients(work, sampled, jobs)
-        if audit is not None:
-            for cid in sampled:
-                audit.record_download(round_index, cid, server.global_knowledge.arch, ck_bytes)
-                audit.record_upload(round_index, cid, results[cid][0].arch, ck_bytes)
-        members = [results[cid][0] for cid in sampled]  # sampled is id-sorted
-        train_losses = [results[cid][1] for cid in sampled]
         server.global_knowledge, distill_loss = distill(server, members, data)
-        val_accs = [
-            nets.evaluate(
-                st.local_model,
-                data.features[st.val_indices if len(st.val_indices) else st.train_indices],
-                data.labels[st.val_indices if len(st.val_indices) else st.train_indices],
-            )[0]
-            for st in clients
-        ]
+        for st in clients:
+            if st.val_accuracy is None:
+                st.val_accuracy = st.accuracy(st.local_model, data)
+        val_accs = [st.val_accuracy for st in clients]
     else:
-        def work(cid):
-            return local_train(clients[cid], server.global_knowledge, data, round_index)
-
-        results = _run_clients(work, sampled, jobs)
-        if audit is not None:
-            for cid in sampled:
-                audit.record_download(round_index, cid, server.global_knowledge.arch, ck_bytes)
-                audit.record_upload(round_index, cid, results[cid][0].arch, ck_bytes)
-        members = [results[cid][0] for cid in sampled]
-        train_losses = [results[cid][1] for cid in sampled]
         weights = [len(clients[cid].train_indices) for cid in sampled]
         server.global_knowledge = fedavg_aggregate(members, weights)
         # Clients deploy the aggregated model; score it on each local val split.
-        val_accs = [
-            nets.evaluate(
-                server.global_knowledge,
-                data.features[st.val_indices if len(st.val_indices) else st.train_indices],
-                data.labels[st.val_indices if len(st.val_indices) else st.train_indices],
-            )[0]
-            for st in clients
-        ]
+        val_accs = [st.accuracy(server.global_knowledge, data) for st in clients]
 
     server.round = round_index
     return {
@@ -225,9 +214,3 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
         "distill_loss": distill_loss,
         "payload_bytes": ck_bytes,
     }
-
-
-def _knowledge_nbytes(server: ServerState) -> int:
-    from .checkpoint import checkpoint_nbytes
-
-    return checkpoint_nbytes(server.global_knowledge.arch)

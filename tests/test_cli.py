@@ -95,6 +95,19 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", str(cfg)]) == 4
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", "-4"),
+        ("batch_size", "0"),
+        ("server_fraction", "0"),
+        ("val_fraction", "1"),
+        ("dataset.spread", "0"),
+    ])
+    def test_bad_numeric_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["run", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_io_error_exit_code(self, tmp_path):
         missing = tmp_path / "no" / "such.idx"
         cfg = write_config(

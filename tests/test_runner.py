@@ -1,11 +1,15 @@
 import csv
+import functools
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
-from fedkemf import checkpoint
+from fedkemf import checkpoint, runner
 from fedkemf.config import ExperimentConfig
 from fedkemf.data import PartitionMap
+from fedkemf.errors import InfeasiblePartitionError
 from fedkemf.runner import build_datasets, run_experiment
 
 
@@ -109,3 +113,22 @@ def test_fedavg_mode_runs(tmp_path):
     result = run_experiment(cfg)
     assert result.records[-1].distill_loss == 0.0
     assert len(result.records) == 3
+
+
+def test_partition_json_pinned_after_redraws(tmp_path, monkeypatch):
+    # 200 clients at alpha 0.3: seed 6 needs 14 Dirichlet draws before every
+    # client holds 10 samples.  The digest pins the map the simulator has
+    # always produced for it.
+    cfg = make_config(tmp_path, tag="pinned", num_clients=200, sample_ratio=0.05, rounds=1,
+                      alpha=0.3, local_epochs=1, distill_epochs=1, knowledge_arch=(4,),
+                      client_archs=[(4,)], experiment_seed=6, synth_classes=10,
+                      synth_per_class=1500, synth_dim=16, min_per_client=10)
+    run_experiment(cfg)
+    pinned = (tmp_path / "pinned" / "partition.json").read_bytes()
+    assert hashlib.sha256(pinned).hexdigest() == (
+        "01e3709c96c6ac49f33d1d7dbeadf0e9fa4c5bdd865f0eb237bdd458eea17e64")
+    data, _ = build_datasets(cfg)
+    monkeypatch.setattr(runner, "dirichlet_partition",
+                        functools.partial(runner.dirichlet_partition, max_attempts=13))
+    with pytest.raises(InfeasiblePartitionError):
+        runner.build_partition(cfg, data)
