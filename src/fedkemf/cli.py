@@ -4,6 +4,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import checkpoint, nets
 from .config import parse_config
 from .costs import MB, communication_cost, format_gb, speedup
@@ -39,7 +41,10 @@ def _build_parser():
 
 def _cmd_run(args):
     config = parse_config(args.config)
-    result = run_experiment(config, jobs=max(1, args.jobs))
+    # Overflow and invalid values are caught by the finiteness guards, which
+    # raise DivergenceError; numpy's own warnings would only add noise to stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_experiment(config, jobs=max(1, args.jobs))
     print(f"rounds: {len(result.records)}")
     print(f"initial_acc: {result.initial_accuracy:.4f}")
     print(f"final_acc: {result.summary['final_acc']:.4f}")

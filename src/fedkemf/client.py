@@ -1,6 +1,7 @@
 """Client-side local training: deep mutual learning and the plain-CE baseline."""
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,17 +45,28 @@ def batch_iterator(indices, batch_size, epoch_seed):
     return [idx[i:i + batch_size] for i in range(0, idx.size, batch_size)]
 
 
-def _batches(state: ClientState, data: Dataset, round_index, num_classes):
-    """(context, x, y) per batch of every local epoch; checks the label range once."""
+def epoch_rows(batches):
+    """An epoch's row order (its batches, concatenated) and each batch's (start, stop) in it."""
+    stops = list(accumulate(map(len, batches)))
+    return np.concatenate(batches), list(zip([0] + stops[:-1], stops))
+
+
+def _epochs(state: ClientState, data: Dataset, round_index, num_classes):
+    """(epoch, bounds, x, y, onehot) per local epoch; checks the label range once.
+
+    The rows are gathered once per epoch in its shuffled batch order, so
+    batch b is the contiguous rows bounds[b] of x, y and the one-hot block.
+    """
     train = np.asarray(state.train_indices, dtype=np.int64)
     labels = data.labels[train]
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("label out of range")
+    eye = np.eye(num_classes)
     for epoch in range(state.epochs):
         epoch_seed = derive_seed(state.rng_seed, state.client_id, round_index, epoch)
-        for b, batch_idx in enumerate(batch_iterator(train, state.batch_size, epoch_seed)):
-            context = {"client_id": state.client_id, "epoch": epoch, "batch_index": b}
-            yield context, data.features[batch_idx], data.labels[batch_idx]
+        order, bounds = epoch_rows(batch_iterator(train, state.batch_size, epoch_seed))
+        y = data.labels[order]
+        yield epoch, bounds, data.features[order], y, eye[y]
 
 
 def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
@@ -68,6 +80,8 @@ def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset
     returned.  Three forwards per batch: the knowledge net's forward serves
     both its loss and its step, the local model's forward serves its loss and
     step, and one more forward of the stepped local model makes the teacher.
+    A batch keeps its softmax rows; the losses are scored from them once per
+    epoch.
 
     Returns (updated_knowledge, mean_train_loss, local_val_accuracy).
     """
@@ -76,28 +90,36 @@ def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset
         raise ValueError("knowledge and local networks disagree on num_classes")
     kn = nets.Trainer(knowledge_net, state.lr)
     theta = nets.Trainer(state.local_model, state.lr)
+    cid = state.client_id
     losses = []
-    for context, x, y in _batches(state, data, round_index, num_classes):
-        g_logits, g_inputs, g_pre = kn.forward(x)
-        nets.check_finite(g_logits, "logits", **context)
-        t_logits, t_inputs, t_pre = theta.forward(x)
-        nets.check_finite(t_logits, "logits", **context)
-        g_probs = nets.softmax_finite(g_logits)
-        loss, delta = nets.loss_and_delta(nets.softmax_finite(t_logits), y, g_probs)
-        nets.check_finite(loss, "loss", **context)
-        theta.step(t_inputs, t_pre, delta, **context)
-        losses.append(loss)
+    for epoch, bounds, x, y, onehot in _epochs(state, data, round_index, num_classes):
+        g_rows = np.empty(onehot.shape)  # knowledge net
+        q_rows = np.empty(onehot.shape)  # local model before its step
+        p_rows = np.empty(onehot.shape)  # local model after its step
+        for b, (start, stop) in enumerate(bounds):
+            context = {"client_id": cid, "epoch": epoch, "batch_index": b}
+            xb, yb = x[start:stop], onehot[start:stop]
+            g_logits, g_inputs, g_pre = kn.forward(xb)
+            nets.check_finite(g_logits, "logits", **context)
+            t_logits, t_inputs, t_pre = theta.forward(xb)
+            nets.check_finite(t_logits, "logits", **context)
+            g = nets.softmax_finite(g_logits, out=g_rows[start:stop])
+            q = nets.softmax_finite(t_logits, out=q_rows[start:stop])
+            theta.step(t_inputs, t_pre, nets.logit_delta(q, yb, g), **context)
 
-        t_logits = theta.forward(x)[0]
-        nets.check_finite(t_logits, "logits", **context)
-        kn_loss, delta = nets.loss_and_delta(g_probs, y, nets.softmax_finite(t_logits))
-        nets.check_finite(kn_loss, "loss", **context)
-        kn.step(g_inputs, g_pre, delta, **context)
+            t_logits = theta.forward(xb)[0]
+            nets.check_finite(t_logits, "logits", **context)
+            p = nets.softmax_finite(t_logits, out=p_rows[start:stop])
+            kn.step(g_inputs, g_pre, nets.logit_delta(g, yb, p), **context)
+        terms = nets.row_terms(q_rows, y, g_rows)
+        nets.check_rows_finite(terms + nets.row_terms(g_rows, y, p_rows), bounds, "loss",
+                               client_id=cid, epoch=epoch)
+        losses.extend(nets.batch_means(terms, bounds))
 
-    state.local_model = theta.net
-    state.val_accuracy = state.accuracy(theta.net, data)
+    state.local_model = theta.trained(client_id=cid)
+    state.val_accuracy = state.accuracy(state.local_model, data)
     mean_loss = float(np.mean(losses)) if losses else 0.0
-    return kn.net, mean_loss, state.val_accuracy
+    return kn.trained(client_id=cid), mean_loss, state.val_accuracy
 
 
 def local_train(state: ClientState, model: nets.Network, data: Dataset,
@@ -108,13 +130,18 @@ def local_train(state: ClientState, model: nets.Network, data: Dataset,
     Returns (trained_model, mean_train_loss).
     """
     net = nets.Trainer(model, state.lr)
+    cid = state.client_id
     losses = []
-    for context, x, y in _batches(state, data, round_index, model.arch.num_classes):
-        logits, inputs, pre = net.forward(x)
-        nets.check_finite(logits, "logits", **context)
-        loss, delta = nets.loss_and_delta(nets.softmax_finite(logits), y)
-        nets.check_finite(loss, "loss", **context)
-        net.step(inputs, pre, delta, **context)
-        losses.append(loss)
+    for epoch, bounds, x, y, onehot in _epochs(state, data, round_index, model.arch.num_classes):
+        q_rows = np.empty(onehot.shape)
+        for b, (start, stop) in enumerate(bounds):
+            context = {"client_id": cid, "epoch": epoch, "batch_index": b}
+            logits, inputs, pre = net.forward(x[start:stop])
+            nets.check_finite(logits, "logits", **context)
+            q = nets.softmax_finite(logits, out=q_rows[start:stop])
+            net.step(inputs, pre, nets.logit_delta(q, onehot[start:stop]), **context)
+        terms = nets.row_terms(q_rows, y)
+        nets.check_rows_finite(terms, bounds, "loss", client_id=cid, epoch=epoch)
+        losses.extend(nets.batch_means(terms, bounds))
     mean_loss = float(np.mean(losses)) if losses else 0.0
-    return net.net, mean_loss
+    return net.trained(client_id=cid), mean_loss

@@ -1,8 +1,10 @@
 """Strict flat key=value experiment configuration."""
 
+import math
 import os
 from dataclasses import dataclass
 
+from .costs import MB
 from .errors import ConfigError
 
 
@@ -64,24 +66,37 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 1")
         if not (0 < self.sample_ratio <= 1):
             raise ConfigError("sample_ratio must be in (0, 1]")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not (0 < self.alpha < math.inf):
+            raise ConfigError("alpha must be positive and finite")
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
-        if self.lr <= 0 or self.distill_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (0 < self.lr < math.inf and 0 < self.distill_lr < math.inf):
+            raise ConfigError("learning rates must be positive and finite")
         if self.local_epochs < 0 or self.distill_epochs < 0:
             raise ConfigError("epoch counts must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.min_per_client < 1:
+            raise ConfigError("min_per_client must be >= 1")
         # 0 is a valid partition-only setting; run_experiment rejects an
         # empty distillation split where one is needed.
         if not (0 <= self.server_fraction < 1):
             raise ConfigError("server_fraction must be in [0, 1)")
         if not (0 <= self.val_fraction < 1):
             raise ConfigError("val_fraction must be in [0, 1)")
-        if not (self.synth_spread > 0):
-            raise ConfigError("dataset.spread must be positive")
+        if self.target_accuracy is not None and not (0 <= self.target_accuracy <= 1):
+            raise ConfigError("target_accuracy must be in [0, 1]")
+        # The cost model counts whole bytes, so a payload must be at least one.
+        if self.payload_mb is not None and not (1 / MB <= self.payload_mb < math.inf):
+            raise ConfigError("payload_mb must be at least one byte and finite")
+        if self.synth_classes < 2:
+            raise ConfigError("dataset.classes must be >= 2")
+        if self.synth_per_class < 1 or self.synth_dim < 1:
+            raise ConfigError("dataset.per_class and dataset.dim must be >= 1")
+        if self.synth_test_per_class is not None and self.synth_test_per_class < 1:
+            raise ConfigError("dataset.test_per_class must be >= 1")
+        if not (0 < self.synth_spread < math.inf):
+            raise ConfigError("dataset.spread must be positive and finite")
         if self.strategy not in ("max_logits", "avg_logits", "majority_vote"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.server_init not in ("avg_members", "warm_start"):

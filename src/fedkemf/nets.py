@@ -112,7 +112,8 @@ def _forward_cached(net: Network, features: np.ndarray, layers=None):
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         layer_inputs.append(a)
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre_acts.append(z)
         a = np.maximum(z, 0.0) if i < last else z
     return a, layer_inputs, pre_acts
@@ -123,9 +124,10 @@ def _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta):
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
         np.matmul(layer_inputs[i].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            delta = (delta @ layers[i][0].T) * (pre_acts[i - 1] > 0.0)
+            delta = delta @ layers[i][0].T
+            delta *= pre_acts[i - 1] > 0.0
 
 
 def backward(net: Network, layer_inputs, pre_acts, delta) -> np.ndarray:
@@ -149,11 +151,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return softmax_finite(z)
 
 
-def softmax_finite(z):
-    """softmax of logits already known to be finite, without re-scanning them."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_finite(z, out=None):
+    """softmax of logits already known to be finite, without re-scanning them.
+
+    Works in place on one buffer: `out` (same shape as `z`) if given, else a
+    new array.  `z` is left untouched.
+    """
+    out = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
 
 
 def _onehot(labels, num_classes):
@@ -175,12 +182,13 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
         raise ValueError("logits and labels disagree on batch size")
     if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
         raise ValueError("label out of range")
-    return _cross_entropy_rows(softmax(logits), np.arange(labels.size), labels)
+    return float(_ce_terms(softmax(logits), labels).mean())
 
 
-def _cross_entropy_rows(q, rows, labels):
-    picked = q[rows, labels]
-    return float(-np.log(np.maximum(picked, LOG_FLOOR)).mean())
+def _ce_terms(q, labels):
+    """Per-row -log of the true class's probability (floored at LOG_FLOOR)."""
+    picked = q[np.arange(len(labels)), labels]
+    return -np.log(np.maximum(picked, LOG_FLOOR))
 
 
 def kl_divergence(teacher_logits: np.ndarray, student_logits: np.ndarray) -> float:
@@ -198,13 +206,13 @@ def kl_from_probs(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float
     q = np.asarray(student_probs, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("probability arrays must have identical shapes")
-    return _kl_rows(p, q)
+    return float(_kl_terms(p, q).mean())
 
 
-def _kl_rows(p, q):
+def _kl_terms(p, q):
+    """Per-row KL(p || q); zero entries of p contribute 0."""
     ratio = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    per_row = np.where(p > 0.0, p * ratio, 0.0).sum(axis=-1)
-    return float(per_row.mean())
+    return np.where(p > 0.0, p * ratio, 0.0).sum(axis=-1)
 
 
 def loss_value(net: Network, features, labels=None, teacher_probs=None) -> float:
@@ -241,35 +249,74 @@ def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np
     return backward(net, layer_inputs, pre_acts, delta)
 
 
-def loss_and_delta(q, labels=None, teacher_probs=None):
-    """Training loss and its logit gradient, both from the softmax rows `q`.
+def logit_delta(q, *targets):
+    """Batch-mean logit gradient of the training loss from its softmax rows `q`.
 
-    The same arithmetic as loss_value and loss_gradient, without a second
-    forward or softmax.  The caller has checked the logits behind `q`, the
-    label range and the teacher's shape.
+    Each target is a block of rows like `q` (a one-hot block for CE, a
+    teacher's probabilities for KL) and adds (q - target); the sum is divided
+    by the batch size.  A one-hot block gives the same IEEE arithmetic as
+    subtracting 1.0 at each row's label.
     """
-    n = q.shape[0]
-    if labels is None:
-        loss = _kl_rows(teacher_probs, q)
-        delta = q - teacher_probs
-    else:
-        rows = np.arange(n)
-        loss = _cross_entropy_rows(q, rows, labels)
-        delta = q.copy()
-        delta[rows, labels] -= 1.0
-        if teacher_probs is not None:
-            loss = loss + _kl_rows(teacher_probs, q)
-            delta += q - teacher_probs
-    delta /= n
-    return loss, delta
+    delta = q - targets[0]
+    for target in targets[1:]:
+        delta += q - target
+    delta /= q.shape[0]
+    return delta
+
+
+def row_terms(q, labels=None, teacher_probs=None):
+    """Per-row loss terms of the softmax rows `q`, in loss order.
+
+    CE toward `labels` (if given), then KL from `teacher_probs` (if given).
+    The training loss of a batch is the sum over terms of each term's batch
+    mean; see batch_means.
+    """
+    terms = []
+    if labels is not None:
+        terms.append(_ce_terms(q, labels))
+    if teacher_probs is not None:
+        terms.append(_kl_terms(teacher_probs, q))
+    return terms
+
+
+def batch_means(terms, bounds):
+    """Each batch's loss from per-row terms: the batch mean of each term, summed in order.
+
+    `bounds` are the batches' (start, stop) rows.  The sum of a contiguous
+    slice divided by its length is the same arithmetic as .mean() of that
+    batch alone, so the losses equal those scored batch by batch.
+    """
+    losses = []
+    for start, stop in bounds:
+        loss = float(np.add.reduce(terms[0][start:stop])) / (stop - start)
+        for t in terms[1:]:
+            loss += float(np.add.reduce(t[start:stop])) / (stop - start)
+        losses.append(loss)
+    return losses
+
+
+def _divergence(what, context):
+    where = ", ".join(f"{k}={v}" for k, v in context.items())
+    return DivergenceError(f"non-finite {what}" + (f" ({where})" if where else ""), **context)
 
 
 def check_finite(value, what, **context):
     """The one finiteness guard: DivergenceError carrying `context` unless all finite."""
-    if not np.isfinite(value).all():
-        where = ", ".join(f"{k}={v}" for k, v in context.items())
-        raise DivergenceError(f"non-finite {what}" + (f" ({where})" if where else ""),
-                              **context)
+    if not np.logical_and.reduce(np.isfinite(value), axis=None):
+        raise _divergence(what, context)
+
+
+def check_rows_finite(terms, bounds, what, **context):
+    """check_finite over per-row terms of several batches at once.
+
+    The DivergenceError names, as batch_index, the first batch of `bounds`
+    holding a non-finite row in any of the terms.
+    """
+    finite = np.logical_and.reduce([np.isfinite(t) for t in terms])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        batch = next(b for b, (_, stop) in enumerate(bounds) if row < stop)
+        raise _divergence(what, dict(context, batch_index=batch))
 
 
 def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
@@ -311,6 +358,15 @@ class Trainer:
         self._grad *= self.lr
         self.net.params -= self._grad
 
+    def trained(self, **context):
+        """The trained network, once its parameters are checked finite.
+
+        A finite gradient can still overflow lr * grad on the last step,
+        and no later forward would see it.
+        """
+        check_finite(self.net.params, "parameters", **context)
+        return self.net
+
 
 def evaluate(net: Network, features, labels):
     """Top-1 accuracy (argmax ties to the lowest class index) and mean CE loss."""
@@ -319,6 +375,8 @@ def evaluate(net: Network, features, labels):
     if features.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     logits = forward(net, features)
+    # Finite parameters can still overflow the logits on unseen rows.
+    check_finite(logits, "evaluation logits")
     pred = np.argmax(logits, axis=1)
     accuracy = float(np.mean(pred == labels))
     return accuracy, cross_entropy(logits, labels)

@@ -1,5 +1,6 @@
 """Server side: client sampling, ensembling, ensemble distillation, FedAvg."""
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from . import nets
 from .checkpoint import checkpoint_nbytes
-from .client import batch_iterator, client_update, local_train
+from .client import batch_iterator, client_update, epoch_rows, local_train
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
 
@@ -117,7 +118,9 @@ def distill(server: ServerState, members, data: Dataset):
     previous global network under warm_start) and steps on batch-mean KL from
     the combined teacher distribution.  The members are frozen, so the
     teacher is built once per call over the whole split (one forward per
-    member) and sliced per batch.  Returns (student, last_mean_kl).
+    member) and gathered once per epoch in its batch order.  The KL is
+    scored from the student's softmax rows once per epoch.  Returns
+    (student, last_mean_kl).
     """
     if not members:
         raise ValueError("need at least one member to distill")
@@ -136,26 +139,33 @@ def distill(server: ServerState, members, data: Dataset):
     positions = np.arange(len(x_split))
     for epoch in range(server.distill_epochs):
         epoch_seed = derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
-        epoch_losses = []
-        for b, pos in enumerate(batch_iterator(positions, server.batch_size, epoch_seed)):
+        perm, bounds = epoch_rows(batch_iterator(positions, server.batch_size, epoch_seed))
+        x, t = x_split[perm], teacher[perm]
+        q_rows = np.empty(t.shape)
+        for b, (lo, hi) in enumerate(bounds):
             context = {"round_index": server.round, "epoch": epoch, "batch_index": b}
-            logits, inputs, pre = student.forward(x_split[pos])
+            logits, inputs, pre = student.forward(x[lo:hi])
             nets.check_finite(logits, "distillation logits", **context)
-            loss, delta = nets.loss_and_delta(nets.softmax_finite(logits),
-                                              teacher_probs=teacher[pos])
-            nets.check_finite(loss, "distillation loss", **context)
-            student.step(inputs, pre, delta, **context)
-            epoch_losses.append(loss)
-        last_loss = float(np.mean(epoch_losses))
-    return student.net, last_loss
+            q = nets.softmax_finite(logits, out=q_rows[lo:hi])
+            student.step(inputs, pre, nets.logit_delta(q, t[lo:hi]), **context)
+        terms = nets.row_terms(q_rows, teacher_probs=t)
+        nets.check_rows_finite(terms, bounds, "distillation loss",
+                               round_index=server.round, epoch=epoch)
+    last_loss = float(np.mean(nets.batch_means(terms, bounds)))
+    return student.trained(round_index=server.round), last_loss
 
 
 def _run_clients(fn, client_ids, jobs):
-    """Run per-client work, optionally in parallel; results keyed by client id."""
+    """Run per-client work, optionally in parallel; results keyed by client id.
+
+    Each worker call runs in a copy of the caller's context, so it keeps the
+    caller's numpy error state.
+    """
     if jobs <= 1 or len(client_ids) <= 1:
         return {cid: fn(cid) for cid in client_ids}
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {cid: pool.submit(fn, cid) for cid in client_ids}
+        futures = {cid: pool.submit(contextvars.copy_context().run, fn, cid)
+                   for cid in client_ids}
         return {cid: fut.result() for cid, fut in futures.items()}
 
 

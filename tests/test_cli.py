@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -95,12 +96,32 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", str(cfg)]) == 4
 
+    def test_divergence_on_final_step_is_typed_and_quiet(self, tmp_path, capsys):
+        # One distillation step leaves finite but huge parameters; nothing in
+        # the loops runs after it, so the overflow first shows in evaluation.
+        cfg = write_config(tmp_path, num_clients=12, alpha=0.05, min_per_client=1,
+                           distill_lr="1e300", distill_epochs=1, experiment_seed=1,
+                           **{"dataset.per_class": "20"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg)]) == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite") and err.count("\n") == 1
+
     @pytest.mark.parametrize("key, value", [
         ("batch_size", "-4"),
         ("batch_size", "0"),
         ("server_fraction", "0"),
         ("val_fraction", "1"),
         ("dataset.spread", "0"),
+        ("min_per_client", "0"),
+        ("alpha", "nan"),
+        ("lr", "inf"),
+        ("target_accuracy", "2"),
+        ("payload_mb", "0"),
+        ("dataset.classes", "1"),
+        ("dataset.test_per_class", "0"),
     ])
     def test_bad_numeric_value_is_config_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})

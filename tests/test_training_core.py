@@ -233,6 +233,67 @@ class TestForwardCounts:
         assert len(forwards) == 3  # the sampled clients' own evaluations
 
 
+class TestLossTermCounts:
+    """Losses are scored once per epoch: the per-row term helpers run a fixed
+    number of times per epoch, however many batches the epoch has."""
+
+    @pytest.fixture
+    def terms(self, monkeypatch):
+        calls = {"_ce_terms": 0, "_kl_terms": 0}
+        for name in calls:
+            def counting(*args, _name=name, _helper=getattr(nets, name)):
+                calls[_name] += 1
+                return _helper(*args)
+            monkeypatch.setattr(nets, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("batch_size", [4, 13, 200])
+    def test_client_update(self, terms, batch_size):
+        data = make_data()
+        state = make_client(data, batch_size=batch_size)
+        client_update(state, nets.init_network(
+            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data)
+        # two nets, CE + KL each, per epoch; one more CE in the val evaluation
+        assert terms == {"_ce_terms": 2 * state.epochs + 1, "_kl_terms": 2 * state.epochs}
+
+    @pytest.mark.parametrize("batch_size", [4, 13, 200])
+    def test_local_train(self, terms, batch_size):
+        data = make_data()
+        state = make_client(data, batch_size=batch_size)
+        local_train(state, nets.init_network(
+            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data)
+        assert terms == {"_ce_terms": state.epochs, "_kl_terms": 0}
+
+    @pytest.mark.parametrize("batch_size", [4, 13, 200])
+    def test_distill(self, terms, batch_size):
+        data = make_data()
+        members = trained_members(data)
+        server = make_server(data)
+        server.batch_size = batch_size
+        terms.update(_ce_terms=0, _kl_terms=0)
+        distill(server, members, data)
+        assert terms == {"_ce_terms": 0, "_kl_terms": server.distill_epochs}
+
+
+def test_rows_check_names_first_failing_batch():
+    ce, kl = np.zeros(10), np.zeros(10)
+    kl[9], ce[6] = np.inf, np.nan
+    with pytest.raises(DivergenceError) as err:
+        nets.check_rows_finite([ce, kl], [(0, 4), (4, 8), (8, 10)], "loss", client_id=2, epoch=1)
+    assert (err.value.client_id, err.value.epoch, err.value.batch_index) == (2, 1, 1)
+    nets.check_rows_finite([np.zeros(10)], [(0, 10)], "loss")
+
+
+def test_trained_rejects_overflowed_parameters():
+    trainer = nets.Trainer(nets.init_network(nets.ArchSpec(2, (), 2), 0), 1e308)
+    _, inputs, pre = trainer.forward(np.array([[4.0, 4.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trainer.step(inputs, pre, np.array([[-1.0, 1.0]]))  # finite gradient, lr * grad = inf
+    with pytest.raises(DivergenceError) as err:
+        trainer.trained(client_id=3)
+    assert err.value.client_id == 3
+
+
 def test_distill_divergence_is_typed():
     data = make_data()
     server = make_server(data)
