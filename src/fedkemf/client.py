@@ -1,4 +1,4 @@
-"""Client-side local training: deep mutual learning and the plain-CE baseline."""
+"""Client-side local training: deep mutual learning and the single-student fit loop."""
 
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,10 +29,11 @@ class ClientState:
         """The val split, or the train split when the shard had no room for one."""
         return self.val_indices if len(self.val_indices) else self.train_indices
 
-    def accuracy(self, net: nets.Network, data: Dataset) -> float:
-        """Top-1 accuracy of `net` on this client's eval_indices."""
+    def accuracy(self, net: nets.Network, data: Dataset, **context) -> float:
+        """Top-1 accuracy of `net` on this client's eval_indices; errors name the client."""
         idx = self.eval_indices
-        return nets.evaluate(net, data.features[idx], data.labels[idx])[0]
+        return nets.evaluate(net, data.features[idx], data.labels[idx],
+                             client_id=self.client_id, **context)[0]
 
 
 def batch_iterator(indices, batch_size, epoch_seed):
@@ -45,28 +46,49 @@ def batch_iterator(indices, batch_size, epoch_seed):
     return [idx[i:i + batch_size] for i in range(0, idx.size, batch_size)]
 
 
-def epoch_rows(batches):
-    """An epoch's row order (its batches, concatenated) and each batch's (start, stop) in it."""
-    stops = list(accumulate(map(len, batches)))
-    return np.concatenate(batches), list(zip([0] + stops[:-1], stops))
+def epoch_rows(epoch_batches):
+    """Per epoch's batches: its row order (the batches joined) and each batch's (start, stop)."""
+    for batches in epoch_batches:
+        stops = list(accumulate(map(len, batches)))
+        yield np.concatenate(batches), list(zip([0] + stops[:-1], stops))
 
 
-def _epochs(state: ClientState, data: Dataset, round_index, num_classes):
-    """(epoch, bounds, x, y, onehot) per local epoch; checks the label range once.
-
-    The rows are gathered once per epoch in its shuffled batch order, so
-    batch b is the contiguous rows bounds[b] of x, y and the one-hot block.
-    """
+def _shard(state: ClientState, data: Dataset, round_index, num_classes):
+    """(x, y, onehot) of the train shard, and its local epochs' rows over positions in it."""
     train = np.asarray(state.train_indices, dtype=np.int64)
-    labels = data.labels[train]
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    y = data.labels[train]
+    if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise ValueError("label out of range")
-    eye = np.eye(num_classes)
-    for epoch in range(state.epochs):
-        epoch_seed = derive_seed(state.rng_seed, state.client_id, round_index, epoch)
-        order, bounds = epoch_rows(batch_iterator(train, state.batch_size, epoch_seed))
-        y = data.labels[order]
-        yield epoch, bounds, data.features[order], y, eye[y]
+    positions = np.arange(len(train))
+    seeds = (derive_seed(state.rng_seed, state.client_id, round_index, epoch)
+             for epoch in range(state.epochs))
+    epochs = epoch_rows(batch_iterator(positions, state.batch_size, s) for s in seeds)
+    return data.features[train], y, np.eye(num_classes)[y], epochs
+
+
+def fit(trainer: nets.Trainer, x, epochs, target, labels=None, what="", **context):
+    """Single-student SGD toward one fixed target block (plain CE, or distillation).
+
+    `epochs` yields each epoch's epoch_rows over the rows of `x` and `target`;
+    each batch steps on the batch mean of (softmax - target).  Losses are
+    scored per epoch: CE toward `labels` if given (`target` is their one-hot
+    block), else KL from `target`.  Divergence errors name what + "logits" or
+    what + "loss".  Returns per epoch (terms, bounds), as nets.batch_means takes.
+    """
+    logits_what, loss_what = what + "logits", what + "loss"
+    scored = []
+    for epoch, (order, bounds) in enumerate(epochs):
+        xe, te = x[order], target[order]
+        q_rows = np.empty(te.shape)
+        for b, (start, stop) in enumerate(bounds):
+            batch = {**context, "epoch": epoch, "batch_index": b}
+            q, inputs, pre = trainer.probs(xe[start:stop], q_rows[start:stop], logits_what, **batch)
+            trainer.step(inputs, pre, nets.logit_delta(q, te[start:stop]), **batch)
+        terms = (nets.row_terms(q_rows, teacher_probs=te) if labels is None
+                 else nets.row_terms(q_rows, labels[order]))
+        nets.check_rows_finite(terms, bounds, loss_what, **context, epoch=epoch)
+        scored.append((terms, bounds))
+    return scored
 
 
 def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
@@ -81,7 +103,7 @@ def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset
     both its loss and its step, the local model's forward serves its loss and
     step, and one more forward of the stepped local model makes the teacher.
     A batch keeps its softmax rows; the losses are scored from them once per
-    epoch.
+    epoch.  The two nets step in turn, so this loop is not fit's.
 
     Returns (updated_knowledge, mean_train_loss, local_val_accuracy).
     """
@@ -90,36 +112,31 @@ def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset
         raise ValueError("knowledge and local networks disagree on num_classes")
     kn = nets.Trainer(knowledge_net, state.lr)
     theta = nets.Trainer(state.local_model, state.lr)
-    cid = state.client_id
+    context = {"client_id": state.client_id, "round_index": round_index}
+    x, y, onehot, epochs = _shard(state, data, round_index, num_classes)
     losses = []
-    for epoch, bounds, x, y, onehot in _epochs(state, data, round_index, num_classes):
-        g_rows = np.empty(onehot.shape)  # knowledge net
-        q_rows = np.empty(onehot.shape)  # local model before its step
-        p_rows = np.empty(onehot.shape)  # local model after its step
+    for epoch, (order, bounds) in enumerate(epochs):
+        xe, ye, te = x[order], y[order], onehot[order]
+        g_rows = np.empty(te.shape)  # knowledge net
+        q_rows = np.empty(te.shape)  # local model before its step
+        p_rows = np.empty(te.shape)  # local model after its step
         for b, (start, stop) in enumerate(bounds):
-            context = {"client_id": cid, "epoch": epoch, "batch_index": b}
-            xb, yb = x[start:stop], onehot[start:stop]
-            g_logits, g_inputs, g_pre = kn.forward(xb)
-            nets.check_finite(g_logits, "logits", **context)
-            t_logits, t_inputs, t_pre = theta.forward(xb)
-            nets.check_finite(t_logits, "logits", **context)
-            g = nets.softmax_finite(g_logits, out=g_rows[start:stop])
-            q = nets.softmax_finite(t_logits, out=q_rows[start:stop])
-            theta.step(t_inputs, t_pre, nets.logit_delta(q, yb, g), **context)
-
-            t_logits = theta.forward(xb)[0]
-            nets.check_finite(t_logits, "logits", **context)
-            p = nets.softmax_finite(t_logits, out=p_rows[start:stop])
-            kn.step(g_inputs, g_pre, nets.logit_delta(g, yb, p), **context)
-        terms = nets.row_terms(q_rows, y, g_rows)
-        nets.check_rows_finite(terms + nets.row_terms(g_rows, y, p_rows), bounds, "loss",
-                               client_id=cid, epoch=epoch)
+            batch = {**context, "epoch": epoch, "batch_index": b}
+            xb, yb = xe[start:stop], te[start:stop]
+            g, g_inputs, g_pre = kn.probs(xb, g_rows[start:stop], "logits", **batch)
+            q, t_inputs, t_pre = theta.probs(xb, q_rows[start:stop], "logits", **batch)
+            theta.step(t_inputs, t_pre, nets.logit_delta(q, yb, g), **batch)
+            p = theta.probs(xb, p_rows[start:stop], "logits", **batch)[0]
+            kn.step(g_inputs, g_pre, nets.logit_delta(g, yb, p), **batch)
+        terms = nets.row_terms(q_rows, ye, g_rows)
+        nets.check_rows_finite(terms + nets.row_terms(g_rows, ye, p_rows), bounds, "loss",
+                               **context, epoch=epoch)
         losses.extend(nets.batch_means(terms, bounds))
 
-    state.local_model = theta.trained(client_id=cid)
-    state.val_accuracy = state.accuracy(state.local_model, data)
+    state.local_model = theta.trained(**context)
+    state.val_accuracy = state.accuracy(state.local_model, data, round_index=round_index)
     mean_loss = float(np.mean(losses)) if losses else 0.0
-    return kn.trained(client_id=cid), mean_loss, state.val_accuracy
+    return kn.trained(**context), mean_loss, state.val_accuracy
 
 
 def local_train(state: ClientState, model: nets.Network, data: Dataset,
@@ -130,18 +147,9 @@ def local_train(state: ClientState, model: nets.Network, data: Dataset,
     Returns (trained_model, mean_train_loss).
     """
     net = nets.Trainer(model, state.lr)
-    cid = state.client_id
-    losses = []
-    for epoch, bounds, x, y, onehot in _epochs(state, data, round_index, model.arch.num_classes):
-        q_rows = np.empty(onehot.shape)
-        for b, (start, stop) in enumerate(bounds):
-            context = {"client_id": cid, "epoch": epoch, "batch_index": b}
-            logits, inputs, pre = net.forward(x[start:stop])
-            nets.check_finite(logits, "logits", **context)
-            q = nets.softmax_finite(logits, out=q_rows[start:stop])
-            net.step(inputs, pre, nets.logit_delta(q, onehot[start:stop]), **context)
-        terms = nets.row_terms(q_rows, y)
-        nets.check_rows_finite(terms, bounds, "loss", client_id=cid, epoch=epoch)
-        losses.extend(nets.batch_means(terms, bounds))
+    context = {"client_id": state.client_id, "round_index": round_index}
+    x, y, onehot, epochs = _shard(state, data, round_index, model.arch.num_classes)
+    losses = [loss for terms, bounds in fit(net, x, epochs, onehot, y, **context)
+              for loss in nets.batch_means(terms, bounds)]
     mean_loss = float(np.mean(losses)) if losses else 0.0
-    return net.trained(client_id=cid), mean_loss
+    return net.trained(**context), mean_loss

@@ -4,8 +4,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .costs import MB
+from .costs import DIRECTIONS, MB
 from .errors import ConfigError
+from .server import INIT_MODES, MODES, STRATEGIES
 
 
 def _parse_hidden_dims(text):
@@ -60,8 +61,8 @@ class ExperimentConfig:
     idx_test_labels: str = None
 
     def __post_init__(self):
-        if self.mode not in ("fedkemf", "fedavg"):
-            raise ConfigError(f"mode must be fedkemf or fedavg, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be {' or '.join(MODES)}, got {self.mode!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if not (0 < self.sample_ratio <= 1):
@@ -97,11 +98,11 @@ class ExperimentConfig:
             raise ConfigError("dataset.test_per_class must be >= 1")
         if not (0 < self.synth_spread < math.inf):
             raise ConfigError("dataset.spread must be positive and finite")
-        if self.strategy not in ("max_logits", "avg_logits", "majority_vote"):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.server_init not in ("avg_members", "warm_start"):
+        if self.server_init not in INIT_MODES:
             raise ConfigError(f"unknown server.init {self.server_init!r}")
-        if self.directions not in ("upload_only", "up_and_down"):
+        if self.directions not in DIRECTIONS:
             raise ConfigError(f"unknown directions {self.directions!r}")
         if self.dataset_kind not in ("synth", "idx"):
             raise ConfigError(f"dataset.kind must be synth or idx, got {self.dataset_kind!r}")

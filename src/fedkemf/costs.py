@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 MB = 1024 ** 2
 GB = 1024 ** 3
+DIRECTIONS = ("upload_only", "up_and_down")  # CostModel.directions
 
 # Per-round per-client payloads (MB) of commonly modeled architectures, for
 # reproducing published cost tables without training those models.
@@ -19,13 +20,13 @@ PAYLOAD_PRESETS_MB = {
 @dataclass
 class CostModel:
     payload_bytes: int  # per client per round; measured checkpoint size by default
-    directions: str = "upload_only"  # or "up_and_down"
+    directions: str = "upload_only"  # one of DIRECTIONS
 
     def __post_init__(self):
         if self.payload_bytes <= 0:
             raise ValueError("payload_bytes must be positive")
-        if self.directions not in ("upload_only", "up_and_down"):
-            raise ValueError("directions must be upload_only or up_and_down")
+        if self.directions not in DIRECTIONS:
+            raise ValueError(f"directions must be {' or '.join(DIRECTIONS)}")
 
     def round_bytes(self, sampled_clients: int) -> int:
         factor = 2 if self.directions == "up_and_down" else 1

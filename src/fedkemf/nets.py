@@ -21,7 +21,6 @@ class ArchSpec:
     input_dim: int
     hidden_dims: tuple
     num_classes: int
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
@@ -31,16 +30,10 @@ class ArchSpec:
             raise ValueError("hidden dims must be positive")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.activation != "relu":
-            raise ValueError("only relu activation is supported")
 
     @property
     def layer_dims(self):
         return (self.input_dim,) + self.hidden_dims + (self.num_classes,)
-
-    @property
-    def num_layers(self):
-        return len(self.hidden_dims) + 1
 
     def parameter_count(self):
         dims = self.layer_dims
@@ -128,13 +121,6 @@ def _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta):
         if i > 0:
             delta = delta @ layers[i][0].T
             delta *= pre_acts[i - 1] > 0.0
-
-
-def backward(net: Network, layer_inputs, pre_acts, delta) -> np.ndarray:
-    """Flat gradient w.r.t. net.params from a cached forward and its logit gradient."""
-    grad = np.empty_like(net.params)
-    _backward_into(_layer_views(net.arch, grad), net.layers(), layer_inputs, pre_acts, delta)
-    return grad
 
 
 def forward(net: Network, features: np.ndarray) -> np.ndarray:
@@ -246,7 +232,9 @@ def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np
             raise ValueError("teacher_probs shape mismatch")
         delta += q - p
     delta /= n
-    return backward(net, layer_inputs, pre_acts, delta)
+    grad = np.empty_like(net.params)
+    _backward_into(_layer_views(net.arch, grad), net.layers(), layer_inputs, pre_acts, delta)
+    return grad
 
 
 def logit_delta(q, *targets):
@@ -302,6 +290,11 @@ def _divergence(what, context):
 
 def check_finite(value, what, **context):
     """The one finiteness guard: DivergenceError carrying `context` unless all finite."""
+    _check_finite(value, what, context)
+
+
+def _check_finite(value, what, context):
+    """check_finite taking `context` as a dict, which per-batch callers pass on uncopied."""
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         raise _divergence(what, context)
 
@@ -347,14 +340,16 @@ class Trainer:
         self._grad = np.empty_like(self.net.params)
         self._grad_layers = _layer_views(net.arch, self._grad)
 
-    def forward(self, features):
-        """(logits, layer_inputs, pre_acts) of the current parameters."""
-        return _forward_cached(self.net, features, self.layers)
+    def probs(self, features, out, what, **context):
+        """(softmax rows into `out` or a new array, layer_inputs, pre_acts); checks the logits."""
+        logits, layer_inputs, pre_acts = _forward_cached(self.net, features, self.layers)
+        _check_finite(logits, what, context)
+        return softmax_finite(logits, out=out), layer_inputs, pre_acts
 
     def step(self, layer_inputs, pre_acts, delta, **context):
         """Backpropagate `delta` through the cached forward and apply one SGD step."""
         _backward_into(self._grad_layers, self.layers, layer_inputs, pre_acts, delta)
-        check_finite(self._grad, "gradient", **context)
+        _check_finite(self._grad, "gradient", context)
         self._grad *= self.lr
         self.net.params -= self._grad
 
@@ -368,7 +363,7 @@ class Trainer:
         return self.net
 
 
-def evaluate(net: Network, features, labels):
+def evaluate(net: Network, features, labels, **context):
     """Top-1 accuracy (argmax ties to the lowest class index) and mean CE loss."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -376,7 +371,7 @@ def evaluate(net: Network, features, labels):
         raise ValueError("cannot evaluate on an empty dataset")
     logits = forward(net, features)
     # Finite parameters can still overflow the logits on unseen rows.
-    check_finite(logits, "evaluation logits")
+    check_finite(logits, "evaluation logits", **context)
     pred = np.argmax(logits, axis=1)
     accuracy = float(np.mean(pred == labels))
     return accuracy, cross_entropy(logits, labels)

@@ -127,7 +127,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     cost_model = CostModel(payload_bytes=payload, directions=config.directions)
     audit = WireAudit()
 
-    initial_accuracy, _ = nets.evaluate(server.global_knowledge, test.features, test.labels)
+    initial_accuracy, _ = nets.evaluate(server.global_knowledge, test.features, test.labels,
+                                        round_index=0)
     records = []
     cumulative = 0
     for _ in range(config.rounds):
@@ -136,7 +137,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
                           config.sample_ratio, audit=audit, jobs=jobs)
         wall = time.perf_counter() - t0
         cumulative += cost_model.round_bytes(len(stats["sampled"]))
-        acc, _ = nets.evaluate(server.global_knowledge, test.features, test.labels)
+        acc, _ = nets.evaluate(server.global_knowledge, test.features, test.labels,
+                               round_index=server.round)
         checkpoint.save(server.global_knowledge,
                         os.path.join(config.out_dir, f"round_{server.round}.fkmf"))
         records.append(RoundRecord(

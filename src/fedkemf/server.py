@@ -8,12 +8,13 @@ import numpy as np
 
 from . import nets
 from .checkpoint import checkpoint_nbytes
-from .client import batch_iterator, client_update, epoch_rows, local_train
+from .client import batch_iterator, client_update, epoch_rows, fit, local_train
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
 
 STRATEGIES = ("max_logits", "avg_logits", "majority_vote")
 INIT_MODES = ("avg_members", "warm_start")
+MODES = ("fedkemf", "fedavg")  # run_round's mode
 
 
 @dataclass
@@ -118,9 +119,8 @@ def distill(server: ServerState, members, data: Dataset):
     previous global network under warm_start) and steps on batch-mean KL from
     the combined teacher distribution.  The members are frozen, so the
     teacher is built once per call over the whole split (one forward per
-    member) and gathered once per epoch in its batch order.  The KL is
-    scored from the student's softmax rows once per epoch.  Returns
-    (student, last_mean_kl).
+    member); client.fit steps the student toward it.  Returns
+    (student, last_mean_kl), the KL averaged over the last epoch's batches.
     """
     if not members:
         raise ValueError("need at least one member to distill")
@@ -129,28 +129,18 @@ def distill(server: ServerState, members, data: Dataset):
     else:
         start = average_init(members)
     student = nets.Trainer(start, server.distill_lr)
-    last_loss = 0.0
     if server.distill_epochs == 0:
-        return student.net, last_loss
+        return student.net, 0.0
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
     teacher = teacher_distributions([nets.forward(m, x_split) for m in members], server.strategy)
     if teacher.shape != (len(x_split), start.arch.num_classes):
         raise ValueError("teacher distribution shape mismatch")
     positions = np.arange(len(x_split))
-    for epoch in range(server.distill_epochs):
-        epoch_seed = derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
-        perm, bounds = epoch_rows(batch_iterator(positions, server.batch_size, epoch_seed))
-        x, t = x_split[perm], teacher[perm]
-        q_rows = np.empty(t.shape)
-        for b, (lo, hi) in enumerate(bounds):
-            context = {"round_index": server.round, "epoch": epoch, "batch_index": b}
-            logits, inputs, pre = student.forward(x[lo:hi])
-            nets.check_finite(logits, "distillation logits", **context)
-            q = nets.softmax_finite(logits, out=q_rows[lo:hi])
-            student.step(inputs, pre, nets.logit_delta(q, t[lo:hi]), **context)
-        terms = nets.row_terms(q_rows, teacher_probs=t)
-        nets.check_rows_finite(terms, bounds, "distillation loss",
-                               round_index=server.round, epoch=epoch)
+    seeds = (derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
+             for epoch in range(server.distill_epochs))
+    epochs = epoch_rows(batch_iterator(positions, server.batch_size, s) for s in seeds)
+    terms, bounds = fit(student, x_split, epochs, teacher, what="distillation ",
+                        round_index=server.round)[-1]
     last_loss = float(np.mean(nets.batch_means(terms, bounds)))
     return student.trained(round_index=server.round), last_loss
 
@@ -185,7 +175,7 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
     accuracy is the one stored when its model last changed; a client never
     scored yet is scored here.
     """
-    if mode not in ("fedkemf", "fedavg"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     round_index = server.round + 1
     sampled = sample_clients(len(clients), sample_ratio, round_index, server.rng_seed)
@@ -208,13 +198,14 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
         server.global_knowledge, distill_loss = distill(server, members, data)
         for st in clients:
             if st.val_accuracy is None:
-                st.val_accuracy = st.accuracy(st.local_model, data)
+                st.val_accuracy = st.accuracy(st.local_model, data, round_index=round_index)
         val_accs = [st.val_accuracy for st in clients]
     else:
         weights = [len(clients[cid].train_indices) for cid in sampled]
         server.global_knowledge = fedavg_aggregate(members, weights)
         # Clients deploy the aggregated model; score it on each local val split.
-        val_accs = [st.accuracy(server.global_knowledge, data) for st in clients]
+        val_accs = [st.accuracy(server.global_knowledge, data, round_index=round_index)
+                    for st in clients]
 
     server.round = round_index
     return {

@@ -91,10 +91,12 @@ class TestRun:
         )
         assert main(["run", str(cfg)]) == 3
 
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lr="1e12", local_epochs=20)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "client_id=" in err and "round_index=" in err
 
     def test_divergence_on_final_step_is_typed_and_quiet(self, tmp_path, capsys):
         # One distillation step leaves finite but huge parameters; nothing in
@@ -108,6 +110,7 @@ class TestRun:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite") and err.count("\n") == 1
+        assert "round_index=" in err
 
     @pytest.mark.parametrize("key, value", [
         ("batch_size", "-4"),

@@ -140,6 +140,7 @@ class TestClientUpdate:
         with pytest.raises(DivergenceError) as err:
             client_update(state, knowledge_net(data), data, round_index=3)
         assert err.value.client_id == 0
+        assert err.value.round_index == 3
         assert err.value.epoch is not None
 
     def test_deterministic_given_same_inputs(self):
@@ -151,3 +152,15 @@ class TestClientUpdate:
         a, b = run(), run()
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1] and a[2] == b[2]
+
+
+class TestLocalTrain:
+    def test_divergence_names_client_and_round(self):
+        data, state = make_state(client_id=2, epochs=10, lr=1e12,
+                                 data=synth_blobs(3, 60, 4, 1.0, seed=1))
+        model = nets.init_network(state.local_model.arch, 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                local_train(state, model, data, round_index=4)
+        assert (err.value.client_id, err.value.round_index) == (2, 4)
+        assert "client_id=2, round_index=4, epoch=" in str(err.value)

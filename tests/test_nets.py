@@ -38,8 +38,6 @@ class TestArchSpec:
             nets.ArchSpec(2, (0,), 2)
         with pytest.raises(ValueError):
             nets.ArchSpec(2, (), 1)
-        with pytest.raises(ValueError):
-            nets.ArchSpec(2, (), 2, activation="tanh")
 
 
 class TestInit:

@@ -286,7 +286,7 @@ def test_rows_check_names_first_failing_batch():
 
 def test_trained_rejects_overflowed_parameters():
     trainer = nets.Trainer(nets.init_network(nets.ArchSpec(2, (), 2), 0), 1e308)
-    _, inputs, pre = trainer.forward(np.array([[4.0, 4.0]]))
+    _, inputs, pre = trainer.probs(np.array([[4.0, 4.0]]), None, "logits")
     with np.errstate(over="ignore", invalid="ignore"):
         trainer.step(inputs, pre, np.array([[-1.0, 1.0]]))  # finite gradient, lr * grad = inf
     with pytest.raises(DivergenceError) as err:
