@@ -22,7 +22,8 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run a full experiment from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="max parallel client updates per round")
+                       help="max parallel fedkemf client updates per round "
+                            "(fedavg clients train in lockstep)")
 
     p_part = sub.add_parser("partition", help="emit the partition map and label histograms")
     p_part.add_argument("config")

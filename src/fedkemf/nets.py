@@ -61,14 +61,15 @@ class Network:
 
 
 def _layer_views(arch: ArchSpec, flat: np.ndarray):
-    """(W, b) views into any flat vector laid out like the parameters of `arch`."""
+    """(W, b) views, W (..., fan_in, fan_out) and b (..., 1, fan_out), into a (..., P) block."""
     dims = arch.layer_dims
+    lead = flat.shape[:-1]
     views = []
     off = 0
     for fi, fo in zip(dims, dims[1:]):
-        w = flat[off:off + fi * fo].reshape(fi, fo)
+        w = flat[..., off:off + fi * fo].reshape(lead + (fi, fo))
         off += fi * fo
-        views.append((w, flat[off:off + fo]))
+        views.append((w, flat[..., None, off:off + fo]))
         off += fo
     return views
 
@@ -90,10 +91,11 @@ def _forward_cached(net: Network, features: np.ndarray, layers=None):
     """Forward pass keeping per-layer inputs and pre-activations for backprop.
 
     This is the one forward primitive: every other forward goes through it.
-    `layers` may pass precomputed (W, b) views of `net`.
+    `layers` may pass precomputed (W, b) views of `net`, or of a stack of K
+    nets like it, which then take K x N x input_dim features.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != net.arch.input_dim:
         raise ValueError(
             f"features must be N x {net.arch.input_dim}, got {x.shape}"
         )
@@ -113,13 +115,13 @@ def _forward_cached(net: Network, features: np.ndarray, layers=None):
 
 
 def _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta):
-    """Backpropagate the logit gradient `delta` into the (dW, db) views `grad_layers`."""
+    """Backpropagate the logit gradient `delta` (or a stack of them) into the views `grad_layers`."""
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
-        np.matmul(layer_inputs[i].T, delta, out=gw)
-        np.add.reduce(delta, axis=0, out=gb)
+        np.matmul(layer_inputs[i].mT, delta, out=gw)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
         if i > 0:
-            delta = delta @ layers[i][0].T
+            delta = delta @ layers[i][0].mT
             delta *= pre_acts[i - 1] > 0.0
 
 
@@ -149,7 +151,8 @@ def softmax_finite(z, out=None):
     return out
 
 
-def _onehot(labels, num_classes):
+def onehot(labels, num_classes):
+    """One-hot rows of 1-d integer labels; rejects labels out of range."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-d integer array")
@@ -225,7 +228,7 @@ def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np
     q = softmax(logits)
     delta = np.zeros_like(q)
     if labels is not None:
-        delta += q - _onehot(labels, c)
+        delta += q - onehot(labels, c)
     if teacher_probs is not None:
         p = np.asarray(teacher_probs, dtype=np.float64)
         if p.shape != q.shape:
@@ -243,12 +246,12 @@ def logit_delta(q, *targets):
     Each target is a block of rows like `q` (a one-hot block for CE, a
     teacher's probabilities for KL) and adds (q - target); the sum is divided
     by the batch size.  A one-hot block gives the same IEEE arithmetic as
-    subtracting 1.0 at each row's label.
+    subtracting 1.0 at each row's label.  A K x N stack of batches works alike.
     """
     delta = q - targets[0]
     for target in targets[1:]:
         delta += q - target
-    delta /= q.shape[0]
+    delta /= q.shape[-2]
     return delta
 
 
@@ -288,15 +291,14 @@ def _divergence(what, context):
     return DivergenceError(f"non-finite {what}" + (f" ({where})" if where else ""), **context)
 
 
-def check_finite(value, what, **context):
-    """The one finiteness guard: DivergenceError carrying `context` unless all finite."""
-    _check_finite(value, what, context)
+def check_finite(value, what, context=None, epoch=None, batch_index=None):
+    """The one finiteness guard: DivergenceError carrying the `context` dict unless all finite.
 
-
-def _check_finite(value, what, context):
-    """check_finite taking `context` as a dict, which per-batch callers pass on uncopied."""
+    A batch's epoch and batch_index join the context only when the check fails.
+    """
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
-        raise _divergence(what, context)
+        where = {} if epoch is None else {"epoch": epoch, "batch_index": batch_index}
+        raise _divergence(what, {**(context or {}), **where})
 
 
 def check_rows_finite(terms, bounds, what, **context):
@@ -324,54 +326,71 @@ def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
 
 
 class Trainer:
-    """A private copy of a network, stepped in place by vanilla SGD.
+    """`copies` private copies of a network: the rows of one (K, P) block, stepped in place by SGD.
 
-    The copy is taken once, as are (W, b) views into its parameters and into
-    one reused gradient buffer, so a step allocates no new Network.  A step
-    is the same arithmetic as sgd_step(net, loss_gradient(...), lr).
+    Steps use (W, b) views into the block (views()) and one reused gradient
+    block, so a step allocates no Network.  A stacked step is, member by
+    member, the arithmetic of sgd_step(net, loss_gradient(...), lr):
+    np.matmul runs each slice as a 2-D call would.
     """
 
-    def __init__(self, net: Network, lr: float):
+    def __init__(self, net: Network, lr: float, copies=1):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        self.net = net.copy()
         self.lr = lr
-        self.layers = self.net.layers()
-        self._grad = np.empty_like(self.net.params)
-        self._grad_layers = _layer_views(net.arch, self._grad)
+        self.params = np.repeat(net.params[None], copies, axis=0)
+        self._grad = np.empty_like(self.params)
+        self.nets = [Network(net.arch, p) for p in self.params]
+        self.net = self.nets[0]
+        self._one = self.views(0)
 
-    def probs(self, features, out, what, **context):
-        """(softmax rows into `out` or a new array, layer_inputs, pre_acts); checks the logits."""
-        logits, layer_inputs, pre_acts = _forward_cached(self.net, features, self.layers)
-        _check_finite(logits, what, context)
+    def views(self, rows):
+        """(layers, grad_layers, params, grad) of member `rows` alone (an int: 2-D
+        views) or of the first f members as one stack (slice(f))."""
+        p, g = self.params[rows], self._grad[rows]
+        return _layer_views(self.net.arch, p), _layer_views(self.net.arch, g), p, g
+
+    def probs(self, features, out, what, context=None, epoch=None, batch_index=None, views=None):
+        """(softmax rows into `out` or a new array, layer_inputs, pre_acts) of `views`' members
+        (default: member 0 alone); checks the logits."""
+        layers = (views or self._one)[0]
+        logits, layer_inputs, pre_acts = _forward_cached(self.net, features, layers)
+        check_finite(logits, what, context, epoch, batch_index)
         return softmax_finite(logits, out=out), layer_inputs, pre_acts
 
-    def step(self, layer_inputs, pre_acts, delta, **context):
+    def step(self, layer_inputs, pre_acts, delta, context=None, epoch=None, batch_index=None,
+             views=None):
         """Backpropagate `delta` through the cached forward and apply one SGD step."""
-        _backward_into(self._grad_layers, self.layers, layer_inputs, pre_acts, delta)
-        _check_finite(self._grad, "gradient", context)
-        self._grad *= self.lr
-        self.net.params -= self._grad
+        layers, grad_layers, params, grad = views or self._one
+        _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta)
+        check_finite(grad, "gradient", context, epoch, batch_index)
+        grad *= self.lr
+        params -= grad
 
     def trained(self, **context):
-        """The trained network, once its parameters are checked finite.
-
-        A finite gradient can still overflow lr * grad on the last step,
-        and no later forward would see it.
-        """
-        check_finite(self.net.params, "parameters", **context)
-        return self.net
+        """The trained networks, one per member, once their parameters are checked finite
+        (a finite gradient can still overflow lr * grad on the last step)."""
+        check_finite(self.params, "parameters", context)
+        return self.nets
 
 
-def evaluate(net: Network, features, labels, **context):
-    """Top-1 accuracy (argmax ties to the lowest class index) and mean CE loss."""
+def _scored(net: Network, features, labels, context):
+    """(top-1 accuracy, logits) of one forward; argmax ties go to the lowest class index."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
     if features.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     logits = forward(net, features)
     # Finite parameters can still overflow the logits on unseen rows.
-    check_finite(logits, "evaluation logits", **context)
-    pred = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(pred == labels))
-    return accuracy, cross_entropy(logits, labels)
+    check_finite(logits, "evaluation logits", context)
+    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels))), logits
+
+
+def accuracy(net: Network, features, labels, **context) -> float:
+    """Top-1 accuracy (argmax ties to the lowest class index)."""
+    return _scored(net, features, labels, context)[0]
+
+
+def evaluate(net: Network, features, labels, **context):
+    """Top-1 accuracy and mean CE loss, from one forward."""
+    acc, logits = _scored(net, features, labels, context)
+    return acc, cross_entropy(logits, labels)

@@ -8,7 +8,8 @@ import numpy as np
 
 from . import nets
 from .checkpoint import checkpoint_nbytes
-from .client import batch_iterator, client_update, epoch_rows, fit, local_train
+# local_train, the serial path, stays importable here: bench/tracing.py patches this name.
+from .client import batch_iterator, client_update, fit, local_train, local_train_lockstep  # noqa: F401
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
 
@@ -115,12 +116,10 @@ def fedavg_aggregate(members, weights):
 def distill(server: ServerState, members, data: Dataset):
     """Distill the member ensemble into a student on the server's unlabeled split.
 
-    Student starts from the parameter average of the members (or from the
-    previous global network under warm_start) and steps on batch-mean KL from
-    the combined teacher distribution.  The members are frozen, so the
-    teacher is built once per call over the whole split (one forward per
-    member); client.fit steps the student toward it.  Returns
-    (student, last_mean_kl), the KL averaged over the last epoch's batches.
+    The student starts from the members' parameter average (or the previous
+    global network under warm_start); client.fit steps it on batch-mean KL
+    from the teacher, built once per call (one forward per frozen member).
+    Returns (student, last_mean_kl), the mean over the last epoch's batches.
     """
     if not members:
         raise ValueError("need at least one member to distill")
@@ -138,25 +137,24 @@ def distill(server: ServerState, members, data: Dataset):
     positions = np.arange(len(x_split))
     seeds = (derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
              for epoch in range(server.distill_epochs))
-    epochs = epoch_rows(batch_iterator(positions, server.batch_size, s) for s in seeds)
-    terms, bounds = fit(student, x_split, epochs, teacher, what="distillation ",
-                        round_index=server.round)[-1]
-    last_loss = float(np.mean(nets.batch_means(terms, bounds)))
-    return student.trained(round_index=server.round), last_loss
+    epochs = (np.concatenate(batch_iterator(positions, server.batch_size, s)) for s in seeds)
+    scored, bounds = fit(student, [(x_split, teacher, epochs)], server.batch_size,
+                         what="distillation ", round_index=server.round)
+    last_loss = float(np.mean(nets.batch_means(scored[-1], bounds[0])))
+    return student.trained(round_index=server.round)[0], last_loss
 
 
 def _run_clients(fn, client_ids, jobs):
-    """Run per-client work, optionally in parallel; results keyed by client id.
+    """Run per-client work, optionally in parallel; results in the order of client_ids.
 
     Each worker call runs in a copy of the caller's context, so it keeps the
     caller's numpy error state.
     """
     if jobs <= 1 or len(client_ids) <= 1:
-        return {cid: fn(cid) for cid in client_ids}
+        return [fn(cid) for cid in client_ids]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {cid: pool.submit(contextvars.copy_context().run, fn, cid)
-                   for cid in client_ids}
-        return {cid: fut.result() for cid, fut in futures.items()}
+        futures = [pool.submit(contextvars.copy_context().run, fn, cid) for cid in client_ids]
+        return [fut.result() for fut in futures]
 
 
 def run_round(server: ServerState, clients, data: Dataset, mode,
@@ -164,16 +162,13 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
     """Execute one communication round; mutates server and client states.
 
     fedkemf: sample, broadcast the global knowledge network, mutual-train per
-    client, ensemble-distill the returned knowledge copies.  fedavg: sample,
-    broadcast, plain-CE local training of the shared-arch model, shard-size
-    weighted averaging.
-
+    client (`jobs` threads), ensemble-distill the returned knowledge copies.
+    fedavg: sample, broadcast, plain-CE local training of the shared-arch
+    model (all sampled clients in lockstep), shard-size weighted averaging.
     Returns per-round stats: sampled ids, mean train loss over sampled
-    clients, mean val accuracy over ALL clients' deployed models, and the
-    distillation loss (0.0 in fedavg mode).  In fedkemf mode only the
-    sampled clients' local models change, so every other client's val
-    accuracy is the one stored when its model last changed; a client never
-    scored yet is scored here.
+    clients, mean val accuracy over ALL clients' deployed models (in fedkemf
+    mode as stored when each model last changed, or scored here if never
+    scored), and the distillation loss (0.0 in fedavg mode).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -181,17 +176,19 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
     sampled = sample_clients(len(clients), sample_ratio, round_index, server.rng_seed)
     broadcast = server.global_knowledge
     ck_bytes = checkpoint_nbytes(broadcast.arch)
-    train = client_update if mode == "fedkemf" else local_train
-
-    results = _run_clients(
-        lambda cid: train(clients[cid], broadcast, data, round_index), sampled, jobs
-    )
+    if mode == "fedkemf":
+        results = _run_clients(
+            lambda cid: client_update(clients[cid], broadcast, data, round_index), sampled, jobs
+        )
+    else:
+        results = local_train_lockstep([clients[cid] for cid in sampled], broadcast, data,
+                                       round_index)
+    members = [r[0] for r in results]  # in sampled, id-sorted, order
+    train_losses = [r[1] for r in results]
     if audit is not None:
-        for cid in sampled:
+        for cid, member in zip(sampled, members):
             audit.record_download(round_index, cid, broadcast.arch, ck_bytes)
-            audit.record_upload(round_index, cid, results[cid][0].arch, ck_bytes)
-    members = [results[cid][0] for cid in sampled]  # sampled is id-sorted
-    train_losses = [results[cid][1] for cid in sampled]
+            audit.record_upload(round_index, cid, member.arch, ck_bytes)
 
     distill_loss = 0.0
     if mode == "fedkemf":

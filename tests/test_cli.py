@@ -98,6 +98,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert "client_id=" in err and "round_index=" in err
 
+    def test_fedavg_divergence_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mode="fedavg", lr="1e12", local_epochs=20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite") and "client_id=" in err
+
     def test_divergence_on_final_step_is_typed_and_quiet(self, tmp_path, capsys):
         # One distillation step leaves finite but huge parameters; nothing in
         # the loops runs after it, so the overflow first shows in evaluation.

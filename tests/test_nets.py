@@ -273,6 +273,64 @@ class TestEvaluate:
         net = nets.init_network(nets.ArchSpec(3, (), 2), 0)
         with pytest.raises(ValueError):
             nets.evaluate(net, np.zeros((0, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ValueError):
+            nets.accuracy(net, np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    def test_accuracy_is_evaluates_first_value(self):
+        net = nets.init_network(nets.ArchSpec(3, (4,), 3), 5)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((30, 3)), rng.integers(0, 3, 30)
+        assert nets.accuracy(net, x, y) == nets.evaluate(net, x, y)[0]
+
+    def test_accuracy_names_context_on_divergence(self):
+        net = nets.Network(nets.ArchSpec(2, (), 2), np.full(6, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                nets.accuracy(net, np.full((3, 2), 1e308), np.zeros(3, dtype=int), round_index=4)
+        assert err.value.round_index == 4
+
+
+# Layer (fan_in, fan_out) shapes of the shipped configs: input 16, hidden
+# 16 / 32 / 64 / 64,32, and 4 or 10 classes.
+SHIPPED_LAYERS = [(16, 16), (16, 32), (16, 64), (64, 32),
+                  (16, 4), (16, 10), (32, 4), (32, 10), (64, 4), (64, 10)]
+
+
+class TestStackedProductsPremise:
+    """Lockstep training relies on each slice of a stacked product being
+    bit-identical to the 2-D product of that slice alone.  A numpy or BLAS
+    change that breaks this fails here first."""
+
+    @pytest.mark.parametrize("n", [1, 7, 13, 32])
+    @pytest.mark.parametrize("fan_in, fan_out", SHIPPED_LAYERS)
+    def test_per_slice_identical(self, fan_in, fan_out, n):
+        rng = np.random.default_rng(fan_in * 1000 + fan_out * 10 + n)
+        k = 4
+        # Laid out as the trainer lays them out: weights and gradients are
+        # views into (K, P) blocks, inputs a row range of a padded (K, pad, d) block.
+        block = rng.standard_normal((k, fan_in * fan_out + fan_out + 3))
+        w = block[:, :fan_in * fan_out].reshape(k, fan_in, fan_out)
+        b = block[:, None, fan_in * fan_out:fan_in * fan_out + fan_out]
+        padded = rng.standard_normal((k, n + 5, fan_in))
+        a = padded[:, 2:2 + n]
+        delta = rng.standard_normal((k, n, fan_out))
+        grad = np.empty_like(block)
+        gw = grad[:, :fan_in * fan_out].reshape(k, fan_in, fan_out)
+        gb = grad[:, None, fan_in * fan_out:fan_in * fan_out + fan_out]
+
+        z = a @ w
+        z += b
+        np.matmul(a.mT, delta, out=gw)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=gb)
+        back = delta @ w.mT
+        for j in range(k):
+            aj, wj, dj = (np.ascontiguousarray(v[j]) for v in (a, w, delta))
+            zj = aj @ wj
+            zj += b[j, 0]
+            assert np.array_equal(z[j], zj)
+            assert np.array_equal(gw[j], aj.T @ dj)
+            assert np.array_equal(gb[j, 0], np.add.reduce(dj, axis=0))
+            assert np.array_equal(back[j], dj @ wj.T)
 
 
 def test_training_trajectory_determinism():

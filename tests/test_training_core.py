@@ -7,16 +7,22 @@ reproduce them bit for bit.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from fedkemf import nets
-from fedkemf.client import ClientState, batch_iterator, client_update, local_train
+from fedkemf import client
+from fedkemf.client import (
+    ClientState, batch_iterator, client_update, local_train, local_train_lockstep,
+)
 from fedkemf.data import synth_blobs
 from fedkemf.errors import DivergenceError
 from fedkemf.seeding import SALT_DISTILL, derive_seed
-from fedkemf.server import ServerState, distill, run_round, teacher_distributions
+from fedkemf.server import (
+    ServerState, distill, fedavg_aggregate, run_round, teacher_distributions,
+)
 
 
 def reference_client_update(state, knowledge_net, data, round_index=0):
@@ -179,6 +185,91 @@ class TestReferenceEquivalence:
             assert stats["mean_client_val_accuracy"] == float(np.mean(full))
 
 
+class TestLockstep:
+    """Sampled fedavg clients train as one stack; each must equal its own serial run."""
+
+    # batch_size 8: one shard smaller than a batch (5), one exactly a batch (8),
+    # one a multiple of it (24), one ragged (19), and two of equal size (13).
+    SIZES = (13, 5, 24, 8, 19, 13)
+
+    @staticmethod
+    def clients(data, sizes, per_client=None, **keys):
+        keys = {"epochs": 3, "batch_size": 8, **keys}
+        return [make_client(data, cid=c, n_train=n, **{**keys, **(per_client or {}).get(c, {})})
+                for c, n in enumerate(sizes)]
+
+    @staticmethod
+    def model(data):
+        return nets.init_network(nets.ArchSpec(data.dim, (8, 4), data.num_classes), 17)
+
+    @pytest.mark.parametrize("per_client", [
+        {},
+        {1: {"lr": 0.05}, 2: {"batch_size": 5}, 4: {"epochs": 2}, 5: {"batch_size": 5}},
+    ], ids=["one_group", "mixed_groups"])
+    def test_each_client_equals_its_serial_reference(self, per_client):
+        data = make_data()
+        model = self.model(data)
+        states = self.clients(data, self.SIZES, per_client)
+        results = local_train_lockstep(states, model, data, round_index=3)
+        for st, (net, loss) in zip(states, results):
+            ref_net, ref_loss = reference_local_train(st, model, data, 3)
+            assert np.array_equal(net.params, ref_net.params)
+            assert loss == ref_loss
+
+    @pytest.mark.parametrize("sizes", [SIZES, (19,)], ids=["six_clients", "one_client"])
+    def test_fedavg_round_equals_serial_reference(self, sizes, monkeypatch):
+        data = make_data()
+        states = self.clients(data, sizes)
+        server = make_server(data, epochs=0)
+        server.global_knowledge = broadcast = self.model(data)
+        aggregated = []
+
+        def spy(members, weights):
+            aggregated.append(members)
+            return fedavg_aggregate(members, weights)
+
+        monkeypatch.setattr("fedkemf.server.fedavg_aggregate", spy)
+        stats = run_round(server, states, data, "fedavg", sample_ratio=1.0)
+        refs = [reference_local_train(st, broadcast, data, server.round) for st in states]
+        assert stats["sampled"] == list(range(len(sizes)))
+        for member, (ref_net, _) in zip(aggregated[0], refs):
+            assert np.array_equal(member.params, ref_net.params)
+        assert stats["mean_train_loss"] == float(np.mean([loss for _, loss in refs]))
+        expected = fedavg_aggregate([net for net, _ in refs], [len(st.train_indices) for st in states])
+        assert np.array_equal(server.global_knowledge.params, expected.params)
+
+    def test_divergence_names_the_serial_loops_client(self, monkeypatch):
+        # The larger shard (client 1) diverges at an earlier lockstep step than
+        # client 0, yet a serial loop would raise for client 0 first.
+        data = make_data()
+        states = self.clients(data, (8, 40), lr=1e12, epochs=16)
+        model = nets.init_network(nets.ArchSpec(data.dim, (8,), data.num_classes), 0)
+        alone = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for st in states:
+                with pytest.raises(DivergenceError) as err:
+                    local_train(st, model, data, round_index=1)
+                alone[st.client_id] = err.value
+        assert alone[1].epoch < alone[0].epoch
+        lockstep_errors = []
+
+        def replay(state, *args):
+            if not lockstep_errors:
+                lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
+            return local_train(state, *args)
+
+        monkeypatch.setattr(client, "local_train", replay)
+        server = make_server(data, epochs=0)
+        server.global_knowledge, server.round = model, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_round(server, states, data, "fedavg", sample_ratio=1.0)
+        assert lockstep_errors[0].epoch == alone[1].epoch
+        got, want = err.value, alone[0]
+        assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
+            want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
+
+
 class TestForwardCounts:
     """One forward primitive, counted per use: the noise-free cost of a loop."""
 
@@ -253,8 +344,8 @@ class TestLossTermCounts:
         state = make_client(data, batch_size=batch_size)
         client_update(state, nets.init_network(
             nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data)
-        # two nets, CE + KL each, per epoch; one more CE in the val evaluation
-        assert terms == {"_ce_terms": 2 * state.epochs + 1, "_kl_terms": 2 * state.epochs}
+        # two nets, CE + KL each, per epoch; the val evaluation scores accuracy only
+        assert terms == {"_ce_terms": 2 * state.epochs, "_kl_terms": 2 * state.epochs}
 
     @pytest.mark.parametrize("batch_size", [4, 13, 200])
     def test_local_train(self, terms, batch_size):
