@@ -22,8 +22,8 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run a full experiment from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="max parallel fedkemf client updates per round "
-                            "(fedavg clients train in lockstep)")
+                       help="accepted for compatibility and has no effect: the sampled "
+                            "clients of a round train in lockstep in one process")
 
     p_part = sub.add_parser("partition", help="emit the partition map and label histograms")
     p_part.add_argument("config")

@@ -1,4 +1,4 @@
-"""Client-side local training: deep mutual learning and the single-student fit loop."""
+"""Client-side local training, in lockstep: deep mutual learning and the single-student fit loop."""
 
 from dataclasses import dataclass
 
@@ -14,8 +14,8 @@ from .seeding import derive_seed
 class ClientState:
     client_id: int
     local_model: nets.Network
-    train_indices: list
-    val_indices: list
+    train_indices: np.ndarray  # int64 dataset rows; any 1-d integer sequence works
+    val_indices: np.ndarray
     epochs: int
     batch_size: int
     lr: float
@@ -47,14 +47,13 @@ def batch_iterator(indices, batch_size, epoch_seed):
 
 
 def _shard(state: ClientState, data: Dataset, round_index, num_classes):
-    """(x, onehot, epochs, y) of the train shard; epochs yields each local epoch's row order in it."""
+    """(x, onehot, epochs) of the train shard; epochs yields each local epoch's row order in it."""
     train = np.asarray(state.train_indices, dtype=np.int64)
-    y = data.labels[train]
     positions = np.arange(len(train))
     seeds = (derive_seed(state.rng_seed, state.client_id, round_index, epoch)
              for epoch in range(state.epochs))
     epochs = (np.concatenate(batch_iterator(positions, state.batch_size, s)) for s in seeds)
-    return data.features[train], nets.onehot(y, num_classes), epochs, y
+    return data.features[train], nets.onehot(data.labels[train], num_classes), epochs
 
 
 def batch_bounds(offset, n, batch_size):
@@ -63,38 +62,73 @@ def batch_bounds(offset, n, batch_size):
     return list(zip(starts, [*starts[1:], offset + n]))
 
 
+def step_plan(sizes, batch_size):
+    """One epoch's steps for members of `sizes` rows, largest first: [(rows, [(start, stop,
+    batch)])], each member's batches in order.
+
+    `rows` is slice(f) where the first f members all have a full batch and
+    step as one stack, else the index of the one member that steps alone; a
+    partial last batch always steps alone, unpadded (more rows would change
+    the BLAS sums).
+    """
+    full = [n // batch_size for n in sizes] + [0]
+    plan = []
+    for f in range(len(sizes), 0, -1):  # batches full[f]..full[f-1] are full for members :f only
+        batches = [(b * batch_size, (b + 1) * batch_size, b) for b in range(full[f], full[f - 1])]
+        if batches:
+            plan.append((slice(f) if f > 1 else 0, batches))
+    return plan + [(j, [(full[j] * batch_size, n, full[j])])
+                   for j, n in enumerate(sizes) if n % batch_size]
+
+
+def _epoch_blocks(members):
+    """Padded (K, pad, .) row and target blocks of members[k] = (x, target, epochs), largest
+    first, and an iterator over the epochs that refills them in each epoch's row order.
+    Unused target rows stay 1, so that losses scored over whole blocks stay finite."""
+    sizes = [len(m[0]) for m in members]
+    x_rows = np.empty((len(sizes), sizes[0], members[0][0].shape[1]))
+    t_rows = np.ones((len(sizes), sizes[0], members[0][1].shape[1]))
+
+    def refill():
+        for orders in zip(*(m[2] for m in members)):
+            for k, ((x, target, _), order) in enumerate(zip(members, orders)):
+                x_rows[k, :sizes[k]], t_rows[k, :sizes[k]] = x[order], target[order]
+            yield
+
+    return x_rows, t_rows, refill()
+
+
+def _mean_losses(scored, bounds):
+    """Each member's mean batch loss over all epochs, from (per-epoch terms, member bounds)."""
+    means = []
+    for member_bounds in bounds:
+        losses = [loss for terms in scored for loss in nets.batch_means(terms, member_bounds)]
+        means.append(float(np.mean(losses)) if losses else 0.0)
+    return means
+
+
 def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **context):
     """Lockstep single-student SGD: each trainer member steps toward its own fixed target block.
 
     members[k] = (x, target, epochs), largest x first; `epochs` yields each
-    epoch's row order (batches of batch_size joined), gathered into padded
-    (K, pad, .) blocks.  Members with a full batch (a prefix) step as one
-    stack; a partial last batch steps alone, unpadded (more rows would change
-    the BLAS sums).  Losses are scored per epoch: CE toward a one-hot
-    `target`'s labels if `labels`, else KL from `target`; `what` prefixes the
-    names in errors.  Returns (per epoch the K * pad rows' loss terms, per
-    member its batches' bounds in them).
+    epoch's row order (batches of batch_size joined).  The steps follow
+    step_plan.  Losses are scored per epoch: CE toward a one-hot `target`'s
+    labels if `labels`, else KL from `target`; `what` prefixes the names in
+    errors.  Returns (per epoch the K * pad rows' loss terms, per member its
+    batches' bounds in them).
     """
     sizes = [len(m[0]) for m in members]
     count, pad = len(sizes), sizes[0]
-    x_rows = np.empty((count, pad, members[0][0].shape[1]))
-    t_rows = np.ones((count, pad, members[0][1].shape[1]))  # unused rows stay finite
+    x_rows, t_rows, epochs = _epoch_blocks(members)
     q_rows = np.ones(t_rows.shape)
     flat_q, flat_t = q_rows.reshape(count * pad, -1), t_rows.reshape(count * pad, -1)
-    full = [n // batch_size for n in sizes] + [0]
-    plan = []  # (views, rows, start, stop, batch index); each member's batches in order
-    for f in range(count, 0, -1):  # batches full[f]..full[f-1] are full for members :f only
-        rows = slice(f) if f > 1 else 0
+    plan = []
+    for rows, batches in step_plan(sizes, batch_size):
         views = trainer.views(rows)
-        plan += [(views, rows, b * batch_size, (b + 1) * batch_size, b)
-                 for b in range(full[f], full[f - 1])]
-    plan += [(trainer.views(j), j, full[j] * batch_size, n, full[j])
-             for j, n in enumerate(sizes) if n % batch_size]
+        plan += [(views, rows, start, stop, b) for start, stop, b in batches]
     bounds = [batch_bounds(k * pad, n, batch_size) for k, n in enumerate(sizes)]
     scored = []
-    for epoch, orders in enumerate(zip(*(m[2] for m in members))):
-        for k, ((x, target, _), order) in enumerate(zip(members, orders)):
-            x_rows[k, :sizes[k]], t_rows[k, :sizes[k]] = x[order], target[order]
+    for epoch, _ in enumerate(epochs):
         for views, rows, start, stop, b in plan:
             q, inputs, pre = trainer.probs(x_rows[rows, start:stop], q_rows[rows, start:stop],
                                            what + "logits", context, epoch, b, views)
@@ -107,48 +141,142 @@ def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **con
     return scored, bounds
 
 
-def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
-                  round_index: int = 0):
-    """One local round of deep mutual learning.
+def _mutual_learning(kn, thetas, members, batch_size, context):
+    """Lockstep deep mutual learning of one group; returns fit's (scored, bounds).
+
+    `kn` stacks the members' knowledge copies; thetas = [(Trainer, its
+    members, ascending)] stacks their local models, one per architecture, so
+    each step_plan prefix of the members is a prefix of every stack.  A step
+    forwards the knowledge stack; each local stack takes its members'
+    knowledge rows, forwards, steps on CE plus KL toward them and forwards
+    again, and its stepped rows are scattered back; then the knowledge stack
+    steps on CE plus KL toward those.  The local losses are scored.
+    """
+    sizes = [len(m[0]) for m in members]
+    count, pad = len(sizes), sizes[0]
+    x_rows, y_rows, epochs = _epoch_blocks(members)
+    # knowledge rows, local rows before and after the local step; unused rows stay finite
+    g_rows, q_rows, p_rows = (np.ones(y_rows.shape) for _ in range(3))
+    # (Trainer, members, x, one-hot and q blocks padded to its own largest member)
+    stacks = [(theta, np.array(rows), *(np.ones((len(rows), sizes[rows[0]], block.shape[2]))
+                                        for block in (x_rows, y_rows, y_rows)))
+              for theta, rows in thetas]
+    plan = []
+    for rows, batches in step_plan(sizes, batch_size):
+        stepping = list(range(rows.stop)) if isinstance(rows, slice) else [rows]
+        local = []  # (Trainer, views, sel, own rows, blocks) of each stack with stepping members
+        for theta, member_rows, *blocks in stacks:
+            mine = [r for r, k in enumerate(member_rows) if k in stepping]
+            if mine:
+                # sel picks the stack's rows out of the step's knowledge rows; None: all of them
+                sel = (None if list(member_rows[mine]) == stepping
+                       else member_rows[mine[0]] if len(mine) == 1 else member_rows[mine])
+                own = slice(len(mine)) if len(mine) > 1 else mine[0]
+                local.append((theta, theta.views(own), sel, own, blocks))
+        views = kn.views(rows)
+        for start, stop, b in batches:
+            steps = [(theta, own_views, sel, *(block[own, start:stop] for block in blocks))
+                     for theta, own_views, sel, own, blocks in local]
+            plan.append((views, b, steps, *(block[rows, start:stop]
+                                            for block in (x_rows, y_rows, g_rows, p_rows))))
+    flat_y, flat_g, flat_q, flat_p = (block.reshape(count * pad, -1)
+                                      for block in (y_rows, g_rows, q_rows, p_rows))
+    bounds = [batch_bounds(k * pad, n, batch_size) for k, n in enumerate(sizes)]
+    scored = []
+    for epoch, _ in enumerate(epochs):
+        for _, member_rows, x_a, y_a, _ in stacks:
+            x_a[:] = x_rows[member_rows, :len(x_a[0])]
+            y_a[:] = y_rows[member_rows, :len(y_a[0])]
+        for views, b, local, x, y, g_out, p in plan:
+            g, g_inputs, g_pre = kn.probs(x, g_out, "logits", context, epoch, b, views)
+            for theta, own, sel, x_a, y_a, q_out in local:
+                q, inputs, pre = theta.probs(x_a, q_out, "logits", context, epoch, b, own)
+                theta.step(inputs, pre, nets.logit_delta(q, y_a, g if sel is None else g[sel]),
+                           context, epoch, b, own)
+                stepped = theta.probs(x_a, p if sel is None else None, "logits",
+                                      context, epoch, b, own)[0]
+                if sel is not None:
+                    p[sel] = stepped
+            kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), context, epoch, b, views)
+        for _, member_rows, _, _, q_a in stacks:
+            q_rows[member_rows, :len(q_a[0])] = q_a
+        labels = flat_y.argmax(axis=1)
+        terms = nets.row_terms(flat_q, labels, flat_g)
+        nets.check_rows_finite(terms + nets.row_terms(flat_g, labels, flat_p), sum(bounds, []),
+                               "loss", **context, epoch=epoch)
+        scored.append(terms)
+    return scored, bounds
+
+
+def _groups(states, shards):
+    """Positions in `states` of each (lr, epochs, batch_size) group, largest shard first,
+    ties by client id."""
+    groups = {}
+    for k, st in enumerate(states):
+        groups.setdefault((st.lr, st.epochs, st.batch_size), []).append(k)
+    return [sorted(ks, key=lambda k: (-len(shards[k][0]), states[k].client_id))
+            for ks in groups.values()]
+
+
+def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
+                           round_index: int = 0):
+    """[(updated_knowledge, mean_train_loss, local_val_accuracy)] of each state's round of
+    deep mutual learning, in lockstep.
 
     Per batch, the local model steps on CE plus KL toward the knowledge net's
-    distribution, then the knowledge net steps on CE plus KL toward the
-    stepped local model: three forwards, one per net per use.  Losses are
-    scored from the kept softmax rows once per epoch.  The two nets step in
-    turn, so this loop is not fit's.  The local model and its val accuracy
-    persist in the state.  Returns (updated_knowledge, mean_train_loss,
-    local_val_accuracy).
+    distribution, then the knowledge net on CE plus KL toward the stepped
+    local model: three forwards, one per net per use.  Losses are scored
+    from the kept softmax rows once per epoch.  Clients sharing (lr, epochs,
+    batch_size) are one group, largest shard first, ties by client id: their
+    knowledge copies are one stack and their local models one stack per
+    architecture (_mutual_learning).  Each result equals the client's run
+    alone.  The states change only once every stack has trained and the
+    local models are scored, in the given order.  If a check fails, the
+    clients are replayed alone in the given order (a serial loop's), which
+    raises the serial loop's DivergenceError.
     """
     num_classes = knowledge_net.arch.num_classes
-    if num_classes != state.local_model.arch.num_classes:
+    if any(st.local_model.arch.num_classes != num_classes for st in states):
         raise ValueError("knowledge and local networks disagree on num_classes")
-    kn = nets.Trainer(knowledge_net, state.lr)
-    theta = nets.Trainer(state.local_model, state.lr)
-    context = {"client_id": state.client_id, "round_index": round_index}
-    x, onehot, epochs, y = _shard(state, data, round_index, num_classes)
-    bounds = batch_bounds(0, len(x), state.batch_size)
-    losses = []
-    for epoch, order in enumerate(epochs):
-        xe, ye, te = x[order], y[order], onehot[order]
-        g_rows = np.empty(te.shape)  # knowledge net
-        q_rows = np.empty(te.shape)  # local model before its step
-        p_rows = np.empty(te.shape)  # local model after its step
-        for b, (start, stop) in enumerate(bounds):
-            xb, yb = xe[start:stop], te[start:stop]
-            g, g_inputs, g_pre = kn.probs(xb, g_rows[start:stop], "logits", context, epoch, b)
-            q, t_inputs, t_pre = theta.probs(xb, q_rows[start:stop], "logits", context, epoch, b)
-            theta.step(t_inputs, t_pre, nets.logit_delta(q, yb, g), context, epoch, b)
-            p = theta.probs(xb, p_rows[start:stop], "logits", context, epoch, b)[0]
-            kn.step(g_inputs, g_pre, nets.logit_delta(g, yb, p), context, epoch, b)
-        terms = nets.row_terms(q_rows, ye, g_rows)
-        nets.check_rows_finite(terms + nets.row_terms(g_rows, ye, p_rows), bounds, "loss",
-                               **context, epoch=epoch)
-        losses.extend(nets.batch_means(terms, bounds))
+    shards = [_shard(st, data, round_index, num_classes) for st in states]
+    context = {"client_id": states[0].client_id} if len(states) == 1 else {}
+    context["round_index"] = round_index
+    knowledge, local, losses, stacks = {}, {}, {}, []
+    try:
+        for ks in _groups(states, shards):
+            lr, by_arch = states[ks[0]].lr, {}
+            for r, k in enumerate(ks):
+                by_arch.setdefault(states[k].local_model.arch, []).append(r)
+            thetas = [(nets.Trainer([states[ks[r]].local_model for r in rows], lr), rows)
+                      for rows in by_arch.values()]
+            kn = nets.Trainer(knowledge_net, lr, copies=len(ks))
+            scored, bounds = _mutual_learning(kn, thetas, [shards[k] for k in ks],
+                                              states[ks[0]].batch_size, context)
+            losses.update(zip(ks, _mean_losses(scored, bounds)))
+            stacks.append((kn, ks, [(theta, [ks[r] for r in rows]) for theta, rows in thetas]))
+        # Checked and scored in one client's own order: local model, val accuracy, knowledge.
+        # Each local model is a copy, as a row view would keep its whole stack alive.
+        for _, _, thetas in stacks:
+            for theta, positions in thetas:
+                local.update(zip(positions, (model.copy() for model in theta.trained(**context))))
+        accs = [st.accuracy(local[k], data, round_index=round_index) for k, st in enumerate(states)]
+        for kn, ks, _ in stacks:
+            knowledge.update(zip(ks, kn.trained(**context)))
+    except DivergenceError:
+        if len(states) > 1:
+            for st in states:
+                client_update(st, knowledge_net, data, round_index)
+        raise
+    for k, st in enumerate(states):
+        st.local_model, st.val_accuracy = local[k], accs[k]
+    return [(knowledge[k], losses[k], accs[k]) for k in range(len(states))]
 
-    state.local_model = theta.trained(**context)[0]
-    state.val_accuracy = state.accuracy(state.local_model, data, round_index=round_index)
-    mean_loss = float(np.mean(losses)) if losses else 0.0
-    return kn.trained(**context)[0], mean_loss, state.val_accuracy
+
+def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
+                  round_index: int = 0):
+    """(updated_knowledge, mean_train_loss, local_val_accuracy) of one client's round of
+    deep mutual learning; the local model and its val accuracy persist in the state."""
+    return client_update_lockstep([state], knowledge_net, data, round_index)[0]
 
 
 def local_train_lockstep(states, model: nets.Network, data: Dataset, round_index: int = 0):
@@ -159,23 +287,17 @@ def local_train_lockstep(states, model: nets.Network, data: Dataset, round_index
     check fails, the clients are replayed alone in the given order (a serial
     loop's), which raises the serial loop's DivergenceError.
     """
-    groups = {}
-    for k, st in enumerate(states):
-        groups.setdefault((st.lr, st.epochs, st.batch_size), []).append(k)
     shards = [_shard(st, data, round_index, model.arch.num_classes) for st in states]
     context = {"client_id": states[0].client_id} if len(states) == 1 else {}
     results = [None] * len(states)
     try:
-        for ks in groups.values():
-            ks.sort(key=lambda k: (-len(shards[k][0]), states[k].client_id))
+        for ks in _groups(states, shards):
             trainer = nets.Trainer(model, states[ks[0]].lr, copies=len(ks))
-            scored, bounds = fit(trainer, [shards[k][:3] for k in ks], states[ks[0]].batch_size,
+            scored, bounds = fit(trainer, [shards[k] for k in ks], states[ks[0]].batch_size,
                                  labels=True, **context, round_index=round_index)
             trained = trainer.trained(**context, round_index=round_index)
-            for k, net, member_bounds in zip(ks, trained, bounds):
-                losses = [loss for terms in scored
-                          for loss in nets.batch_means(terms, member_bounds)]
-                results[k] = (net, float(np.mean(losses)) if losses else 0.0)
+            for k, net, loss in zip(ks, trained, _mean_losses(scored, bounds)):
+                results[k] = (net, loss)
     except DivergenceError:
         if len(states) > 1:
             for st in states:

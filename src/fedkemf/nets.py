@@ -326,7 +326,7 @@ def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
 
 
 class Trainer:
-    """`copies` private copies of a network: the rows of one (K, P) block, stepped in place by SGD.
+    """K private network copies: the rows of one (K, P) block, stepped in place by SGD.
 
     Steps use (W, b) views into the block (views()) and one reused gradient
     block, so a step allocates no Network.  A stacked step is, member by
@@ -334,11 +334,16 @@ class Trainer:
     np.matmul runs each slice as a 2-D call would.
     """
 
-    def __init__(self, net: Network, lr: float, copies=1):
+    def __init__(self, net, lr: float, copies=1):
+        """`net`: one Network, held as `copies` members, or a list of same-architecture
+        Networks, one member each."""
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.params = np.repeat(net.params[None], copies, axis=0)
+        if isinstance(net, Network):
+            self.params = np.repeat(net.params[None], copies, axis=0)
+        else:
+            self.params, net = np.stack([m.params for m in net]), net[0]
         self._grad = np.empty_like(self.params)
         self.nets = [Network(net.arch, p) for p in self.params]
         self.net = self.nets[0]

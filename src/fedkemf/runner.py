@@ -67,7 +67,7 @@ def _train_val_split(shard, val_fraction, seed):
     rng = np.random.default_rng(seed)
     shard = rng.permutation(np.asarray(shard, dtype=np.int64))
     n_val = int(len(shard) * val_fraction) if len(shard) >= 2 else 0
-    return list(shard[n_val:]), list(shard[:n_val])
+    return shard[n_val:], shard[:n_val]
 
 
 def build_states(config: ExperimentConfig, data: Dataset, server_indices, partition):
@@ -106,7 +106,8 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """Run all rounds, writing metrics, checkpoints, and the partition map."""
+    """Run all rounds, writing metrics, checkpoints, and the partition map; `jobs` has no
+    effect."""
     data, test = build_datasets(config)
     server_indices, partition = build_partition(config, data)
     if config.mode == "fedkemf" and config.distill_epochs and not server_indices:

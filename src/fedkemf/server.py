@@ -1,15 +1,14 @@
 """Server side: client sampling, ensembling, ensemble distillation, FedAvg."""
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
 from .checkpoint import checkpoint_nbytes
-# local_train, the serial path, stays importable here: bench/tracing.py patches this name.
-from .client import batch_iterator, client_update, fit, local_train, local_train_lockstep  # noqa: F401
+from .client import batch_iterator, client_update_lockstep, fit, local_train_lockstep
+# bench/tracing.py patches these names here, though run_round calls neither.
+from .client import client_update, local_train  # noqa: F401
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
 
@@ -144,27 +143,15 @@ def distill(server: ServerState, members, data: Dataset):
     return student.trained(round_index=server.round)[0], last_loss
 
 
-def _run_clients(fn, client_ids, jobs):
-    """Run per-client work, optionally in parallel; results in the order of client_ids.
-
-    Each worker call runs in a copy of the caller's context, so it keeps the
-    caller's numpy error state.
-    """
-    if jobs <= 1 or len(client_ids) <= 1:
-        return [fn(cid) for cid in client_ids]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, cid) for cid in client_ids]
-        return [fut.result() for fut in futures]
-
-
 def run_round(server: ServerState, clients, data: Dataset, mode,
               sample_ratio, audit=None, jobs=1):
     """Execute one communication round; mutates server and client states.
 
-    fedkemf: sample, broadcast the global knowledge network, mutual-train per
-    client (`jobs` threads), ensemble-distill the returned knowledge copies.
+    fedkemf: sample, broadcast the global knowledge network, mutual-train the
+    sampled clients in lockstep, ensemble-distill the returned knowledge copies.
     fedavg: sample, broadcast, plain-CE local training of the shared-arch
     model (all sampled clients in lockstep), shard-size weighted averaging.
+    `jobs` is accepted and has no effect.
     Returns per-round stats: sampled ids, mean train loss over sampled
     clients, mean val accuracy over ALL clients' deployed models (in fedkemf
     mode as stored when each model last changed, or scored here if never
@@ -176,13 +163,8 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
     sampled = sample_clients(len(clients), sample_ratio, round_index, server.rng_seed)
     broadcast = server.global_knowledge
     ck_bytes = checkpoint_nbytes(broadcast.arch)
-    if mode == "fedkemf":
-        results = _run_clients(
-            lambda cid: client_update(clients[cid], broadcast, data, round_index), sampled, jobs
-        )
-    else:
-        results = local_train_lockstep([clients[cid] for cid in sampled], broadcast, data,
-                                       round_index)
+    train = client_update_lockstep if mode == "fedkemf" else local_train_lockstep
+    results = train([clients[cid] for cid in sampled], broadcast, data, round_index)
     members = [r[0] for r in results]  # in sampled, id-sorted, order
     train_losses = [r[1] for r in results]
     if audit is not None:

@@ -1,0 +1,61 @@
+"""tools/identity.py's artifact comparison, on hand-made run directories."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+spec = importlib.util.spec_from_file_location("identity_tool", TOOL)
+identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(identity)
+
+HEADER = "round,global_test_acc,wall_seconds\n"
+
+
+def write_run(path, wall="0.125", acc="0.5", rounds=(1, 2, 10), extra=None):
+    path.mkdir()
+    (path / "metrics.csv").write_text(HEADER + f"1,{acc},{wall}\n")
+    (path / "partition.json").write_text('{"clients": [[0, 1]]}\n')
+    for r in rounds:
+        (path / f"round_{r}.fkmf").write_bytes(bytes([r, 0, 7]))
+    for name, text in (extra or {}).items():
+        (path / name).write_text(text)
+    return path
+
+
+def test_identical_runs_differ_only_in_timing(tmp_path):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b", wall="9.875", extra={"run.cfg": "other"})
+    assert identity.first_difference(a, b) is None
+
+
+@pytest.mark.parametrize("change, first", [
+    ({"acc": "0.75"}, "metrics.csv"),
+    ({"rounds": (1, 2)}, "round_10.fkmf"),
+    ({"rounds": (1, 2, 3, 10)}, "round_3.fkmf"),
+])
+def test_names_the_first_differing_artifact(tmp_path, change, first):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b", **change)
+    assert identity.first_difference(a, b) == first
+
+
+def test_checkpoints_are_compared_byte_for_byte_in_round_order(tmp_path):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b")
+    (b / "round_10.fkmf").write_bytes(b"\x0a\x00\x08")
+    (b / "round_2.fkmf").write_bytes(b"\x02\x00\x08")
+    (b / "partition.json").write_text('{"clients": [[1, 0]]}\n')
+    assert identity.first_difference(a, b) == "partition.json"
+    (b / "partition.json").write_text((a / "partition.json").read_text())
+    assert identity.first_difference(a, b) == "round_2.fkmf"
+
+
+def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
+    names = [name for name, _ in identity.cases()]
+    assert names == ["blobs_fedkemf", "blobs_fedavg"] + [
+        f"{w}-seed{s}" for w in ("kemf-many", "avg-small") for s in (1, 2, 3)]
+    for _, config_text in identity.cases():
+        text = config_text(tmp_path / "out")
+        assert f"out_dir = {tmp_path / 'out'}" in text.splitlines()

@@ -246,6 +246,23 @@ class TestSgdStep:
             nets.sgd_step(net, bad, 0.1)
 
 
+class TestTrainer:
+    def test_stack_of_different_networks_steps_each_as_alone(self):
+        arch = nets.ArchSpec(3, (4,), 2)
+        members = [nets.init_network(arch, s) for s in (1, 2)]
+        before = [m.params.copy() for m in members]
+        x = np.random.default_rng(0).standard_normal((2, 5, 3))
+        target = np.eye(2)[[0, 1, 1, 0, 1]]
+        stack = nets.Trainer(members, 0.1)
+        views = stack.views(slice(2))
+        q, inputs, pre = stack.probs(x, None, "logits", views=views)
+        stack.step(inputs, pre, nets.logit_delta(q, target), views=views)
+        for m, params, xk, trained in zip(members, before, x, stack.trained()):
+            assert np.array_equal(m.params, params)  # the inputs are copied, not stepped
+            alone = nets.sgd_step(m, nets.loss_gradient(m, xk, [0, 1, 1, 0, 1]), 0.1)
+            assert np.array_equal(trained.params, alone.params)
+
+
 class TestEvaluate:
     def test_tie_break_to_lowest_class(self):
         arch = nets.ArchSpec(2, (), 2)
@@ -304,8 +321,18 @@ class TestStackedProductsPremise:
     @pytest.mark.parametrize("n", [1, 7, 13, 32])
     @pytest.mark.parametrize("fan_in, fan_out", SHIPPED_LAYERS)
     def test_per_slice_identical(self, fan_in, fan_out, n):
-        rng = np.random.default_rng(fan_in * 1000 + fan_out * 10 + n)
-        k = 4
+        self.check_stack(fan_in, fan_out, n, k=4)
+
+    @pytest.mark.parametrize("n", [1, 7, 13, 32])
+    @pytest.mark.parametrize("fan_in, fan_out", SHIPPED_LAYERS)
+    def test_per_slice_identical_ten_wide(self, fan_in, fan_out, n):
+        # kemf-many's knowledge stack holds all 10 sampled clients
+        self.check_stack(fan_in, fan_out, n, k=10)
+
+    @staticmethod
+    def check_stack(fan_in, fan_out, n, k):
+        seed = fan_in * 1000 + fan_out * 10 + n
+        rng = np.random.default_rng(seed if k == 4 else (seed, k))
         # Laid out as the trainer lays them out: weights and gradients are
         # views into (K, P) blocks, inputs a row range of a padded (K, pad, d) block.
         block = rng.standard_normal((k, fan_in * fan_out + fan_out + 3))

@@ -132,3 +132,15 @@ def test_partition_json_pinned_after_redraws(tmp_path, monkeypatch):
                         functools.partial(runner.dirichlet_partition, max_attempts=13))
     with pytest.raises(InfeasiblePartitionError):
         runner.build_partition(cfg, data)
+
+
+def test_client_splits_are_int64_index_arrays(tmp_path):
+    cfg = make_config(tmp_path, val_fraction=0.2)
+    data, _ = build_datasets(cfg)
+    server_indices, partition = runner.build_partition(cfg, data)
+    clients, _ = runner.build_states(cfg, data, server_indices, partition)
+    for st, shard in zip(clients, partition.client_indices):
+        for idx in (st.train_indices, st.val_indices):
+            assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
+        assert len(st.val_indices) == int(len(shard) * 0.2)
+        assert sorted(np.concatenate([st.val_indices, st.train_indices]).tolist()) == sorted(shard)

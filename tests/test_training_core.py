@@ -15,7 +15,8 @@ import pytest
 from fedkemf import nets
 from fedkemf import client
 from fedkemf.client import (
-    ClientState, batch_iterator, client_update, local_train, local_train_lockstep,
+    ClientState, batch_iterator, client_update, client_update_lockstep, local_train,
+    local_train_lockstep, step_plan,
 )
 from fedkemf.data import synth_blobs
 from fedkemf.errors import DivergenceError
@@ -268,6 +269,145 @@ class TestLockstep:
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
+
+
+class TestMutualLockstep:
+    """Sampled fedkemf clients train as one knowledge stack plus one local-model
+    stack per architecture; each must equal its own serial run."""
+
+    # batch_size 8, as in TestLockstep; the shipped kemf archs, round-robin, so
+    # every step prefix mixes them and most stacks take scattered knowledge rows.
+    SIZES = TestLockstep.SIZES
+    ARCHS = ((32,), (64,), (64, 32))
+
+    @classmethod
+    def clients(cls, data, sizes, per_client=None, **keys):
+        keys = {"epochs": 3, "batch_size": 8, **keys}
+        return [make_client(data, cid=c, n_train=n, hidden=cls.ARCHS[c % len(cls.ARCHS)],
+                            **{**keys, **(per_client or {}).get(c, {})})
+                for c, n in enumerate(sizes)]
+
+    @staticmethod
+    def data():
+        # ten classes, as kemf-many: the per-row KL sums then run over 10 entries
+        return synth_blobs(10, 30, 5, 0.8, seed=21)
+
+    @staticmethod
+    def knowledge(data):
+        return nets.init_network(nets.ArchSpec(data.dim, (16,), data.num_classes), 7)
+
+    @pytest.mark.parametrize("per_client", [
+        {},
+        {1: {"lr": 0.05}, 2: {"batch_size": 5}, 4: {"epochs": 2}, 5: {"batch_size": 5}},
+    ], ids=["one_group", "mixed_groups"])
+    def test_each_client_equals_its_serial_reference(self, per_client):
+        data = self.data()
+        knowledge = self.knowledge(data)
+        states = self.clients(data, self.SIZES, per_client)
+        twins = self.clients(data, self.SIZES, per_client)
+        results = client_update_lockstep(states, knowledge, data, round_index=3)
+        for st, twin, (kn, loss, acc) in zip(states, twins, results):
+            ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 3)
+            assert np.array_equal(kn.params, ref_kn.params)
+            assert np.array_equal(st.local_model.params, ref_theta.params)
+            assert loss == ref_loss
+            assert acc == ref_acc == st.val_accuracy
+
+    @pytest.mark.parametrize("sizes", [SIZES, (19,)], ids=["six_clients", "one_client"])
+    def test_fedkemf_round_equals_serial_reference(self, sizes, monkeypatch):
+        data = self.data()
+        states, twins = self.clients(data, sizes), self.clients(data, sizes)
+        server = make_server(data, epochs=0)
+        server.global_knowledge = broadcast = self.knowledge(data)
+        distilled = []
+
+        def spy(server, members, data):
+            distilled.append(members)
+            return distill(server, members, data)
+
+        monkeypatch.setattr("fedkemf.server.distill", spy)
+        stats = run_round(server, states, data, "fedkemf", sample_ratio=1.0)
+        refs = [reference_client_update(twin, broadcast, data, server.round) for twin in twins]
+        assert stats["sampled"] == list(range(len(sizes)))
+        for member, st, (ref_kn, ref_theta, _, ref_acc) in zip(distilled[0], states, refs):
+            assert np.array_equal(member.params, ref_kn.params)
+            assert np.array_equal(st.local_model.params, ref_theta.params)
+            assert st.val_accuracy == ref_acc
+        assert stats["mean_train_loss"] == float(np.mean([ref[2] for ref in refs]))
+        assert stats["mean_client_val_accuracy"] == float(np.mean([ref[3] for ref in refs]))
+
+    def test_divergence_names_the_serial_loops_client(self, monkeypatch):
+        # The larger shard (client 1) diverges at an earlier lockstep step than
+        # client 0, yet a serial loop would raise for client 0 first.
+        data = self.data()
+        states = self.clients(data, (8, 40), lr=1e12, epochs=16)
+        twins = self.clients(data, (8, 40), lr=1e12, epochs=16)
+        knowledge = self.knowledge(data)
+        alone = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for twin in twins:
+                with pytest.raises(DivergenceError) as err:
+                    client_update(twin, knowledge, data, round_index=1)
+                alone[twin.client_id] = err.value
+        assert alone[1].epoch < alone[0].epoch
+        lockstep_errors = []
+
+        def replay(state, *args):
+            if not lockstep_errors:
+                lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
+            return client_update(state, *args)
+
+        monkeypatch.setattr(client, "client_update", replay)
+        server = make_server(data, epochs=0)
+        server.global_knowledge, server.round = knowledge, 0
+        before = [st.local_model for st in states]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_round(server, states, data, "fedkemf", sample_ratio=1.0)
+        assert lockstep_errors[0].epoch == alone[1].epoch
+        got, want = err.value, alone[0]
+        assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
+            want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
+        # the serial loop failed on client 0, before any state changed
+        assert all(st.local_model is model for st, model in zip(states, before))
+
+    def test_states_change_only_after_every_check(self, monkeypatch):
+        # Client 1's val evaluation diverges after every stack has trained.  The
+        # replay must start from the states as sampled, so client 0 ends exactly
+        # one serial round on, and client 1 keeps its model.
+        data = self.data()
+        knowledge = self.knowledge(data)
+        states, twins = self.clients(data, (19, 13)), self.clients(data, (19, 13))
+        before = states[1].local_model
+        scored = ClientState.accuracy
+
+        def accuracy(state, net, data, **context):
+            if state.client_id == 1:
+                raise DivergenceError("non-finite evaluation logits", client_id=1)
+            return scored(state, net, data, **context)
+
+        monkeypatch.setattr(ClientState, "accuracy", accuracy)
+        with pytest.raises(DivergenceError) as err:
+            client_update_lockstep(states, knowledge, data, round_index=2)
+        assert err.value.client_id == 1
+        ref_theta = reference_client_update(twins[0], knowledge, data, 2)[1]
+        assert np.array_equal(states[0].local_model.params, ref_theta.params)
+        assert states[1].local_model is before
+
+    @pytest.mark.parametrize("sizes, batch_size", [
+        ((24, 19, 13, 13, 8, 5), 8), ((7,), 8), ((8,), 8), ((40, 3), 8), ((5, 5, 5), 1)])
+    def test_step_plan_covers_each_members_batches_in_order(self, sizes, batch_size):
+        seen = [[] for _ in sizes]
+        for rows, batches in step_plan(sizes, batch_size):
+            stepping = range(rows.stop) if isinstance(rows, slice) else [rows]
+            assert isinstance(rows, int) or rows.stop > 1  # a stack of one steps as a member
+            for start, stop, b in batches:
+                for k in stepping:
+                    assert stop <= sizes[k] and stop - start <= batch_size
+                    seen[k].append((b, start, stop))
+        for k, n in enumerate(sizes):
+            assert seen[k] == [(b, start, min(start + batch_size, n))
+                               for b, start in enumerate(range(0, n, batch_size))]
 
 
 class TestForwardCounts:

@@ -1,0 +1,153 @@
+"""Byte-identity check: run this tree and a git revision on the same configs, compare artifacts.
+
+Run from anywhere in the repository:
+
+    python3 tools/identity.py --against HEAD~1 [--workdir DIR]
+
+The cases are the shipped configs/blobs_fedkemf.cfg and configs/blobs_fedavg.cfg,
+and the benchmark workloads kemf-many and avg-small at seeds 1-3, whose configs
+are generated from bench/workloads.py (read, never edited).  Both trees run on
+the same config text, taken from this tree.  The revision is exported with
+`git archive` into a temporary directory under DIR (default: the system's temp
+directory), which is removed at the end; this tree runs from its working files,
+uncommitted changes included.  Each run is a fresh `fedkemf run` process with
+FEDKEMF_SEED unset.
+
+Compared per case: metrics.csv without its wall_seconds column, partition.json
+and every round_*.fkmf checkpoint.  One line per case names the first differing
+file.  Exit status 0 when every case is identical, 1 otherwise.
+"""
+
+import argparse
+import csv
+import importlib.util
+import io
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = ("configs/blobs_fedkemf.cfg", "configs/blobs_fedavg.cfg")
+WORKLOADS = ("kemf-many", "avg-small")
+SEEDS = (1, 2, 3)
+TIMING_COLUMN = "wall_seconds"
+RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from fedkemf.cli import main; "
+       "sys.exit(main(['run', sys.argv[2]]))")
+
+
+def _workloads():
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def cases():
+    """[(name, config text for an out_dir)] in report order."""
+    found = []
+    for path in SHIPPED:
+        text = (ROOT / path).read_text()
+        found.append((Path(path).stem, lambda out_dir, text=text: re.sub(
+            r"(?m)^out_dir\s*=.*$", f"out_dir = {out_dir}", text)))
+    workloads = _workloads()
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            found.append((f"{name}-seed{seed}", lambda out_dir, w=workloads[name], seed=seed:
+                          w.config_text(seed, out_dir)))
+    return found
+
+
+def _metrics_rows(path):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    keep = [i for i, col in enumerate(rows[0]) if col != TIMING_COLUMN] if rows else []
+    return [[row[i] for i in keep] for row in rows]
+
+
+def _artifact_order(name):
+    if name == "metrics.csv":
+        return (0, 0)
+    if name == "partition.json":
+        return (1, 0)
+    match = re.fullmatch(r"round_(\d+)\.fkmf", name)
+    return (2, int(match.group(1))) if match else None
+
+
+def first_difference(a: Path, b: Path):
+    """The first compared artifact that differs between out_dirs a and b (or is missing
+    from one of them), or None when all are identical."""
+    names = {p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}
+    for name in sorted((n for n in names if _artifact_order(n)), key=_artifact_order):
+        pa, pb = a / name, b / name
+        if not (pa.is_file() and pb.is_file()):
+            return name
+        if name == "metrics.csv":
+            same = _metrics_rows(pa) == _metrics_rows(pb)
+        else:
+            same = pa.read_bytes() == pb.read_bytes()
+        if not same:
+            return name
+    return None
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True).stdout
+
+
+def export(rev, dest: Path):
+    """Extract the files of `rev` into dest; returns its abbreviated commit id."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", commit))) as tar:
+        tar.extractall(dest, filter="data")
+    return commit[:12]
+
+
+def run(src: Path, config_text, out_dir: Path):
+    """Run one config on the package under src; returns (exit status, last stderr line)."""
+    out_dir.mkdir(parents=True)
+    cfg = out_dir.with_suffix(".cfg")
+    cfg.write_text(config_text(out_dir))
+    env = {k: v for k, v in os.environ.items() if k != "FEDKEMF_SEED"}
+    proc = subprocess.run([sys.executable, "-c", RUN, str(src), str(cfg)], env=env,
+                          cwd=out_dir.parent, capture_output=True, text=True)
+    return proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--workdir", default=None,
+                        help="directory for the temporary trees and runs")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="fedkemf-identity-", dir=args.workdir) as tmp:
+        tmp = Path(tmp)
+        commit = export(args.against, tmp / "against")
+        trees = {"this": ROOT / "src", "against": tmp / "against" / "src"}
+        print(f"working tree against {args.against} ({commit})")
+        differing = 0
+        for name, config_text in cases():
+            results = {tree: run(src, config_text, tmp / "runs" / tree / name)
+                       for tree, src in trees.items()}
+            failed = {tree: r for tree, r in results.items() if r[0] != 0}
+            if failed:
+                verdict = "FAILED  " + "; ".join(
+                    f"{tree} exit {code}: {err}" for tree, (code, err) in failed.items())
+            else:
+                diff = first_difference(tmp / "runs" / "this" / name,
+                                        tmp / "runs" / "against" / name)
+                verdict = "identical" if diff is None else f"DIFFERS  first at {diff}"
+            differing += verdict != "identical"
+            print(f"{name:<18} {verdict}", flush=True)
+        total = len(cases())
+        print(f"{total - differing} of {total} cases byte-identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
