@@ -1,0 +1,137 @@
+"""Property: lockstep training is each client's serial run, for any group of clients.
+
+Both lockstep engines (local_train_lockstep for fedavg, client_update_lockstep
+for fedkemf) stack the sampled clients and step them together.  Hypothesis
+draws the groups: shard sizes down to one row and below the batch size,
+batch sizes, mixes of the shipped `32 | 64 | 64,32` local architectures, up
+to 12 clients, and per-client (lr, epochs, batch_size) that split them into
+several groups.  Every client's lockstep result must be bit-identical to the
+reference loop built from the public primitives, and a forced divergence
+must raise exactly the error of the serial loop (each client alone, in the
+given order).  Sizes stay small, so an example takes milliseconds.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from fedkemf import nets
+from fedkemf.client import client_update, client_update_lockstep, local_train, local_train_lockstep
+from fedkemf.data import Dataset, synth_blobs
+from fedkemf.errors import DivergenceError
+
+from test_training_core import make_client, reference_client_update, reference_local_train
+
+ARCHS = ((32,), (64,), (64, 32))
+ROUND = 3
+BOUNDED = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def make_data():
+    # ten classes, as kemf-many, so the per-row KL sums run over 10 entries
+    return synth_blobs(10, 30, 5, 0.8, seed=21)
+
+
+@st.composite
+def groups(draw, lrs=(0.1, 0.05)):
+    """[client keys]: shard size, local architecture and (lr, epochs, batch_size) of each.
+
+    The (lr, epochs, batch_size) triples come from a pool of up to three, so
+    groups run from one client to all twelve."""
+    pool = draw(st.lists(st.tuples(st.sampled_from(lrs), st.sampled_from((0, 1, 2)),
+                                   st.sampled_from((1, 3, 5, 8))), min_size=1, max_size=3))
+    keys = []
+    for _ in range(draw(st.integers(1, 12))):
+        lr, epochs, batch_size = draw(st.sampled_from(pool))
+        keys.append({"n_train": draw(st.integers(1, 20)), "hidden": draw(st.sampled_from(ARCHS)),
+                     "lr": lr, "epochs": epochs, "batch_size": batch_size})
+    return keys
+
+
+def clients(data, keys):
+    return [make_client(data, cid=c, n_val=4, **k) for c, k in enumerate(keys)]
+
+
+def knowledge(data):
+    return nets.init_network(nets.ArchSpec(data.dim, (16,), data.num_classes), 7)
+
+
+def shared_model(data, keys):
+    return nets.init_network(nets.ArchSpec(data.dim, keys[0]["hidden"], data.num_classes), 17)
+
+
+@BOUNDED
+@given(groups())
+def test_mutual_lockstep_equals_serial_reference(keys):
+    data = make_data()
+    net = knowledge(data)
+    states, twins = clients(data, keys), clients(data, keys)
+    results = client_update_lockstep(states, net, data, round_index=ROUND)
+    for st_, twin, (kn, loss, acc) in zip(states, twins, results):
+        ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, net, data, ROUND)
+        assert np.array_equal(kn.params, ref_kn.params)
+        assert np.array_equal(st_.local_model.params, ref_theta.params)
+        assert loss == ref_loss
+        assert acc == ref_acc == st_.val_accuracy
+
+
+@BOUNDED
+@given(groups())
+def test_plain_lockstep_equals_serial_reference(keys):
+    data = make_data()
+    model = shared_model(data, keys)
+    states = clients(data, keys)
+    results = local_train_lockstep(states, model, data, round_index=ROUND)
+    for st_, (net, loss) in zip(states, results):
+        ref_net, ref_loss = reference_local_train(st_, model, data, ROUND)
+        assert np.array_equal(net.params, ref_net.params)
+        assert loss == ref_loss
+
+
+def serial(train, states, model, data):
+    """(results, error) of a serial loop: each client alone, in order, until one raises."""
+    results = []
+    for st_ in states:
+        try:
+            results.append(train(st_, model, data, ROUND))
+        except DivergenceError as err:
+            return results, err
+    return results, None
+
+
+def outcome(err):
+    return (err.client_id, err.round_index, err.epoch, err.batch_index, str(err))
+
+
+@BOUNDED
+@given(st.sampled_from(("mutual", "plain")), groups(lrs=(0.1, 1e12, 1e300)),
+       st.none() | st.tuples(st.integers(0, 11), st.integers(0, 19)))
+def test_divergence_names_the_serial_loops_client(mode, keys, poison):
+    # Huge learning rates diverge at varied epochs and batches; a NaN feature
+    # row in one client's shard diverges at the first batch that holds it.
+    data = make_data()
+    data = Dataset(data.features.copy(), data.labels, data.num_classes)
+    states, twins = clients(data, keys), clients(data, keys)
+    if poison is not None:
+        target = states[poison[0] % len(states)]
+        if target.epochs:
+            data.features[target.train_indices[poison[1] % len(target.train_indices)]] = np.nan
+    if mode == "mutual":
+        lockstep, alone, model = client_update_lockstep, client_update, knowledge(data)
+    else:
+        lockstep, alone, model = local_train_lockstep, local_train, shared_model(data, keys)
+    with np.errstate(all="ignore"):
+        want, want_err = serial(alone, twins, model, data)
+        try:
+            got, got_err = lockstep(states, model, data, round_index=ROUND), None
+        except DivergenceError as err:
+            got, got_err = None, err
+    assert poison is None or target.epochs == 0 or want_err is not None
+    if want_err is None:
+        assert got_err is None
+        for (net, *rest), (want_net, *want_rest) in zip(got, want):
+            assert np.array_equal(net.params, want_net.params) and rest == want_rest
+    else:
+        assert got_err is not None and outcome(got_err) == outcome(want_err)
+    for st_, twin in zip(states, twins):  # the replay leaves each state as the serial loop does
+        assert np.array_equal(st_.local_model.params, twin.local_model.params, equal_nan=True)
+        assert st_.val_accuracy == twin.val_accuracy
