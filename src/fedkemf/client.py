@@ -66,36 +66,45 @@ def step_plan(sizes, batch_size):
     """One epoch's steps for members of `sizes` rows, largest first: [(rows, [(start, stop,
     batch)])], each member's batches in order.
 
-    `rows` is slice(f) where the first f members all have a full batch and
-    step as one stack, else the index of the one member that steps alone; a
-    partial last batch always steps alone, unpadded (more rows would change
-    the BLAS sums).
+    `rows` is the slice of members that step as one stack: slice(f) where the
+    first f members all have a full batch, or slice(j, j + 1) for member j's
+    partial last batch, which always steps alone, unpadded (more rows would
+    change the BLAS sums).
     """
     full = [n // batch_size for n in sizes] + [0]
     plan = []
     for f in range(len(sizes), 0, -1):  # batches full[f]..full[f-1] are full for members :f only
         batches = [(b * batch_size, (b + 1) * batch_size, b) for b in range(full[f], full[f - 1])]
         if batches:
-            plan.append((slice(f) if f > 1 else 0, batches))
-    return plan + [(j, [(full[j] * batch_size, n, full[j])])
+            plan.append((slice(f), batches))
+    return plan + [(slice(j, j + 1), [(full[j] * batch_size, n, full[j])])
                    for j, n in enumerate(sizes) if n % batch_size]
 
 
-def _epoch_blocks(members):
-    """Padded (K, pad, .) row and target blocks of members[k] = (x, target, epochs), largest
-    first, and an iterator over the epochs that refills them in each epoch's row order.
-    Unused target rows stay 1, so that losses scored over whole blocks stay finite."""
+def _lockstep_epochs(members, batch_size, setup, what, context):
+    """The epoch loop of both lockstep trainers: (per epoch the K * pad rows' loss terms, per
+    member its batches' bounds in them).
+
+    members[k] = (x, target, epochs), largest x first; `epochs` yields each
+    epoch's row order (batches of batch_size joined), which refills padded
+    (K, pad, .) row and target blocks; unused target rows stay 1, so losses
+    scored over whole blocks stay finite.  setup(x_rows, t_rows, step_plan)
+    returns run(epoch): it steps one epoch and returns (its loss terms, the
+    terms to check finite, named what + "loss").
+    """
     sizes = [len(m[0]) for m in members]
     x_rows = np.empty((len(sizes), sizes[0], members[0][0].shape[1]))
     t_rows = np.ones((len(sizes), sizes[0], members[0][1].shape[1]))
-
-    def refill():
-        for orders in zip(*(m[2] for m in members)):
-            for k, ((x, target, _), order) in enumerate(zip(members, orders)):
-                x_rows[k, :sizes[k]], t_rows[k, :sizes[k]] = x[order], target[order]
-            yield
-
-    return x_rows, t_rows, refill()
+    run = setup(x_rows, t_rows, step_plan(sizes, batch_size))
+    bounds = [batch_bounds(k * sizes[0], n, batch_size) for k, n in enumerate(sizes)]
+    all_bounds, scored = sum(bounds, []), []
+    for epoch, orders in enumerate(zip(*(m[2] for m in members))):
+        for k, ((x, target, _), order) in enumerate(zip(members, orders)):
+            x_rows[k, :sizes[k]], t_rows[k, :sizes[k]] = x[order], target[order]
+        terms, checked = run(epoch)
+        nets.check_rows_finite(checked, all_bounds, what + "loss", **context, epoch=epoch)
+        scored.append(terms)
+    return scored, bounds
 
 
 def _mean_losses(scored, bounds):
@@ -110,102 +119,92 @@ def _mean_losses(scored, bounds):
 def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **context):
     """Lockstep single-student SGD: each trainer member steps toward its own fixed target block.
 
-    members[k] = (x, target, epochs), largest x first; `epochs` yields each
-    epoch's row order (batches of batch_size joined).  The steps follow
+    `members` and the result are _lockstep_epochs'; the steps follow
     step_plan.  Losses are scored per epoch: CE toward a one-hot `target`'s
     labels if `labels`, else KL from `target`; `what` prefixes the names in
-    errors.  Returns (per epoch the K * pad rows' loss terms, per member its
-    batches' bounds in them).
+    errors.
     """
-    sizes = [len(m[0]) for m in members]
-    count, pad = len(sizes), sizes[0]
-    x_rows, t_rows, epochs = _epoch_blocks(members)
-    q_rows = np.ones(t_rows.shape)
-    flat_q, flat_t = q_rows.reshape(count * pad, -1), t_rows.reshape(count * pad, -1)
-    plan = []
-    for rows, batches in step_plan(sizes, batch_size):
-        views = trainer.views(rows)
-        plan += [(views, rows, start, stop, b) for start, stop, b in batches]
-    bounds = [batch_bounds(k * pad, n, batch_size) for k, n in enumerate(sizes)]
-    scored = []
-    for epoch, _ in enumerate(epochs):
-        for views, rows, start, stop, b in plan:
-            q, inputs, pre = trainer.probs(x_rows[rows, start:stop], q_rows[rows, start:stop],
-                                           what + "logits", context, epoch, b, views)
-            trainer.step(inputs, pre, nets.logit_delta(q, t_rows[rows, start:stop]),
-                         context, epoch, b, views)
-        terms = (nets.row_terms(flat_q, flat_t.argmax(axis=1)) if labels
-                 else nets.row_terms(flat_q, teacher_probs=flat_t))
-        nets.check_rows_finite(terms, sum(bounds, []), what + "loss", **context, epoch=epoch)
-        scored.append(terms)
-    return scored, bounds
+    def setup(x_rows, t_rows, plan):
+        q_rows = np.ones(t_rows.shape)
+        flat_q, flat_t = (block.reshape(-1, block.shape[2]) for block in (q_rows, t_rows))
+        steps = [(trainer.views(rows), rows, batches) for rows, batches in plan]
+
+        def run(epoch):
+            for views, rows, batches in steps:
+                for start, stop, b in batches:
+                    q, inputs, pre = trainer.probs(x_rows[rows, start:stop], q_rows[rows, start:stop],
+                                                   what + "logits", context, epoch, b, views=views)
+                    trainer.step(inputs, pre, nets.logit_delta(q, t_rows[rows, start:stop]),
+                                 context, epoch, b, views=views)
+            terms = (nets.row_terms(flat_q, flat_t.argmax(axis=1)) if labels
+                     else nets.row_terms(flat_q, teacher_probs=flat_t))
+            return terms, terms
+        return run
+    return _lockstep_epochs(members, batch_size, setup, what, context)
 
 
 def _mutual_learning(kn, thetas, members, batch_size, context):
-    """Lockstep deep mutual learning of one group; returns fit's (scored, bounds).
+    """Lockstep deep mutual learning of one group; returns _lockstep_epochs' (scored, bounds).
 
     `kn` stacks the members' knowledge copies; thetas = [(Trainer, its
     members, ascending)] stacks their local models, one per architecture, so
-    each step_plan prefix of the members is a prefix of every stack.  A step
+    each step_plan slice of the members is a slice of every stack.  A step
     forwards the knowledge stack; each local stack takes its members'
     knowledge rows, forwards, steps on CE plus KL toward them and forwards
     again, and its stepped rows are scattered back; then the knowledge stack
     steps on CE plus KL toward those.  The local losses are scored.
     """
-    sizes = [len(m[0]) for m in members]
-    count, pad = len(sizes), sizes[0]
-    x_rows, y_rows, epochs = _epoch_blocks(members)
-    # knowledge rows, local rows before and after the local step; unused rows stay finite
-    g_rows, q_rows, p_rows = (np.ones(y_rows.shape) for _ in range(3))
-    # (Trainer, members, x, one-hot and q blocks padded to its own largest member)
-    stacks = [(theta, np.array(rows), *(np.ones((len(rows), sizes[rows[0]], block.shape[2]))
-                                        for block in (x_rows, y_rows, y_rows)))
-              for theta, rows in thetas]
-    plan = []
-    for rows, batches in step_plan(sizes, batch_size):
-        stepping = list(range(rows.stop)) if isinstance(rows, slice) else [rows]
-        local = []  # (Trainer, views, sel, own rows, blocks) of each stack with stepping members
-        for theta, member_rows, *blocks in stacks:
-            mine = [r for r, k in enumerate(member_rows) if k in stepping]
-            if mine:
-                # sel picks the stack's rows out of the step's knowledge rows; None: all of them
-                sel = (None if list(member_rows[mine]) == stepping
-                       else member_rows[mine[0]] if len(mine) == 1 else member_rows[mine])
-                own = slice(len(mine)) if len(mine) > 1 else mine[0]
-                local.append((theta, theta.views(own), sel, own, blocks))
-        views = kn.views(rows)
-        for start, stop, b in batches:
-            steps = [(theta, own_views, sel, *(block[own, start:stop] for block in blocks))
-                     for theta, own_views, sel, own, blocks in local]
-            plan.append((views, b, steps, *(block[rows, start:stop]
-                                            for block in (x_rows, y_rows, g_rows, p_rows))))
-    flat_y, flat_g, flat_q, flat_p = (block.reshape(count * pad, -1)
-                                      for block in (y_rows, g_rows, q_rows, p_rows))
-    bounds = [batch_bounds(k * pad, n, batch_size) for k, n in enumerate(sizes)]
-    scored = []
-    for epoch, _ in enumerate(epochs):
-        for _, member_rows, x_a, y_a, _ in stacks:
-            x_a[:] = x_rows[member_rows, :len(x_a[0])]
-            y_a[:] = y_rows[member_rows, :len(y_a[0])]
-        for views, b, local, x, y, g_out, p in plan:
-            g, g_inputs, g_pre = kn.probs(x, g_out, "logits", context, epoch, b, views)
-            for theta, own, sel, x_a, y_a, q_out in local:
-                q, inputs, pre = theta.probs(x_a, q_out, "logits", context, epoch, b, own)
-                theta.step(inputs, pre, nets.logit_delta(q, y_a, g if sel is None else g[sel]),
-                           context, epoch, b, own)
-                stepped = theta.probs(x_a, p if sel is None else None, "logits",
-                                      context, epoch, b, own)[0]
-                if sel is not None:
-                    p[sel] = stepped
-            kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), context, epoch, b, views)
-        for _, member_rows, _, _, q_a in stacks:
-            q_rows[member_rows, :len(q_a[0])] = q_a
-        labels = flat_y.argmax(axis=1)
-        terms = nets.row_terms(flat_q, labels, flat_g)
-        nets.check_rows_finite(terms + nets.row_terms(flat_g, labels, flat_p), sum(bounds, []),
-                               "loss", **context, epoch=epoch)
-        scored.append(terms)
-    return scored, bounds
+    def setup(x_rows, y_rows, plan):
+        # knowledge rows, local rows before and after the local step; unused rows stay finite
+        g_rows, q_rows, p_rows = (np.ones(y_rows.shape) for _ in range(3))
+        # (Trainer, members, x, one-hot and q blocks padded to its own largest member)
+        stacks = [(theta, np.array(rows),
+                   *(np.ones((len(rows), len(members[rows[0]][0]), block.shape[2]))
+                     for block in (x_rows, y_rows, y_rows)))
+                  for theta, rows in thetas]
+        steps = []
+        for rows, batches in plan:
+            stepping = range(len(members))[rows]
+            local = []  # (Trainer, views, sel, own rows, blocks) of each stack with stepping members
+            for theta, member_rows, *blocks in stacks:
+                mine = [r for r, k in enumerate(member_rows) if k in stepping]
+                if mine:
+                    own = slice(mine[0], mine[-1] + 1)
+                    # sel picks the stack's rows out of a prefix step's knowledge rows; None: all
+                    # of them, as for any lone member
+                    sel = None if len(mine) == len(stepping) else member_rows[own]
+                    local.append((theta, theta.views(own), sel, own, blocks))
+            views = kn.views(rows)
+            for start, stop, b in batches:
+                own_steps = [(theta, own_views, sel, *(block[own, start:stop] for block in blocks))
+                             for theta, own_views, sel, own, blocks in local]
+                steps.append((views, b, own_steps, *(block[rows, start:stop]
+                                                     for block in (x_rows, y_rows, g_rows, p_rows))))
+        flat_y, flat_g, flat_q, flat_p = (block.reshape(-1, block.shape[2])
+                                          for block in (y_rows, g_rows, q_rows, p_rows))
+
+        def run(epoch):
+            for _, member_rows, x_a, y_a, _ in stacks:
+                x_a[:] = x_rows[member_rows, :len(x_a[0])]
+                y_a[:] = y_rows[member_rows, :len(y_a[0])]
+            for views, b, local, x, y, g_out, p in steps:
+                g, g_inputs, g_pre = kn.probs(x, g_out, "logits", context, epoch, b, views=views)
+                for theta, own, sel, x_a, y_a, q_out in local:
+                    q, inputs, pre = theta.probs(x_a, q_out, "logits", context, epoch, b, views=own)
+                    theta.step(inputs, pre, nets.logit_delta(q, y_a, g if sel is None else g[sel]),
+                               context, epoch, b, views=own)
+                    stepped = theta.probs(x_a, p if sel is None else None, "logits",
+                                          context, epoch, b, views=own)[0]
+                    if sel is not None:
+                        p[sel] = stepped
+                kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), context, epoch, b, views=views)
+            for _, member_rows, _, _, q_a in stacks:
+                q_rows[member_rows, :len(q_a[0])] = q_a
+            labels = flat_y.argmax(axis=1)
+            terms = nets.row_terms(flat_q, labels, flat_g)
+            return terms, terms + nets.row_terms(flat_g, labels, flat_p)
+        return run
+    return _lockstep_epochs(members, batch_size, setup, "", context)
 
 
 def _groups(states, shards):
@@ -216,6 +215,27 @@ def _groups(states, shards):
         groups.setdefault((st.lr, st.epochs, st.batch_size), []).append(k)
     return [sorted(ks, key=lambda k: (-len(shards[k][0]), states[k].client_id))
             for ks in groups.values()]
+
+
+def _lockstep(states, net: nets.Network, data: Dataset, round_index, train, alone):
+    """The driver of both lockstep entry points: train(groups, shards, context) on the states'
+    shards, in _groups' groups.
+
+    Errors name the client only when there is one, and always the round.  If
+    a check fails, the clients are replayed with alone(state, net, data,
+    round_index) in the given order (a serial loop's), which raises the
+    serial loop's DivergenceError.
+    """
+    shards = [_shard(st, data, round_index, net.arch.num_classes) for st in states]
+    context = {"client_id": states[0].client_id} if len(states) == 1 else {}
+    context["round_index"] = round_index
+    try:
+        return train(_groups(states, shards), shards, context)
+    except DivergenceError:
+        if len(states) > 1:
+            for st in states:
+                alone(st, net, data, round_index)
+        raise
 
 
 def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
@@ -231,25 +251,22 @@ def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
     knowledge copies are one stack and their local models one stack per
     architecture (_mutual_learning).  Each result equals the client's run
     alone.  The states change only once every stack has trained and the
-    local models are scored, in the given order.  If a check fails, the
-    clients are replayed alone in the given order (a serial loop's), which
-    raises the serial loop's DivergenceError.
+    local models are scored, in the given order.  A failed check replays the
+    clients alone (_lockstep).
     """
     num_classes = knowledge_net.arch.num_classes
     if any(st.local_model.arch.num_classes != num_classes for st in states):
         raise ValueError("knowledge and local networks disagree on num_classes")
-    shards = [_shard(st, data, round_index, num_classes) for st in states]
-    context = {"client_id": states[0].client_id} if len(states) == 1 else {}
-    context["round_index"] = round_index
-    knowledge, local, losses, stacks = {}, {}, {}, []
-    try:
-        for ks in _groups(states, shards):
+
+    def train(groups, shards, context):
+        knowledge, local, losses, stacks = {}, {}, {}, []
+        for ks in groups:
             lr, by_arch = states[ks[0]].lr, {}
             for r, k in enumerate(ks):
                 by_arch.setdefault(states[k].local_model.arch, []).append(r)
             thetas = [(nets.Trainer([states[ks[r]].local_model for r in rows], lr), rows)
                       for rows in by_arch.values()]
-            kn = nets.Trainer(knowledge_net, lr, copies=len(ks))
+            kn = nets.Trainer([knowledge_net] * len(ks), lr)
             scored, bounds = _mutual_learning(kn, thetas, [shards[k] for k in ks],
                                               states[ks[0]].batch_size, context)
             losses.update(zip(ks, _mean_losses(scored, bounds)))
@@ -262,14 +279,10 @@ def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
         accs = [st.accuracy(local[k], data, round_index=round_index) for k, st in enumerate(states)]
         for kn, ks, _ in stacks:
             knowledge.update(zip(ks, kn.trained(**context)))
-    except DivergenceError:
-        if len(states) > 1:
-            for st in states:
-                client_update(st, knowledge_net, data, round_index)
-        raise
-    for k, st in enumerate(states):
-        st.local_model, st.val_accuracy = local[k], accs[k]
-    return [(knowledge[k], losses[k], accs[k]) for k in range(len(states))]
+        for k, st in enumerate(states):
+            st.local_model, st.val_accuracy = local[k], accs[k]
+        return [(knowledge[k], losses[k], accs[k]) for k in range(len(states))]
+    return _lockstep(states, knowledge_net, data, round_index, train, client_update)
 
 
 def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
@@ -283,27 +296,19 @@ def local_train_lockstep(states, model: nets.Network, data: Dataset, round_index
     """[(trained_model, mean_train_loss)] of each state's local_train from `model`, in lockstep.
 
     Clients sharing (lr, epochs, batch_size) are one fit stack, largest shard
-    first, ties by client id; each result equals local_train alone.  If a
-    check fails, the clients are replayed alone in the given order (a serial
-    loop's), which raises the serial loop's DivergenceError.
+    first, ties by client id; each result equals local_train alone.  A failed
+    check replays the clients alone (_lockstep).
     """
-    shards = [_shard(st, data, round_index, model.arch.num_classes) for st in states]
-    context = {"client_id": states[0].client_id} if len(states) == 1 else {}
-    results = [None] * len(states)
-    try:
-        for ks in _groups(states, shards):
-            trainer = nets.Trainer(model, states[ks[0]].lr, copies=len(ks))
+    def train(groups, shards, context):
+        results = [None] * len(states)
+        for ks in groups:
+            trainer = nets.Trainer([model] * len(ks), states[ks[0]].lr)
             scored, bounds = fit(trainer, [shards[k] for k in ks], states[ks[0]].batch_size,
-                                 labels=True, **context, round_index=round_index)
-            trained = trainer.trained(**context, round_index=round_index)
-            for k, net, loss in zip(ks, trained, _mean_losses(scored, bounds)):
+                                 labels=True, **context)
+            for k, net, loss in zip(ks, trainer.trained(**context), _mean_losses(scored, bounds)):
                 results[k] = (net, loss)
-    except DivergenceError:
-        if len(states) > 1:
-            for st in states:
-                local_train(st, model, data, round_index)
-        raise
-    return results
+        return results
+    return _lockstep(states, model, data, round_index, train, local_train)
 
 
 def local_train(state: ClientState, model: nets.Network, data: Dataset, round_index: int = 0):

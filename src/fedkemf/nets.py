@@ -326,47 +326,41 @@ def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
 
 
 class Trainer:
-    """K private network copies: the rows of one (K, P) block, stepped in place by SGD.
+    """K >= 1 private network copies: the rows of one (K, P) block, stepped in place by SGD.
 
-    Steps use (W, b) views into the block (views()) and one reused gradient
-    block, so a step allocates no Network.  A stacked step is, member by
-    member, the arithmetic of sgd_step(net, loss_gradient(...), lr):
-    np.matmul runs each slice as a 2-D call would.
+    Steps run a slice of the members as one stack, through (W, b) views into
+    the block (views()) and one reused gradient block, so a step allocates no
+    Network.  A stacked step is, member by member, the arithmetic of
+    sgd_step(net, loss_gradient(...), lr): np.matmul runs each slice as a 2-D
+    call would.
     """
 
-    def __init__(self, net, lr: float, copies=1):
-        """`net`: one Network, held as `copies` members, or a list of same-architecture
-        Networks, one member each."""
+    def __init__(self, members, lr: float):
+        """`members`: same-architecture Networks, one member each; [net] * k holds k copies."""
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        if isinstance(net, Network):
-            self.params = np.repeat(net.params[None], copies, axis=0)
-        else:
-            self.params, net = np.stack([m.params for m in net]), net[0]
+        self.arch = members[0].arch
+        self.params = np.stack([m.params for m in members])
         self._grad = np.empty_like(self.params)
-        self.nets = [Network(net.arch, p) for p in self.params]
-        self.net = self.nets[0]
-        self._one = self.views(0)
+        self.nets = [Network(self.arch, p) for p in self.params]
 
     def views(self, rows):
-        """(layers, grad_layers, params, grad) of member `rows` alone (an int: 2-D
-        views) or of the first f members as one stack (slice(f))."""
+        """(layers, grad_layers, params, grad) of the members `rows`, a slice, as one stack."""
         p, g = self.params[rows], self._grad[rows]
-        return _layer_views(self.net.arch, p), _layer_views(self.net.arch, g), p, g
+        return _layer_views(self.arch, p), _layer_views(self.arch, g), p, g
 
-    def probs(self, features, out, what, context=None, epoch=None, batch_index=None, views=None):
-        """(softmax rows into `out` or a new array, layer_inputs, pre_acts) of `views`' members
-        (default: member 0 alone); checks the logits."""
-        layers = (views or self._one)[0]
-        logits, layer_inputs, pre_acts = _forward_cached(self.net, features, layers)
+    def probs(self, features, out, what, context=None, epoch=None, batch_index=None, *, views):
+        """(softmax rows into `out` or a new array, layer_inputs, pre_acts) of the (K, N, .)
+        `features` through the members of `views`; checks the logits."""
+        logits, layer_inputs, pre_acts = _forward_cached(self.nets[0], features, views[0])
         check_finite(logits, what, context, epoch, batch_index)
         return softmax_finite(logits, out=out), layer_inputs, pre_acts
 
-    def step(self, layer_inputs, pre_acts, delta, context=None, epoch=None, batch_index=None,
-             views=None):
+    def step(self, layer_inputs, pre_acts, delta, context=None, epoch=None, batch_index=None, *,
+             views):
         """Backpropagate `delta` through the cached forward and apply one SGD step."""
-        layers, grad_layers, params, grad = views or self._one
+        layers, grad_layers, params, grad = views
         _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta)
         check_finite(grad, "gradient", context, epoch, batch_index)
         grad *= self.lr

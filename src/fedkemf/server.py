@@ -126,9 +126,9 @@ def distill(server: ServerState, members, data: Dataset):
         start = server.global_knowledge
     else:
         start = average_init(members)
-    student = nets.Trainer(start, server.distill_lr)
+    student = nets.Trainer([start], server.distill_lr)
     if server.distill_epochs == 0:
-        return student.net, 0.0
+        return student.nets[0], 0.0
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
     teacher = teacher_distributions([nets.forward(m, x_split) for m in members], server.strategy)
     if teacher.shape != (len(x_split), start.arch.num_classes):

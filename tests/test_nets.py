@@ -329,6 +329,12 @@ class TestStackedProductsPremise:
         # kemf-many's knowledge stack holds all 10 sampled clients
         self.check_stack(fan_in, fan_out, n, k=10)
 
+    @pytest.mark.parametrize("n", [1, 7, 13, 32])
+    @pytest.mark.parametrize("fan_in, fan_out", SHIPPED_LAYERS)
+    def test_per_slice_identical_one_wide(self, fan_in, fan_out, n):
+        # a lone member (a partial batch, or one client) steps as a (1, n, d) stack
+        self.check_stack(fan_in, fan_out, n, k=1)
+
     @staticmethod
     def check_stack(fan_in, fan_out, n, k):
         seed = fan_in * 1000 + fan_out * 10 + n

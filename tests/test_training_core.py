@@ -399,10 +399,9 @@ class TestMutualLockstep:
     def test_step_plan_covers_each_members_batches_in_order(self, sizes, batch_size):
         seen = [[] for _ in sizes]
         for rows, batches in step_plan(sizes, batch_size):
-            stepping = range(rows.stop) if isinstance(rows, slice) else [rows]
-            assert isinstance(rows, int) or rows.stop > 1  # a stack of one steps as a member
+            assert isinstance(rows, slice) and rows.step is None  # every step is a (K, n, d) stack
             for start, stop, b in batches:
-                for k in stepping:
+                for k in range(len(sizes))[rows]:
                     assert stop <= sizes[k] and stop - start <= batch_size
                     seen[k].append((b, start, stop))
         for k, n in enumerate(sizes):
@@ -516,10 +515,12 @@ def test_rows_check_names_first_failing_batch():
 
 
 def test_trained_rejects_overflowed_parameters():
-    trainer = nets.Trainer(nets.init_network(nets.ArchSpec(2, (), 2), 0), 1e308)
-    _, inputs, pre = trainer.probs(np.array([[4.0, 4.0]]), None, "logits")
+    trainer = nets.Trainer([nets.init_network(nets.ArchSpec(2, (), 2), 0)], 1e308)
+    views = trainer.views(slice(1))
+    _, inputs, pre = trainer.probs(np.array([[[4.0, 4.0]]]), None, "logits", views=views)
     with np.errstate(over="ignore", invalid="ignore"):
-        trainer.step(inputs, pre, np.array([[-1.0, 1.0]]))  # finite gradient, lr * grad = inf
+        # finite gradient, lr * grad = inf
+        trainer.step(inputs, pre, np.array([[[-1.0, 1.0]]]), views=views)
     with pytest.raises(DivergenceError) as err:
         trainer.trained(client_id=3)
     assert err.value.client_id == 3
