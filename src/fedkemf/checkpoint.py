@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagicError, TruncatedFileError
+from .errors import BadHeaderError, BadMagicError, TruncatedFileError
 from .nets import ArchSpec, Network
 
 MAGIC = b"FKMF"
@@ -29,11 +29,11 @@ def deserialize(blob: bytes) -> Network:
     if blob[:4] != MAGIC:
         raise BadMagicError("not a FKMF checkpoint")
     off = 4
-    (version,) = struct.unpack_from("<H", blob, off)
-    off += 2
-    if version != VERSION:
-        raise BadMagicError(f"unsupported checkpoint version {version}")
     try:
+        (version,) = struct.unpack_from("<H", blob, off)
+        off += 2
+        if version != VERSION:
+            raise BadMagicError(f"unsupported checkpoint version {version}")
         input_dim, n_hidden = struct.unpack_from("<II", blob, off)
         off += 8
         hidden = struct.unpack_from(f"<{n_hidden}I", blob, off)
@@ -42,7 +42,10 @@ def deserialize(blob: bytes) -> Network:
         off += 4
     except struct.error as e:
         raise TruncatedFileError("checkpoint header truncated") from e
-    arch = ArchSpec(input_dim, tuple(hidden), num_classes)
+    try:
+        arch = ArchSpec(input_dim, tuple(hidden), num_classes)
+    except ValueError as e:
+        raise BadHeaderError(f"checkpoint header: {e}") from e
     count = arch.parameter_count()
     body = blob[off:]
     if len(body) != 8 * count:

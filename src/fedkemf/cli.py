@@ -8,8 +8,8 @@ import numpy as np
 
 from . import checkpoint, nets
 from .config import parse_config
-from .costs import MB, communication_cost, format_gb, speedup
-from .errors import FedKemfError
+from .costs import GB, MB, communication_cost, format_gb, speedup
+from .errors import FedKemfError, ShapeMismatchError, UsageError
 from .runner import build_datasets, partition_report, run_experiment
 
 EXIT_IO = 5
@@ -63,7 +63,12 @@ def _cmd_partition(args):
 def _cmd_eval(args):
     config = parse_config(args.config)
     net = checkpoint.load(args.checkpoint)
-    _, test = build_datasets(config)
+    train, test = build_datasets(config)
+    classes = max(train.num_classes, test.num_classes)
+    if (net.arch.input_dim, net.arch.num_classes) != (test.dim, classes):
+        raise ShapeMismatchError(
+            f"checkpoint takes {net.arch.input_dim} features to {net.arch.num_classes} classes; "
+            f"the config's data has {test.dim} features and {classes} classes")
     acc, loss = nets.evaluate(net, test.features, test.labels)
     print(f"test_accuracy: {acc:.4f}")
     print(f"test_loss: {loss:.4f}")
@@ -71,10 +76,13 @@ def _cmd_eval(args):
 
 
 def _cmd_cost(args):
-    total = communication_cost(args.rounds, args.payload_mb * MB, args.clients)
+    try:
+        total = communication_cost(args.rounds, args.payload_mb * MB, args.clients)
+        ratio = None if args.baseline_gb is None else speedup(args.baseline_gb, total / GB)
+    except (ValueError, OverflowError) as e:  # OverflowError: an int too large for a float
+        raise UsageError(str(e)) from e
     print(f"total: {format_gb(total)}")
-    if args.baseline_gb is not None:
-        ratio = speedup(args.baseline_gb, total / (1024 ** 3))
+    if ratio is not None:
         print(f"speedup: {ratio:.2f}x")
     return 0
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 MB = 1024 ** 2
@@ -67,14 +68,19 @@ class WireAudit:
 
 def communication_cost(rounds: int, payload_bytes: float, sampled_clients: int) -> float:
     """Total bytes: rounds x per-client-per-round payload x sampled clients."""
-    if rounds < 0 or payload_bytes < 0 or sampled_clients < 0:
-        raise ValueError("cost inputs must be non-negative")
-    return rounds * payload_bytes * sampled_clients
+    if not (rounds >= 0 and sampled_clients >= 0 and 0 <= payload_bytes < math.inf):
+        raise ValueError("cost inputs must be finite and non-negative")
+    total = rounds * payload_bytes * sampled_clients
+    if not math.isfinite(total):
+        raise ValueError("total cost overflows")
+    return total
 
 
 def speedup(baseline_bytes: float, method_bytes: float) -> float:
-    if method_bytes <= 0:
-        raise ValueError("method_bytes must be positive")
+    """baseline / method cost; both must be finite and positive."""
+    if not (0 < baseline_bytes < math.inf and 0 < method_bytes < math.inf):
+        raise ValueError(f"speedup needs finite positive costs, got baseline {baseline_bytes} "
+                         f"and method {method_bytes}")
     return baseline_bytes / method_bytes
 
 

@@ -14,6 +14,10 @@ class ConfigError(FedKemfError):
     exit_code = 2
 
 
+class UsageError(ConfigError):
+    """Bad command-line arguments; exit 2, as argparse's own usage errors."""
+
+
 class DataError(FedKemfError):
     """Dataset loading or partitioning failure."""
 
@@ -26,6 +30,14 @@ class BadMagicError(DataError):
 
 class TruncatedFileError(DataError):
     pass
+
+
+class BadHeaderError(DataError):
+    """A checkpoint header that describes no valid network."""
+
+
+class ShapeMismatchError(DataError):
+    """A network whose input width or class count does not fit the data."""
 
 
 class CountMismatchError(DataError):

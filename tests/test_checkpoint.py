@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedkemf import checkpoint, nets
-from fedkemf.errors import BadMagicError, TruncatedFileError
+from fedkemf.errors import BadHeaderError, BadMagicError, DataError, TruncatedFileError
 
 
 def test_round_trip_bitexact(tmp_path):
@@ -42,3 +42,20 @@ def test_truncated_body():
     blob = checkpoint.serialize(nets.init_network(nets.ArchSpec(3, (), 2), 0))
     with pytest.raises(TruncatedFileError):
         checkpoint.deserialize(blob[:-4])
+
+
+@pytest.mark.parametrize("blob", [b"FKMF", b"FKMF\x01"])
+def test_header_too_short_for_version(blob):
+    with pytest.raises(TruncatedFileError):
+        checkpoint.deserialize(blob)
+
+
+@pytest.mark.parametrize("arch_fields", [(0, (3,), 2), (2, (0,), 2), (2, (3,), 1)],
+                         ids=["input_dim_0", "hidden_width_0", "one_class"])
+def test_header_describing_no_network(arch_fields):
+    input_dim, hidden, num_classes = arch_fields
+    blob = b"FKMF" + struct.pack("<HII", 1, input_dim, len(hidden))
+    blob += struct.pack(f"<{len(hidden)}I", *hidden) + struct.pack("<I", num_classes)
+    with pytest.raises(BadHeaderError) as err:
+        checkpoint.deserialize(blob)
+    assert isinstance(err.value, DataError) and err.value.exit_code == 3

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import warnings
 
 import numpy as np
@@ -47,6 +48,17 @@ class TestCost:
         out = capsys.readouterr().out
         assert "total: 1.60 GB" in out
         assert "speedup: 51.0" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--rounds", "-1", "--payload-mb", "1", "--clients", "1"],
+        ["--rounds", "0", "--payload-mb", "1", "--clients", "1", "--baseline-gb", "1"],
+        ["--rounds", "1", "--payload-mb", "nan", "--clients", "1"],
+        ["--rounds", "1", "--payload-mb", "1", "--clients", "1", "--baseline-gb", "-2"],
+    ], ids=["negative_rounds", "zero_total_speedup", "nan_payload", "negative_baseline"])
+    def test_bad_value_is_one_error_line(self, capsys, argv):
+        assert main(["cost", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_usage_error_nonzero(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -182,3 +194,27 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", str(tmp_path / "out" / "round_2.fkmf"), str(cfg)]) == 0
         assert "test_accuracy:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("blob", [
+        b"FKMF",  # too short to hold the version
+        b"FKMF" + struct.pack("<HIII", 1, 0, 0, 3),  # input_dim 0
+        b"FKMF" + struct.pack("<HIIII", 1, 4, 1, 0, 3),  # a hidden width of 0
+    ], ids=["four_bytes", "input_dim_0", "hidden_width_0"])
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, blob):
+        cfg = write_config(tmp_path)
+        ck = tmp_path / "bad.fkmf"
+        ck.write_bytes(blob)
+        assert main(["eval", str(ck), str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("arch", [nets.ArchSpec(16, (8,), 3), nets.ArchSpec(4, (8,), 10),
+                                      nets.ArchSpec(4, (8,), 2)],
+                             ids=["input_dim", "more_classes", "fewer_classes"])
+    def test_checkpoint_that_does_not_fit_the_data_is_data_error(self, tmp_path, capsys, arch):
+        cfg = write_config(tmp_path)  # 4 features, 3 classes
+        ck = tmp_path / "other.fkmf"
+        checkpoint.save(nets.init_network(arch, 0), ck)
+        assert main(["eval", str(ck), str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
