@@ -9,7 +9,7 @@ import numpy as np
 from . import checkpoint, nets
 from .config import parse_config
 from .costs import GB, MB, communication_cost, format_gb, speedup
-from .errors import FedKemfError, ShapeMismatchError, UsageError
+from .errors import ConfigError, FedKemfError, ShapeMismatchError
 from .runner import build_datasets, partition_report, run_experiment
 
 EXIT_IO = 5
@@ -80,7 +80,7 @@ def _cmd_cost(args):
         total = communication_cost(args.rounds, args.payload_mb * MB, args.clients)
         ratio = None if args.baseline_gb is None else speedup(args.baseline_gb, total / GB)
     except (ValueError, OverflowError) as e:  # OverflowError: an int too large for a float
-        raise UsageError(str(e)) from e
+        raise ConfigError(str(e)) from e  # exit 2, as argparse's own usage errors
     print(f"total: {format_gb(total)}")
     if ratio is not None:
         print(f"speedup: {ratio:.2f}x")

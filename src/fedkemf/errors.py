@@ -14,10 +14,6 @@ class ConfigError(FedKemfError):
     exit_code = 2
 
 
-class UsageError(ConfigError):
-    """Bad command-line arguments; exit 2, as argparse's own usage errors."""
-
-
 class DataError(FedKemfError):
     """Dataset loading or partitioning failure."""
 

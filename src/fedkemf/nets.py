@@ -328,11 +328,10 @@ def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
 class Trainer:
     """K >= 1 private network copies: the rows of one (K, P) block, stepped in place by SGD.
 
-    Steps run a slice of the members as one stack, through (W, b) views into
-    the block (views()) and one reused gradient block, so a step allocates no
-    Network.  A stacked step is, member by member, the arithmetic of
-    sgd_step(net, loss_gradient(...), lr): np.matmul runs each slice as a 2-D
-    call would.
+    Steps use (W, b) views into the block (views()) and one reused gradient
+    block, so a step allocates no Network.  A stacked step is, member by
+    member, the arithmetic of sgd_step(net, loss_gradient(...), lr):
+    np.matmul runs each slice as a 2-D call would.
     """
 
     def __init__(self, members, lr: float):
