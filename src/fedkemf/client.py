@@ -81,7 +81,7 @@ def step_plan(sizes, batch_size):
                    for j, n in enumerate(sizes) if n % batch_size]
 
 
-def _lockstep_epochs(members, batch_size, setup, what, context):
+def _lockstep_epochs(members, batch_size, setup):
     """The epoch loop of both lockstep trainers: (per epoch the K * pad rows' loss terms, per
     member its batches' bounds in them).
 
@@ -89,22 +89,18 @@ def _lockstep_epochs(members, batch_size, setup, what, context):
     epoch's row order (batches of batch_size joined), which refills padded
     (K, pad, .) row and target blocks; unused target rows stay 1, so losses
     scored over whole blocks stay finite.  setup(x_rows, t_rows, step_plan)
-    returns run(epoch): it steps one epoch and returns (its loss terms, the
-    terms to check finite, named what + "loss").
+    returns run(epoch): it steps one epoch and returns its loss terms.
     """
     sizes = [len(m[0]) for m in members]
     x_rows = np.empty((len(sizes), sizes[0], members[0][0].shape[1]))
     t_rows = np.ones((len(sizes), sizes[0], members[0][1].shape[1]))
     run = setup(x_rows, t_rows, step_plan(sizes, batch_size))
-    bounds = [batch_bounds(k * sizes[0], n, batch_size) for k, n in enumerate(sizes)]
-    all_bounds, scored = sum(bounds, []), []
+    scored = []
     for epoch, orders in enumerate(zip(*(m[2] for m in members))):
         for k, ((x, target, _), order) in enumerate(zip(members, orders)):
             x_rows[k, :sizes[k]], t_rows[k, :sizes[k]] = x[order], target[order]
-        terms, checked = run(epoch)
-        nets.check_rows_finite(checked, all_bounds, what + "loss", **context, epoch=epoch)
-        scored.append(terms)
-    return scored, bounds
+        scored.append(run(epoch))
+    return scored, [batch_bounds(k * sizes[0], n, batch_size) for k, n in enumerate(sizes)]
 
 
 def _mean_losses(scored, bounds):
@@ -136,11 +132,10 @@ def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **con
                                                    what + "logits", context, epoch, b, views=views)
                     trainer.step(inputs, pre, nets.logit_delta(q, t_rows[rows, start:stop]),
                                  context, epoch, b, views=views)
-            terms = (nets.row_terms(flat_q, flat_t.argmax(axis=1)) if labels
-                     else nets.row_terms(flat_q, teacher_probs=flat_t))
-            return terms, terms
+            return (nets.row_terms(flat_q, flat_t.argmax(axis=1)) if labels
+                    else nets.row_terms(flat_q, teacher_probs=flat_t))
         return run
-    return _lockstep_epochs(members, batch_size, setup, what, context)
+    return _lockstep_epochs(members, batch_size, setup)
 
 
 def _mutual_learning(kn, thetas, members, batch_size, context):
@@ -180,8 +175,8 @@ def _mutual_learning(kn, thetas, members, batch_size, context):
                              for theta, own_views, sel, own, blocks in local]
                 steps.append((views, b, own_steps, *(block[rows, start:stop]
                                                      for block in (x_rows, y_rows, g_rows, p_rows))))
-        flat_y, flat_g, flat_q, flat_p = (block.reshape(-1, block.shape[2])
-                                          for block in (y_rows, g_rows, q_rows, p_rows))
+        flat_y, flat_g, flat_q = (block.reshape(-1, block.shape[2])
+                                  for block in (y_rows, g_rows, q_rows))
 
         def run(epoch):
             for _, member_rows, x_a, y_a, _ in stacks:
@@ -200,11 +195,9 @@ def _mutual_learning(kn, thetas, members, batch_size, context):
                 kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), context, epoch, b, views=views)
             for _, member_rows, _, _, q_a in stacks:
                 q_rows[member_rows, :len(q_a[0])] = q_a
-            labels = flat_y.argmax(axis=1)
-            terms = nets.row_terms(flat_q, labels, flat_g)
-            return terms, terms + nets.row_terms(flat_g, labels, flat_p)
+            return nets.row_terms(flat_q, flat_y.argmax(axis=1), flat_g)
         return run
-    return _lockstep_epochs(members, batch_size, setup, "", context)
+    return _lockstep_epochs(members, batch_size, setup)
 
 
 def _groups(states, shards):

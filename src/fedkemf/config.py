@@ -2,7 +2,7 @@
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .costs import DIRECTIONS, MB
 from .errors import ConfigError
@@ -33,10 +33,10 @@ class ExperimentConfig:
     batch_size: int
     lr: float
     knowledge_arch: tuple        # hidden dims of the shared knowledge network
-    client_archs: list           # list of hidden-dim tuples, assigned round-robin
     experiment_seed: int
     out_dir: str
     dataset_kind: str            # "synth" or "idx"
+    client_archs: list = None    # hidden-dim tuples, assigned round-robin; default [knowledge_arch]
     local_epochs: int = 5
     distill_epochs: int = 3
     distill_lr: float = 0.05
@@ -123,51 +123,20 @@ class ExperimentConfig:
             self.synth_test_per_class = max(1, self.synth_per_class // 4)
 
 
-# key -> (config attribute, parser)
-_KEYS = {
-    "mode": ("mode", str),
-    "num_clients": ("num_clients", int),
-    "sample_ratio": ("sample_ratio", float),
-    "rounds": ("rounds", int),
-    "alpha": ("alpha", float),
-    "local_epochs": ("local_epochs", int),
-    "batch_size": ("batch_size", int),
-    "lr": ("lr", float),
-    "knowledge_arch": ("knowledge_arch", _parse_hidden_dims),
-    "client_archs": ("client_archs", lambda t: [_parse_hidden_dims(p) for p in t.split("|")]),
-    "strategy": ("strategy", str),
-    "server.init": ("server_init", str),
-    "distill_epochs": ("distill_epochs", int),
-    "distill_lr": ("distill_lr", float),
-    "experiment_seed": ("experiment_seed", int),
-    "out_dir": ("out_dir", str),
-    "target_accuracy": ("target_accuracy", float),
-    "min_per_client": ("min_per_client", int),
-    "server_fraction": ("server_fraction", float),
-    "val_fraction": ("val_fraction", float),
-    "payload_mb": ("payload_mb", float),
-    "directions": ("directions", str),
-    "dataset.kind": ("dataset_kind", str),
-    "dataset.classes": ("synth_classes", int),
-    "dataset.per_class": ("synth_per_class", int),
-    "dataset.dim": ("synth_dim", int),
-    "dataset.spread": ("synth_spread", float),
-    "dataset.test_per_class": ("synth_test_per_class", int),
-    "dataset.train_images": ("idx_train_images", str),
-    "dataset.train_labels": ("idx_train_labels", str),
-    "dataset.test_images": ("idx_test_images", str),
-    "dataset.test_labels": ("idx_test_labels", str),
-}
-
-_REQUIRED = [
-    "mode", "num_clients", "sample_ratio", "rounds", "alpha", "batch_size",
-    "lr", "knowledge_arch", "experiment_seed", "out_dir", "dataset.kind",
-]
+# The fields of ExperimentConfig are the schema: a field is required when it has no
+# default, its type parses its value, and its name is its key, except for these.
+_DOTTED = {"server_init": "server.init", "dataset_kind": "dataset.kind",
+           **{f"synth_{k}": f"dataset.{k}"
+              for k in ("classes", "per_class", "dim", "spread", "test_per_class")},
+           **{f"idx_{k}": f"dataset.{k}"
+              for k in ("train_images", "train_labels", "test_images", "test_labels")}}
+_FIELDS = {_DOTTED.get(f.name, f.name): f for f in fields(ExperimentConfig)}
+_PARSERS = {tuple: _parse_hidden_dims,
+            list: lambda t: [_parse_hidden_dims(p) for p in t.split("|")]}
 
 
 def parse_config_text(text) -> ExperimentConfig:
     values = {}
-    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -177,22 +146,20 @@ def parse_config_text(text) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEYS:
+        field = _FIELDS.get(key)
+        if field is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if field.name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        attr, parser = _KEYS[key]
         try:
-            values[attr] = parser(val)
+            values[field.name] = _PARSERS.get(field.type, field.type)(val)
         except ConfigError:
             raise
         except (ValueError, TypeError):
             raise ConfigError(f"line {lineno}: bad value {val!r} for key {key!r}") from None
-    missing = [k for k in _REQUIRED if _KEYS[k][0] not in values]
+    missing = [k for k, f in _FIELDS.items() if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    values.setdefault("client_archs", [])
     env_seed = os.environ.get("FEDKEMF_SEED")
     if env_seed is not None:
         try:

@@ -9,15 +9,6 @@ MB = 1024 ** 2
 GB = 1024 ** 3
 DIRECTIONS = ("upload_only", "up_and_down")  # CostModel.directions
 
-# Per-round per-client payloads (MB) of commonly modeled architectures, for
-# reproducing published cost tables without training those models.
-PAYLOAD_PRESETS_MB = {
-    "resnet20": 2.1,
-    "resnet32": 3.2,
-    "vgg11": 42.0,
-}
-
-
 @dataclass
 class CostModel:
     payload_bytes: int  # per client per round; measured checkpoint size by default

@@ -286,11 +286,6 @@ def batch_means(terms, bounds):
     return losses
 
 
-def _divergence(what, context):
-    where = ", ".join(f"{k}={v}" for k, v in context.items())
-    return DivergenceError(f"non-finite {what}" + (f" ({where})" if where else ""), **context)
-
-
 def check_finite(value, what, context=None, epoch=None, batch_index=None):
     """The one finiteness guard: DivergenceError carrying the `context` dict unless all finite.
 
@@ -298,20 +293,9 @@ def check_finite(value, what, context=None, epoch=None, batch_index=None):
     """
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         where = {} if epoch is None else {"epoch": epoch, "batch_index": batch_index}
-        raise _divergence(what, {**(context or {}), **where})
-
-
-def check_rows_finite(terms, bounds, what, **context):
-    """check_finite over per-row terms of several batches at once.
-
-    The DivergenceError names, as batch_index, the first batch of `bounds`
-    holding a non-finite row in any of the terms.
-    """
-    finite = np.logical_and.reduce([np.isfinite(t) for t in terms])
-    if not finite.all():
-        row = int(np.argmin(finite))
-        batch = next(b for b, (_, stop) in enumerate(bounds) if row < stop)
-        raise _divergence(what, dict(context, batch_index=batch))
+        context = {**(context or {}), **where}
+        named = ", ".join(f"{k}={v}" for k, v in context.items())
+        raise DivergenceError(f"non-finite {what}" + (f" ({named})" if named else ""), **context)
 
 
 def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:

@@ -129,8 +129,11 @@ def distill(server: ServerState, members, data: Dataset):
     student = nets.Trainer([start], server.distill_lr)
     if server.distill_epochs == 0:
         return student.nets[0], 0.0
+    context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
-    teacher = teacher_distributions([nets.forward(m, x_split) for m in members], server.strategy)
+    member_logits = [nets.forward(m, x_split) for m in members]
+    nets.check_finite(member_logits, "teacher logits", context)
+    teacher = teacher_distributions(member_logits, server.strategy)
     if teacher.shape != (len(x_split), start.arch.num_classes):
         raise ValueError("teacher distribution shape mismatch")
     positions = np.arange(len(x_split))
@@ -138,9 +141,9 @@ def distill(server: ServerState, members, data: Dataset):
              for epoch in range(server.distill_epochs))
     epochs = (np.concatenate(batch_iterator(positions, server.batch_size, s)) for s in seeds)
     scored, bounds = fit(student, [(x_split, teacher, epochs)], server.batch_size,
-                         what="distillation ", round_index=server.round)
+                         what="distillation ", **context)
     last_loss = float(np.mean(nets.batch_means(scored[-1], bounds[0])))
-    return student.trained(round_index=server.round)[0], last_loss
+    return student.trained(**context)[0], last_loss
 
 
 def run_round(server: ServerState, clients, data: Dataset, mode,
@@ -192,5 +195,4 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
         "mean_train_loss": float(np.mean(train_losses)) if train_losses else 0.0,
         "mean_client_val_accuracy": float(np.mean(val_accs)),
         "distill_loss": distill_loss,
-        "payload_bytes": ck_bytes,
     }

@@ -131,6 +131,21 @@ class TestRun:
         assert err.startswith("error: non-finite") and err.count("\n") == 1
         assert "round_index=" in err
 
+    @pytest.mark.parametrize("strategy", ["max_logits", "avg_logits", "majority_vote"])
+    def test_teacher_overflow_is_typed_and_quiet(self, tmp_path, capsys, strategy):
+        # One huge full-shard step leaves each knowledge copy with finite parameters
+        # whose logits overflow; the distillation teacher is their first forward.
+        cfg = write_config(tmp_path, rounds=1, batch_size=1000, lr="1e200", knowledge_arch="16",
+                           client_archs="-", distill_epochs=1, min_per_client=1,
+                           strategy=strategy, **{"dataset.classes": "4",
+                                                 "dataset.per_class": "50", "dataset.dim": "16"})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg)]) == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == "error: non-finite teacher logits (round_index=1)\n"
+
     @pytest.mark.parametrize("key, value", [
         ("batch_size", "-4"),
         ("batch_size", "0"),

@@ -59,6 +59,21 @@ def test_missing_required_key():
         parse_config_text(broken)
 
 
+def test_required_keys_are_the_fields_without_defaults():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("")
+    assert str(err.value) == (
+        "missing required keys: mode, num_clients, sample_ratio, rounds, alpha, batch_size, "
+        "lr, knowledge_arch, experiment_seed, out_dir, dataset.kind")
+
+
+@pytest.mark.parametrize("name", ["synth_classes", "server_init", "dataset_kind",
+                                  "idx_train_images"])
+def test_field_name_of_a_dotted_key_is_unknown(name):
+    with pytest.raises(ConfigError, match=f"unknown key '{name}'"):
+        parse_config_text(GOOD + f"{name} = 4\n")
+
+
 def test_bad_value_type():
     with pytest.raises(ConfigError, match="rounds"):
         parse_config_text(GOOD.replace("rounds = 10", "rounds = ten"))

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from fedkemf.costs import (
-    GB, MB, PAYLOAD_PRESETS_MB, CostModel, RoundRecord, communication_cost,
+    GB, MB, CostModel, RoundRecord, communication_cost,
     emit_metrics, format_gb, speedup,
 )
 
@@ -58,12 +58,6 @@ class TestSpeedup:
     def test_rejects_zero_method(self):
         with pytest.raises(ValueError):
             speedup(1.0, 0.0)
-
-
-def test_payload_presets():
-    assert PAYLOAD_PRESETS_MB["resnet20"] == 2.1
-    assert PAYLOAD_PRESETS_MB["resnet32"] == 3.2
-    assert PAYLOAD_PRESETS_MB["vgg11"] == 42.0
 
 
 class TestCostModel:

@@ -13,9 +13,10 @@ spec.loader.exec_module(identity)
 HEADER = "round,global_test_acc,wall_seconds\n"
 
 
-def write_run(path, wall="0.125", acc="0.5", rounds=(1, 2, 10), extra=None):
+def write_run(path, wall="0.125", acc="0.5", best="0.5", rounds=(1, 2, 10), extra=None):
     path.mkdir()
     (path / "metrics.csv").write_text(HEADER + f"1,{acc},{wall}\n")
+    (path / "metrics.json").write_text(f'{{"best_acc": {best}, "final_acc": {acc}}}\n')
     (path / "partition.json").write_text('{"clients": [[0, 1]]}\n')
     for r in rounds:
         (path / f"round_{r}.fkmf").write_bytes(bytes([r, 0, 7]))
@@ -34,6 +35,7 @@ def test_identical_runs_differ_only_in_timing(tmp_path):
     ({"acc": "0.75"}, "metrics.csv"),
     ({"rounds": (1, 2)}, "round_10.fkmf"),
     ({"rounds": (1, 2, 3, 10)}, "round_3.fkmf"),
+    ({"best": "0.75"}, "metrics.json"),
 ])
 def test_names_the_first_differing_artifact(tmp_path, change, first):
     a = write_run(tmp_path / "a")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedkemf import nets
 from fedkemf.errors import DivergenceError
@@ -111,6 +113,33 @@ class TestSoftmax:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             nets.softmax([np.nan, 0.0])
+
+
+# Any finite logit, with the extremes drawn often: a row holding both makes the
+# max-subtraction overflow to -inf.
+FINITE_LOGIT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([1.7e308, -1.7e308, 0.0]))
+
+
+@st.composite
+def logits_labels_logits(draw):
+    n, c = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    return (draw(hnp.arrays(np.float64, (n, c), elements=FINITE_LOGIT)), labels,
+            draw(hnp.arrays(np.float64, (n, c), elements=FINITE_LOGIT)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(logits_labels_logits())
+def test_loss_terms_of_finite_logits_are_finite(drawn):
+    """The training loops check logits, not loss rows: softmax of finite logits is finite
+    (each exp is in [0, 1], each row sums to at least 1), and the CE and KL terms floor
+    their logs, so no scored row can be non-finite."""
+    z, labels, other = drawn
+    with np.errstate(over="ignore"):
+        q, p = nets.softmax_finite(z), nets.softmax_finite(other)
+    terms = nets.row_terms(q, labels, p)
+    assert len(terms) == 2 and all(np.isfinite(t).all() for t in terms)
 
 
 class TestCrossEntropy:

@@ -13,8 +13,8 @@ directory), which is removed at the end; this tree runs from its working files,
 uncommitted changes included.  Each run is a fresh `fedkemf run` process with
 FEDKEMF_SEED unset.
 
-Compared per case: metrics.csv without its wall_seconds column, partition.json
-and every round_*.fkmf checkpoint.  One line per case names the first differing
+Compared per case: metrics.csv without its wall_seconds column, metrics.json,
+partition.json and every round_*.fkmf checkpoint.  One line per case names the first differing
 file.  Exit status 0 when every case is identical, 1 otherwise.
 """
 
@@ -72,6 +72,8 @@ def _metrics_rows(path):
 def _artifact_order(name):
     if name == "metrics.csv":
         return (0, 0)
+    if name == "metrics.json":
+        return (0, 1)
     if name == "partition.json":
         return (1, 0)
     match = re.fullmatch(r"round_(\d+)\.fkmf", name)
