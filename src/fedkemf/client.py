@@ -16,10 +16,6 @@ class ClientState:
     local_model: nets.Network
     train_indices: np.ndarray  # int64 dataset rows; any 1-d integer sequence works
     val_indices: np.ndarray
-    epochs: int
-    batch_size: int
-    lr: float
-    rng_seed: int  # experiment seed; per-epoch streams are derived from it
     # accuracy of local_model on eval_indices, set whenever client_update
     # replaces the model; None until the model has been scored
     val_accuracy: float = None
@@ -46,14 +42,13 @@ def batch_iterator(indices, batch_size, epoch_seed):
     return [idx[i:i + batch_size] for i in range(0, idx.size, batch_size)]
 
 
-def _shard(state: ClientState, data: Dataset, round_index, num_classes):
-    """(x, onehot, epochs) of the train shard; epochs yields each local epoch's row order in it."""
+def _shard(state: ClientState, data: Dataset, round_index, num_classes, epochs, batch_size, seed):
+    """(x, onehot, orders) of the train shard; orders yields each epoch's row order, from `seed`."""
     train = np.asarray(state.train_indices, dtype=np.int64)
     positions = np.arange(len(train))
-    seeds = (derive_seed(state.rng_seed, state.client_id, round_index, epoch)
-             for epoch in range(state.epochs))
-    epochs = (np.concatenate(batch_iterator(positions, state.batch_size, s)) for s in seeds)
-    return data.features[train], nets.onehot(data.labels[train], num_classes), epochs
+    seeds = (derive_seed(seed, state.client_id, round_index, epoch) for epoch in range(epochs))
+    orders = (np.concatenate(batch_iterator(positions, batch_size, s)) for s in seeds)
+    return data.features[train], nets.onehot(data.labels[train], num_classes), orders
 
 
 def batch_bounds(offset, n, batch_size):
@@ -139,7 +134,7 @@ def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **con
 
 
 def _mutual_learning(kn, thetas, members, batch_size, context):
-    """Lockstep deep mutual learning of one group; returns _lockstep_epochs' (scored, bounds).
+    """Lockstep deep mutual learning; returns _lockstep_epochs' (scored, bounds).
 
     `kn` stacks the members' knowledge copies; thetas = [(Trainer, its
     members, ascending)] stacks their local models, one per architecture, so
@@ -200,49 +195,43 @@ def _mutual_learning(kn, thetas, members, batch_size, context):
     return _lockstep_epochs(members, batch_size, setup)
 
 
-def _groups(states, shards):
-    """Positions in `states` of each (lr, epochs, batch_size) group, largest shard first,
-    ties by client id."""
-    groups = {}
-    for k, st in enumerate(states):
-        groups.setdefault((st.lr, st.epochs, st.batch_size), []).append(k)
-    return [sorted(ks, key=lambda k: (-len(shards[k][0]), states[k].client_id))
-            for ks in groups.values()]
+def _lockstep(states, net: nets.Network, data: Dataset, round_index, recipe, train, alone):
+    """The driver of both lockstep entry points: train(order, shards, context) on the states'
+    shards, `order` their positions, largest shard first, ties by client id.
 
-
-def _lockstep(states, net: nets.Network, data: Dataset, round_index, train, alone):
-    """The driver of both lockstep entry points: train(groups, shards, context) on the states'
-    shards, in _groups' groups.
-
-    Errors name the client only when there is one, and always the round.  If
-    a check fails, the clients are replayed with alone(state, net, data,
-    round_index) in the given order (a serial loop's), which raises the
-    serial loop's DivergenceError.
+    `recipe` is the (lr, epochs, batch_size, seed) keywords every client
+    trains with.  Errors name the client only when there is one, and always
+    the round.  If a check fails, the clients are replayed with alone(state,
+    net, data, round_index, **recipe) in the given order (a serial loop's),
+    which raises the serial loop's DivergenceError.
     """
-    shards = [_shard(st, data, round_index, net.arch.num_classes) for st in states]
+    shards = [_shard(st, data, round_index, net.arch.num_classes, recipe["epochs"],
+                     recipe["batch_size"], recipe["seed"]) for st in states]
+    order = sorted(range(len(states)), key=lambda k: (-len(shards[k][0]), states[k].client_id))
     context = {"client_id": states[0].client_id} if len(states) == 1 else {}
     context["round_index"] = round_index
     try:
-        return train(_groups(states, shards), shards, context)
+        return train(order, shards, context)
     except DivergenceError:
         if len(states) > 1:
             for st in states:
-                alone(st, net, data, round_index)
+                alone(st, net, data, round_index, **recipe)
         raise
 
 
 def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
-                           round_index: int = 0):
+                           round_index: int = 0, *, lr, epochs, batch_size, seed):
     """[(updated_knowledge, mean_train_loss, local_val_accuracy)] of each state's round of
     deep mutual learning, in lockstep.
 
     Per batch, the local model steps on CE plus KL toward the knowledge net's
     distribution, then the knowledge net on CE plus KL toward the stepped
     local model: three forwards, one per net per use.  Losses are scored
-    from the kept softmax rows once per epoch.  Clients sharing (lr, epochs,
-    batch_size) are one group, largest shard first, ties by client id: their
-    knowledge copies are one stack and their local models one stack per
-    architecture (_mutual_learning).  Each result equals the client's run
+    from the kept softmax rows once per epoch.  Every client trains with the
+    one recipe (lr, epochs, batch_size, and the experiment seed its batch
+    orders derive from).  Largest shard first, ties by client id, the
+    clients' knowledge copies are one stack and their local models one stack
+    per architecture (_mutual_learning).  Each result equals the client's run
     alone.  The states change only once every stack has trained and the
     local models are scored, in the given order.  A failed check replays the
     clients alone (_lockstep).
@@ -251,60 +240,60 @@ def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
     if any(st.local_model.arch.num_classes != num_classes for st in states):
         raise ValueError("knowledge and local networks disagree on num_classes")
 
-    def train(groups, shards, context):
-        knowledge, local, losses, stacks = {}, {}, {}, []
-        for ks in groups:
-            lr, by_arch = states[ks[0]].lr, {}
-            for r, k in enumerate(ks):
-                by_arch.setdefault(states[k].local_model.arch, []).append(r)
-            thetas = [(nets.Trainer([states[ks[r]].local_model for r in rows], lr), rows)
-                      for rows in by_arch.values()]
-            kn = nets.Trainer([knowledge_net] * len(ks), lr)
-            scored, bounds = _mutual_learning(kn, thetas, [shards[k] for k in ks],
-                                              states[ks[0]].batch_size, context)
-            losses.update(zip(ks, _mean_losses(scored, bounds)))
-            stacks.append((kn, ks, [(theta, [ks[r] for r in rows]) for theta, rows in thetas]))
+    def train(order, shards, context):
+        by_arch = {}
+        for r, k in enumerate(order):
+            by_arch.setdefault(states[k].local_model.arch, []).append(r)
+        thetas = [(nets.Trainer([states[order[r]].local_model for r in rows], lr), rows)
+                  for rows in by_arch.values()]
+        kn = nets.Trainer([knowledge_net] * len(order), lr)
+        scored, bounds = _mutual_learning(kn, thetas, [shards[k] for k in order], batch_size,
+                                          context)
+        losses = dict(zip(order, _mean_losses(scored, bounds)))
         # Checked and scored in one client's own order: local model, val accuracy, knowledge.
         # Each local model is a copy, as a row view would keep its whole stack alive.
-        for _, _, thetas in stacks:
-            for theta, positions in thetas:
-                local.update(zip(positions, (model.copy() for model in theta.trained(**context))))
+        local = {}
+        for theta, rows in thetas:
+            local.update(zip((order[r] for r in rows),
+                             (model.copy() for model in theta.trained(**context))))
         accs = [st.accuracy(local[k], data, round_index=round_index) for k, st in enumerate(states)]
-        for kn, ks, _ in stacks:
-            knowledge.update(zip(ks, kn.trained(**context)))
+        knowledge = dict(zip(order, kn.trained(**context)))
         for k, st in enumerate(states):
             st.local_model, st.val_accuracy = local[k], accs[k]
         return [(knowledge[k], losses[k], accs[k]) for k in range(len(states))]
-    return _lockstep(states, knowledge_net, data, round_index, train, client_update)
+    recipe = {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": seed}
+    return _lockstep(states, knowledge_net, data, round_index, recipe, train, client_update)
 
 
 def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
-                  round_index: int = 0):
+                  round_index: int = 0, *, lr, epochs, batch_size, seed):
     """(updated_knowledge, mean_train_loss, local_val_accuracy) of one client's round of
     deep mutual learning; the local model and its val accuracy persist in the state."""
-    return client_update_lockstep([state], knowledge_net, data, round_index)[0]
+    return client_update_lockstep([state], knowledge_net, data, round_index, lr=lr,
+                                  epochs=epochs, batch_size=batch_size, seed=seed)[0]
 
 
-def local_train_lockstep(states, model: nets.Network, data: Dataset, round_index: int = 0):
+def local_train_lockstep(states, model: nets.Network, data: Dataset, round_index: int = 0, *,
+                         lr, epochs, batch_size, seed):
     """[(trained_model, mean_train_loss)] of each state's local_train from `model`, in lockstep.
 
-    Clients sharing (lr, epochs, batch_size) are one fit stack, largest shard
-    first, ties by client id; each result equals local_train alone.  A failed
-    check replays the clients alone (_lockstep).
+    The clients are one fit stack, largest shard first, ties by client id;
+    each result equals local_train alone.  A failed check replays the
+    clients alone (_lockstep).
     """
-    def train(groups, shards, context):
-        results = [None] * len(states)
-        for ks in groups:
-            trainer = nets.Trainer([model] * len(ks), states[ks[0]].lr)
-            scored, bounds = fit(trainer, [shards[k] for k in ks], states[ks[0]].batch_size,
-                                 labels=True, **context)
-            for k, net, loss in zip(ks, trainer.trained(**context), _mean_losses(scored, bounds)):
-                results[k] = (net, loss)
-        return results
-    return _lockstep(states, model, data, round_index, train, local_train)
+    def train(order, shards, context):
+        trainer = nets.Trainer([model] * len(order), lr)
+        scored, bounds = fit(trainer, [shards[k] for k in order], batch_size, labels=True,
+                             **context)
+        results = dict(zip(order, zip(trainer.trained(**context), _mean_losses(scored, bounds))))
+        return [results[k] for k in range(len(states))]
+    recipe = {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": seed}
+    return _lockstep(states, model, data, round_index, recipe, train, local_train)
 
 
-def local_train(state: ClientState, model: nets.Network, data: Dataset, round_index: int = 0):
+def local_train(state: ClientState, model: nets.Network, data: Dataset, round_index: int = 0, *,
+                lr, epochs, batch_size, seed):
     """(trained_model, mean_train_loss) of the weighted-averaging baseline's plain-CE
     local training of a shared-architecture model; the incoming model is copied."""
-    return local_train_lockstep([state], model, data, round_index)[0]
+    return local_train_lockstep([state], model, data, round_index, lr=lr, epochs=epochs,
+                                batch_size=batch_size, seed=seed)[0]

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, InfeasiblePartitionError, TruncatedFileError
+from .errors import (
+    BadMagicError, CountMismatchError, DataError, InfeasiblePartitionError, TruncatedFileError,
+)
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -77,6 +79,8 @@ def load_idx(images_path, labels_path, name="idx") -> Dataset:
         raise CountMismatchError(
             f"images file has {count} items but labels file has {label_count}"
         )
+    if count == 0:
+        raise DataError(f"{images_path} and {labels_path} hold no items")
     features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return Dataset(features, labels.astype(np.int64), int(labels.max()) + 1, name)
 

@@ -33,7 +33,7 @@ class BadHeaderError(DataError):
 
 
 class ShapeMismatchError(DataError):
-    """A network whose input width or class count does not fit the data."""
+    """A network whose input width or class count (or a test set whose width) misfits the data."""
 
 
 class CountMismatchError(DataError):

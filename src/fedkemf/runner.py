@@ -11,7 +11,7 @@ from .client import ClientState
 from .config import ExperimentConfig
 from .costs import MB, CostModel, RoundRecord, WireAudit, emit_metrics
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
-from .errors import ConfigError
+from .errors import ConfigError, DataError, ShapeMismatchError
 from .seeding import (
     SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_PARTITION, SALT_SERVER_SPLIT,
     SALT_TEST_DATA, SALT_VAL_SPLIT, derive_seed,
@@ -45,6 +45,10 @@ def build_datasets(config: ExperimentConfig):
         return train, test
     train = load_idx(config.idx_train_images, config.idx_train_labels, name="train")
     test = load_idx(config.idx_test_images, config.idx_test_labels, name="test")
+    if train.num_classes < 2:
+        raise DataError(f"{config.idx_train_labels}: labels name 1 class, need at least 2")
+    if test.dim != train.dim:
+        raise ShapeMismatchError(f"test images have {test.dim} features, train images {train.dim}")
     return train, test
 
 
@@ -85,16 +89,14 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
             local_model=nets.init_network(arch, derive_seed(config.experiment_seed, SALT_CLIENT_INIT, cid)),
             train_indices=train_idx,
             val_indices=val_idx,
-            epochs=config.local_epochs,
-            batch_size=config.batch_size,
-            lr=config.lr,
-            rng_seed=config.experiment_seed,
         ))
     server = ServerState(
         global_knowledge=nets.init_network(
             knowledge_arch, derive_seed(config.experiment_seed, SALT_GLOBAL_INIT)
         ),
         distill_indices=server_indices,
+        local_epochs=config.local_epochs,
+        lr=config.lr,
         distill_epochs=config.distill_epochs,
         distill_lr=config.distill_lr,
         strategy=config.strategy,
@@ -135,7 +137,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     for _ in range(config.rounds):
         t0 = time.perf_counter()
         stats = run_round(server, clients, data, config.mode,
-                          config.sample_ratio, audit=audit, jobs=jobs)
+                          config.sample_ratio, audit=audit)
         wall = time.perf_counter() - t0
         cumulative += cost_model.round_bytes(len(stats["sampled"]))
         acc = nets.accuracy(server.global_knowledge, test.features, test.labels,

@@ -21,6 +21,8 @@ MODES = ("fedkemf", "fedavg")  # run_round's mode
 class ServerState:
     global_knowledge: nets.Network
     distill_indices: list
+    local_epochs: int  # with lr, batch_size and rng_seed: every sampled client's recipe
+    lr: float
     distill_epochs: int
     distill_lr: float
     strategy: str = "max_logits"
@@ -79,11 +81,12 @@ def ensemble_logits(member_logits, strategy):
     return fractions / len(members)
 
 
-def teacher_distributions(member_logits, strategy):
-    """Per-row teacher probability rows for distillation under a strategy."""
+def teacher_distributions(member_logits, strategy, **context):
+    """Teacher probability rows for distillation; overflowing logits raise DivergenceError."""
     combined = ensemble_logits(member_logits, strategy)
     if strategy == "majority_vote":
         return combined
+    nets.check_finite(combined, "teacher logits", context)
     return nets.softmax(combined)
 
 
@@ -133,7 +136,7 @@ def distill(server: ServerState, members, data: Dataset):
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
     member_logits = [nets.forward(m, x_split) for m in members]
     nets.check_finite(member_logits, "teacher logits", context)
-    teacher = teacher_distributions(member_logits, server.strategy)
+    teacher = teacher_distributions(member_logits, server.strategy, **context)
     if teacher.shape != (len(x_split), start.arch.num_classes):
         raise ValueError("teacher distribution shape mismatch")
     positions = np.arange(len(x_split))
@@ -146,15 +149,14 @@ def distill(server: ServerState, members, data: Dataset):
     return student.trained(**context)[0], last_loss
 
 
-def run_round(server: ServerState, clients, data: Dataset, mode,
-              sample_ratio, audit=None, jobs=1):
+def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, audit=None):
     """Execute one communication round; mutates server and client states.
 
     fedkemf: sample, broadcast the global knowledge network, mutual-train the
     sampled clients in lockstep, ensemble-distill the returned knowledge copies.
     fedavg: sample, broadcast, plain-CE local training of the shared-arch
     model (all sampled clients in lockstep), shard-size weighted averaging.
-    `jobs` is accepted and has no effect.
+    Every sampled client trains with the server's recipe.
     Returns per-round stats: sampled ids, mean train loss over sampled
     clients, mean val accuracy over ALL clients' deployed models (in fedkemf
     mode as stored when each model last changed, or scored here if never
@@ -167,7 +169,8 @@ def run_round(server: ServerState, clients, data: Dataset, mode,
     broadcast = server.global_knowledge
     ck_bytes = checkpoint_nbytes(broadcast.arch)
     train = client_update_lockstep if mode == "fedkemf" else local_train_lockstep
-    results = train([clients[cid] for cid in sampled], broadcast, data, round_index)
+    results = train([clients[cid] for cid in sampled], broadcast, data, round_index, lr=server.lr,
+                    epochs=server.local_epochs, batch_size=server.batch_size, seed=server.rng_seed)
     members = [r[0] for r in results]  # in sampled, id-sorted, order
     train_losses = [r[1] for r in results]
     if audit is not None:

@@ -8,6 +8,7 @@ import pytest
 
 from fedkemf import checkpoint, nets
 from fedkemf.cli import main
+from fedkemf.data import Dataset, save_idx, synth_blobs
 
 
 def write_config(tmp_path, **overrides):
@@ -103,6 +104,24 @@ class TestRun:
         )
         assert main(["run", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("train, test", [  # (classes, width) of each IDX file pair
+        ((3, 16), (3, 9)), ((1, 16), (3, 16)), ((0, 16), (3, 16))],
+        ids=["different_widths", "one_class", "zero_items"])
+    def test_idx_data_that_cannot_train_is_data_error(self, tmp_path, capsys, train, test):
+        paths = {}
+        for split, (classes, dim) in (("train", train), ("test", test)):
+            blobs = synth_blobs(3, 60, dim, 1.0, seed=1)
+            keep = blobs.labels < classes
+            data = Dataset(np.clip(blobs.features[keep] / 8 + 0.5, 0, 1), blobs.labels[keep],
+                           max(classes, 1))
+            paths[f"dataset.{split}_images"] = tmp_path / f"{split}-images.idx"
+            paths[f"dataset.{split}_labels"] = tmp_path / f"{split}-labels.idx"
+            save_idx(data, paths[f"dataset.{split}_images"], paths[f"dataset.{split}_labels"])
+        cfg = write_config(tmp_path, min_per_client=1, **{"dataset.kind": "idx", **paths})
+        assert main(["run", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lr="1e12", local_epochs=20)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -131,14 +150,20 @@ class TestRun:
         assert err.startswith("error: non-finite") and err.count("\n") == 1
         assert "round_index=" in err
 
-    @pytest.mark.parametrize("strategy", ["max_logits", "avg_logits", "majority_vote"])
-    def test_teacher_overflow_is_typed_and_quiet(self, tmp_path, capsys, strategy):
+    @pytest.mark.parametrize("strategy, knowledge_arch, lr", [
+        ("max_logits", "16", "1e200"), ("avg_logits", "16", "1e200"),
+        ("majority_vote", "16", "1e200"), ("avg_logits", "-", "7e306")],
+        ids=["max_logits", "avg_logits", "majority_vote", "avg_logits_sum"])
+    def test_teacher_overflow_is_typed_and_quiet(self, tmp_path, capsys, strategy, knowledge_arch,
+                                                 lr):
         # One huge full-shard step leaves each knowledge copy with finite parameters
-        # whose logits overflow; the distillation teacher is their first forward.
-        cfg = write_config(tmp_path, rounds=1, batch_size=1000, lr="1e200", knowledge_arch="16",
-                           client_archs="-", distill_epochs=1, min_per_client=1,
-                           strategy=strategy, **{"dataset.classes": "4",
-                                                 "dataset.per_class": "50", "dataset.dim": "16"})
+        # whose logits overflow; the distillation teacher is their first forward.  In
+        # avg_logits_sum every member's logits are finite, but their sum overflows.
+        cfg = write_config(tmp_path, rounds=1, batch_size=1000, lr=lr,
+                           knowledge_arch=knowledge_arch, client_archs="-", distill_epochs=1,
+                           min_per_client=1, strategy=strategy,
+                           **{"dataset.classes": "4", "dataset.per_class": "50",
+                              "dataset.dim": "16"})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["run", str(cfg)]) == 4

@@ -9,6 +9,7 @@ from fedkemf.errors import DivergenceError
 
 def make_state(client_id=0, arch=(8,), epochs=5, lr=0.1, seed=0, n_train=None, data=None,
                batch_size=16):
+    """(data, state, recipe): recipe is the keywords the training entry points take."""
     data = data if data is not None else synth_blobs(2, 60, 2, 0.5, seed=1)
     idx = np.arange(len(data))
     n_train = n_train or int(0.8 * len(data))
@@ -17,11 +18,7 @@ def make_state(client_id=0, arch=(8,), epochs=5, lr=0.1, seed=0, n_train=None, d
         local_model=nets.init_network(nets.ArchSpec(data.dim, arch, data.num_classes), seed + 50),
         train_indices=list(idx[:n_train]),
         val_indices=list(idx[n_train:]),
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        rng_seed=seed,
-    )
+    ), {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": seed}
 
 
 def knowledge_net(data, hidden=(4,), seed=99):
@@ -53,25 +50,25 @@ class TestBatchIterator:
 
 class TestClientUpdate:
     def test_zero_epochs_is_identity(self):
-        data, state = make_state(epochs=0)
+        data, state, recipe = make_state(epochs=0)
         theta_before = state.local_model.params.copy()
         kn = knowledge_net(data)
-        out, loss, _ = client_update(state, kn, data)
+        out, loss, _ = client_update(state, kn, data, **recipe)
         assert np.array_equal(out.params, kn.params)
         assert np.array_equal(state.local_model.params, theta_before)
         assert loss == 0.0
 
     def test_input_knowledge_net_unmodified(self):
-        data, state = make_state(epochs=2)
+        data, state, recipe = make_state(epochs=2)
         kn = knowledge_net(data)
         before = kn.params.copy()
-        client_update(state, kn, data)
+        client_update(state, kn, data, **recipe)
         assert np.array_equal(kn.params, before)
 
     def test_symmetric_first_step(self):
         # Identical archs + identical init: for the local model's first step the
         # KL term vanishes (q == p), so that step equals a plain-CE step.
-        data, state = make_state(arch=(4,), epochs=1)
+        data, state, _ = make_state(arch=(4,), epochs=1)
         kn = knowledge_net(data, hidden=(4,))
         state.local_model = kn.copy()
         x = data.features[state.train_indices[:8]]
@@ -82,28 +79,28 @@ class TestClientUpdate:
         assert np.allclose(with_kl, without, atol=1e-12)
 
     def test_learns_separable_shard(self):
-        data, state = make_state(epochs=5, lr=0.1, batch_size=16)
+        data, state, recipe = make_state(epochs=5, lr=0.1, batch_size=16)
         kn = knowledge_net(data)
         untrained_acc, _ = nets.evaluate(
             state.local_model, data.features[state.val_indices], data.labels[state.val_indices]
         )
-        _, _, val_acc = client_update(state, kn, data)
+        _, _, val_acc = client_update(state, kn, data, **recipe)
         assert val_acc >= 0.9
         assert val_acc > untrained_acc
 
     def test_strong_teacher_lifts_knowledge_net(self):
-        data, state = make_state(epochs=10, lr=0.2)
+        data, state, recipe = make_state(epochs=10, lr=0.2)
         # pre-train the local model alone to act as a strong teacher
-        pre, _ = local_train(state, state.local_model, data)
+        pre, _ = local_train(state, state.local_model, data, **recipe)
         shard_x = data.features[state.train_indices]
         shard_y = data.labels[state.train_indices]
         acc, _ = nets.evaluate(pre, shard_x, shard_y)
         assert acc >= 0.95
         state.local_model = pre
-        state.epochs = 2
+        recipe["epochs"] = 2
         kn = knowledge_net(data)
         before, _ = nets.evaluate(kn, shard_x, shard_y)
-        updated, _, _ = client_update(state, kn, data)
+        updated, _, _ = client_update(state, kn, data, **recipe)
         after, _ = nets.evaluate(updated, shard_x, shard_y)
         assert after > before
 
@@ -121,32 +118,33 @@ class TestClientUpdate:
                 )
             rng = np.random.default_rng(seed)
             shard = rng.choice(len(data), size=10, replace=False)
-            _, state = make_state(arch=(8,), epochs=3, lr=0.05, seed=seed, data=data,
+            _, state, recipe = make_state(arch=(8,), epochs=3, lr=0.05, seed=seed, data=data,
                                   batch_size=5)
             state.train_indices = list(shard)
             state.val_indices = []
             baseline_init = state.local_model.copy()
-            client_update(state, teacher, data, round_index=0)
+            client_update(state, teacher, data, round_index=0, **recipe)
             with_kl, _ = nets.evaluate(state.local_model, data.features, data.labels)
             state.local_model = baseline_init
-            plain, _ = local_train(state, baseline_init, data, round_index=0)
+            plain, _ = local_train(state, baseline_init, data, round_index=0, **recipe)
             without_kl, _ = nets.evaluate(plain, data.features, data.labels)
             wins += with_kl > without_kl
         assert wins >= 4
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_error_carries_context(self):
-        data, state = make_state(epochs=10, lr=1e12)  # absurd lr forces overflow
+        data, state, recipe = make_state(epochs=10, lr=1e12)  # absurd lr forces overflow
         with pytest.raises(DivergenceError) as err:
-            client_update(state, knowledge_net(data), data, round_index=3)
+            client_update(state, knowledge_net(data), data, round_index=3, **recipe)
         assert err.value.client_id == 0
         assert err.value.round_index == 3
         assert err.value.epoch is not None
 
     def test_deterministic_given_same_inputs(self):
         def run():
-            data, state = make_state(epochs=3)
-            out, loss, acc = client_update(state, knowledge_net(data), data, round_index=2)
+            data, state, recipe = make_state(epochs=3)
+            out, loss, acc = client_update(state, knowledge_net(data), data, round_index=2,
+                                           **recipe)
             return out.params, loss, acc
 
         a, b = run(), run()
@@ -156,11 +154,11 @@ class TestClientUpdate:
 
 class TestLocalTrain:
     def test_divergence_names_client_and_round(self):
-        data, state = make_state(client_id=2, epochs=10, lr=1e12,
+        data, state, recipe = make_state(client_id=2, epochs=10, lr=1e12,
                                  data=synth_blobs(3, 60, 4, 1.0, seed=1))
         model = nets.init_network(state.local_model.arch, 5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                local_train(state, model, data, round_index=4)
+                local_train(state, model, data, round_index=4, **recipe)
         assert (err.value.client_id, err.value.round_index) == (2, 4)
         assert "client_id=2, round_index=4, epoch=" in str(err.value)

@@ -56,8 +56,17 @@ def test_checkpoints_are_compared_byte_for_byte_in_round_order(tmp_path):
 
 def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
     names = [name for name, _ in identity.cases()]
-    assert names == ["blobs_fedkemf", "blobs_fedavg"] + [
+    assert names == ["blobs_fedkemf", "blobs_fedavg", "blobs_fedkemf-avg_logits",
+                     "blobs_fedkemf-majority_vote", "blobs_fedkemf-warm_start"] + [
         f"{w}-seed{s}" for w in ("kemf-many", "avg-small") for s in (1, 2, 3)]
-    for _, config_text in identity.cases():
-        text = config_text(tmp_path / "out")
+    texts = {name: config_text(tmp_path / "out") for name, config_text in identity.cases()}
+    for text in texts.values():
         assert f"out_dir = {tmp_path / 'out'}" in text.splitlines()
+    shipped = texts["blobs_fedkemf"].splitlines()
+    for name, line in [("blobs_fedkemf-avg_logits", "strategy = avg_logits"),
+                       ("blobs_fedkemf-majority_vote", "strategy = majority_vote"),
+                       ("blobs_fedkemf-warm_start", "server.init = warm_start")]:
+        variant = texts[name].splitlines()
+        # the shipped config with exactly one line changed
+        assert line in variant and line not in shipped
+        assert [a != b for a, b in zip(shipped, variant)].count(True) == 1

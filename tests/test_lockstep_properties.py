@@ -2,10 +2,10 @@
 
 Both lockstep engines (local_train_lockstep for fedavg, client_update_lockstep
 for fedkemf) stack the sampled clients and step them together.  Hypothesis
-draws the groups: shard sizes down to one row and below the batch size,
-batch sizes, mixes of the shipped `32 | 64 | 64,32` local architectures, up
-to 12 clients, and per-client (lr, epochs, batch_size) that split them into
-several groups.  Every client's lockstep result must be bit-identical to the
+draws the groups: one (lr, epochs, batch_size) recipe that every client of
+the example trains with, shard sizes down to one row and below the batch
+size, mixes of the shipped `32 | 64 | 64,32` local architectures, and up to
+12 clients.  Every client's lockstep result must be bit-identical to the
 reference loop built from the public primitives, and a forced divergence
 must raise exactly the error of the serial loop (each client alone, in the
 given order).  Sizes stay small, so an example takes milliseconds.
@@ -33,41 +33,40 @@ def make_data():
 
 @st.composite
 def groups(draw, lrs=(0.1, 0.05)):
-    """[client keys]: shard size, local architecture and (lr, epochs, batch_size) of each.
-
-    The (lr, epochs, batch_size) triples come from a pool of up to three, so
-    groups run from one client to all twelve."""
-    pool = draw(st.lists(st.tuples(st.sampled_from(lrs), st.sampled_from((0, 1, 2)),
-                                   st.sampled_from((1, 3, 5, 8))), min_size=1, max_size=3))
-    keys = []
-    for _ in range(draw(st.integers(1, 12))):
-        lr, epochs, batch_size = draw(st.sampled_from(pool))
-        keys.append({"n_train": draw(st.integers(1, 20)), "hidden": draw(st.sampled_from(ARCHS)),
-                     "lr": lr, "epochs": epochs, "batch_size": batch_size})
-    return keys
+    """(recipe keys, [client keys]): one lr, epochs and batch_size for the whole group, and
+    each client's shard size and local architecture."""
+    recipe = {"lr": draw(st.sampled_from(lrs)), "epochs": draw(st.sampled_from((0, 1, 2))),
+              "batch_size": draw(st.sampled_from((1, 3, 5, 8)))}
+    keys = [{"n_train": draw(st.integers(1, 20)), "hidden": draw(st.sampled_from(ARCHS))}
+            for _ in range(draw(st.integers(1, 12)))]
+    return recipe, keys
 
 
-def clients(data, keys):
-    return [make_client(data, cid=c, n_val=4, **k) for c, k in enumerate(keys)]
+def clients(data, group):
+    """(states, recipe) of a drawn group."""
+    recipe, keys = group
+    made = [make_client(data, cid=c, n_val=4, **recipe, **k) for c, k in enumerate(keys)]
+    return [state for state, _ in made], made[0][1]
 
 
 def knowledge(data):
     return nets.init_network(nets.ArchSpec(data.dim, (16,), data.num_classes), 7)
 
 
-def shared_model(data, keys):
-    return nets.init_network(nets.ArchSpec(data.dim, keys[0]["hidden"], data.num_classes), 17)
+def shared_model(data, group):
+    return nets.init_network(nets.ArchSpec(data.dim, group[1][0]["hidden"], data.num_classes), 17)
 
 
 @BOUNDED
 @given(groups())
-def test_mutual_lockstep_equals_serial_reference(keys):
+def test_mutual_lockstep_equals_serial_reference(group):
     data = make_data()
     net = knowledge(data)
-    states, twins = clients(data, keys), clients(data, keys)
-    results = client_update_lockstep(states, net, data, round_index=ROUND)
+    (states, recipe), (twins, _) = clients(data, group), clients(data, group)
+    results = client_update_lockstep(states, net, data, round_index=ROUND, **recipe)
     for st_, twin, (kn, loss, acc) in zip(states, twins, results):
-        ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, net, data, ROUND)
+        ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, net, data, ROUND,
+                                                                       **recipe)
         assert np.array_equal(kn.params, ref_kn.params)
         assert np.array_equal(st_.local_model.params, ref_theta.params)
         assert loss == ref_loss
@@ -76,23 +75,23 @@ def test_mutual_lockstep_equals_serial_reference(keys):
 
 @BOUNDED
 @given(groups())
-def test_plain_lockstep_equals_serial_reference(keys):
+def test_plain_lockstep_equals_serial_reference(group):
     data = make_data()
-    model = shared_model(data, keys)
-    states = clients(data, keys)
-    results = local_train_lockstep(states, model, data, round_index=ROUND)
+    model = shared_model(data, group)
+    states, recipe = clients(data, group)
+    results = local_train_lockstep(states, model, data, round_index=ROUND, **recipe)
     for st_, (net, loss) in zip(states, results):
-        ref_net, ref_loss = reference_local_train(st_, model, data, ROUND)
+        ref_net, ref_loss = reference_local_train(st_, model, data, ROUND, **recipe)
         assert np.array_equal(net.params, ref_net.params)
         assert loss == ref_loss
 
 
-def serial(train, states, model, data):
+def serial(train, states, model, data, recipe):
     """(results, error) of a serial loop: each client alone, in order, until one raises."""
     results = []
     for st_ in states:
         try:
-            results.append(train(st_, model, data, ROUND))
+            results.append(train(st_, model, data, ROUND, **recipe))
         except DivergenceError as err:
             return results, err
     return results, None
@@ -105,27 +104,27 @@ def outcome(err):
 @BOUNDED
 @given(st.sampled_from(("mutual", "plain")), groups(lrs=(0.1, 1e12, 1e300)),
        st.none() | st.tuples(st.integers(0, 11), st.integers(0, 19)))
-def test_divergence_names_the_serial_loops_client(mode, keys, poison):
+def test_divergence_names_the_serial_loops_client(mode, group, poison):
     # Huge learning rates diverge at varied epochs and batches; a NaN feature
     # row in one client's shard diverges at the first batch that holds it.
     data = make_data()
     data = Dataset(data.features.copy(), data.labels, data.num_classes)
-    states, twins = clients(data, keys), clients(data, keys)
+    (states, recipe), (twins, _) = clients(data, group), clients(data, group)
     if poison is not None:
         target = states[poison[0] % len(states)]
-        if target.epochs:
+        if recipe["epochs"]:
             data.features[target.train_indices[poison[1] % len(target.train_indices)]] = np.nan
     if mode == "mutual":
         lockstep, alone, model = client_update_lockstep, client_update, knowledge(data)
     else:
-        lockstep, alone, model = local_train_lockstep, local_train, shared_model(data, keys)
+        lockstep, alone, model = local_train_lockstep, local_train, shared_model(data, group)
     with np.errstate(all="ignore"):
-        want, want_err = serial(alone, twins, model, data)
+        want, want_err = serial(alone, twins, model, data, recipe)
         try:
-            got, got_err = lockstep(states, model, data, round_index=ROUND), None
+            got, got_err = lockstep(states, model, data, round_index=ROUND, **recipe), None
         except DivergenceError as err:
             got, got_err = None, err
-    assert poison is None or target.epochs == 0 or want_err is not None
+    assert poison is None or recipe["epochs"] == 0 or want_err is not None
     if want_err is None:
         assert got_err is None
         for (net, *rest), (want_net, *want_rest) in zip(got, want):

@@ -395,6 +395,13 @@ class TestStackedProductsPremise:
             assert np.array_equal(back[j], dj @ wj.T)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(1, 80), st.integers(1, 80), st.integers(1, 12))
+def test_stacked_products_premise_at_any_shape(n, fan_in, fan_out, k):
+    """The premise above for random (n, fan_in, fan_out, K), not only the shipped layers."""
+    TestStackedProductsPremise.check_stack(fan_in, fan_out, n, k)
+
+
 def test_training_trajectory_determinism():
     arch = nets.ArchSpec(4, (5,), 3)
     rng = np.random.default_rng(8)

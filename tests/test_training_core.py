@@ -26,38 +26,39 @@ from fedkemf.server import (
 )
 
 
-def reference_client_update(state, knowledge_net, data, round_index=0):
+def reference_client_update(state, knowledge_net, data, round_index=0, *, lr, epochs,
+                            batch_size, seed):
     """Deep mutual learning as five forwards per batch; returns (kn, theta, loss, acc)."""
     kn = knowledge_net.copy()
     theta = state.local_model
     losses = []
-    for epoch in range(state.epochs):
-        seed = derive_seed(state.rng_seed, state.client_id, round_index, epoch)
-        for batch_idx in batch_iterator(state.train_indices, state.batch_size, seed):
+    for epoch in range(epochs):
+        epoch_seed = derive_seed(seed, state.client_id, round_index, epoch)
+        for batch_idx in batch_iterator(state.train_indices, batch_size, epoch_seed):
             x, y = data.features[batch_idx], data.labels[batch_idx]
             g_logits = nets.forward(kn, x)
             t_logits = nets.forward(theta, x)
             teacher = nets.softmax(g_logits)
             loss = nets.cross_entropy(t_logits, y) + nets.kl_from_probs(
                 teacher, nets.softmax(t_logits))
-            theta = nets.sgd_step(theta, nets.loss_gradient(theta, x, y, teacher), state.lr)
+            theta = nets.sgd_step(theta, nets.loss_gradient(theta, x, y, teacher), lr)
             losses.append(loss)
             teacher = nets.softmax(nets.forward(theta, x))
-            kn = nets.sgd_step(kn, nets.loss_gradient(kn, x, y, teacher), state.lr)
+            kn = nets.sgd_step(kn, nets.loss_gradient(kn, x, y, teacher), lr)
     idx = state.val_indices if len(state.val_indices) else state.train_indices
     acc, _ = nets.evaluate(theta, data.features[idx], data.labels[idx])
     return kn, theta, float(np.mean(losses)) if losses else 0.0, acc
 
 
-def reference_local_train(state, model, data, round_index=0):
+def reference_local_train(state, model, data, round_index=0, *, lr, epochs, batch_size, seed):
     net = model.copy()
     losses = []
-    for epoch in range(state.epochs):
-        seed = derive_seed(state.rng_seed, state.client_id, round_index, epoch)
-        for batch_idx in batch_iterator(state.train_indices, state.batch_size, seed):
+    for epoch in range(epochs):
+        epoch_seed = derive_seed(seed, state.client_id, round_index, epoch)
+        for batch_idx in batch_iterator(state.train_indices, batch_size, epoch_seed):
             x, y = data.features[batch_idx], data.labels[batch_idx]
             losses.append(nets.cross_entropy(nets.forward(net, x), y))
-            net = nets.sgd_step(net, nets.loss_gradient(net, x, y), state.lr)
+            net = nets.sgd_step(net, nets.loss_gradient(net, x, y), lr)
     return net, float(np.mean(losses)) if losses else 0.0
 
 
@@ -88,30 +89,33 @@ def make_data():
 
 def make_client(data, cid=0, hidden=(8, 4), n_train=90, n_val=20, epochs=3, batch_size=7,
                 lr=0.1):
+    """(state, recipe): recipe is the keywords the training entry points take."""
     idx = np.random.default_rng(cid).permutation(len(data))
     return ClientState(
         client_id=cid,
         local_model=nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes), 50 + cid),
         train_indices=list(idx[:n_train]),
         val_indices=list(idx[n_train:n_train + n_val]),
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        rng_seed=5,
-    )
+    ), {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": 5}
 
 
-def make_server(data, strategy="max_logits", init_mode="avg_members", count=75, epochs=3):
+def make_server(data, strategy="max_logits", init_mode="avg_members", count=75, epochs=3,
+                recipe=None):
+    """A server distilling for `epochs`, whose rounds train the clients with `recipe` (the
+    entry points' keywords, over lr 0.1, 3 epochs, batch_size 16 and seed 9)."""
+    recipe = {"lr": 0.1, "epochs": 3, "batch_size": 16, "seed": 9, **(recipe or {})}
     arch = nets.ArchSpec(data.dim, (6,), data.num_classes)
     return ServerState(
         global_knowledge=nets.init_network(arch, 3),
         distill_indices=list(range(len(data) - count, len(data))),
+        local_epochs=recipe["epochs"],
+        lr=recipe["lr"],
         distill_epochs=epochs,
         distill_lr=0.1,
         strategy=strategy,
         init_mode=init_mode,
-        batch_size=16,
-        rng_seed=9,
+        batch_size=recipe["batch_size"],
+        rng_seed=recipe["seed"],
         round=2,
     )
 
@@ -132,9 +136,11 @@ class TestReferenceEquivalence:
     def test_client_update(self, hidden):
         data = make_data()
         knowledge = nets.init_network(nets.ArchSpec(data.dim, (6,), data.num_classes), 7)
-        state, twin = make_client(data, hidden=hidden), make_client(data, hidden=hidden)
-        kn, loss, acc = client_update(state, knowledge, data, round_index=4)
-        ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 4)
+        state, recipe = make_client(data, hidden=hidden)
+        twin, _ = make_client(data, hidden=hidden)
+        kn, loss, acc = client_update(state, knowledge, data, round_index=4, **recipe)
+        ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 4,
+                                                                       **recipe)
         assert np.array_equal(kn.params, ref_kn.params)
         assert np.array_equal(state.local_model.params, ref_theta.params)
         assert loss == ref_loss
@@ -143,10 +149,10 @@ class TestReferenceEquivalence:
     def test_client_update_leaves_inputs_untouched(self):
         data = make_data()
         knowledge = nets.init_network(nets.ArchSpec(data.dim, (6,), data.num_classes), 7)
-        state = make_client(data)
+        state, recipe = make_client(data)
         local_before, kn_before = state.local_model, knowledge.params.copy()
         theta_before = local_before.params.copy()
-        client_update(state, knowledge, data)
+        client_update(state, knowledge, data, **recipe)
         assert np.array_equal(knowledge.params, kn_before)
         assert np.array_equal(local_before.params, theta_before)
         assert state.local_model is not local_before
@@ -155,8 +161,9 @@ class TestReferenceEquivalence:
         data = make_data()
         model = nets.init_network(nets.ArchSpec(data.dim, (8,), data.num_classes), 11)
         before = model.params.copy()
-        net, loss = local_train(make_client(data), model, data, round_index=2)
-        ref_net, ref_loss = reference_local_train(make_client(data), model, data, 2)
+        state, recipe = make_client(data)
+        net, loss = local_train(state, model, data, round_index=2, **recipe)
+        ref_net, ref_loss = reference_local_train(make_client(data)[0], model, data, 2, **recipe)
         assert np.array_equal(net.params, ref_net.params)
         assert loss == ref_loss
         assert np.array_equal(model.params, before)
@@ -175,9 +182,9 @@ class TestReferenceEquivalence:
     def test_cached_val_accuracy_matches_full_reevaluation(self):
         data = synth_blobs(3, 80, 4, 0.8, seed=5)
         clients = [make_client(data, cid=c, hidden=(8,) if c % 2 else (4,), n_train=40,
-                               n_val=8 if c != 3 else 0, epochs=1, batch_size=16)
+                               n_val=8 if c != 3 else 0)[0]
                    for c in range(6)]
-        server = make_server(data, count=40, epochs=1)
+        server = make_server(data, count=40, epochs=1, recipe={"epochs": 1})
         server.round = 0
         for _ in range(3):
             stats = run_round(server, clients, data, "fedkemf", sample_ratio=0.5)
@@ -194,34 +201,31 @@ class TestLockstep:
     SIZES = (13, 5, 24, 8, 19, 13)
 
     @staticmethod
-    def clients(data, sizes, per_client=None, **keys):
+    def clients(data, sizes, **keys):
+        """(states, recipe) of clients with shards of `sizes` rows, sharing one recipe."""
         keys = {"epochs": 3, "batch_size": 8, **keys}
-        return [make_client(data, cid=c, n_train=n, **{**keys, **(per_client or {}).get(c, {})})
-                for c, n in enumerate(sizes)]
+        made = [make_client(data, cid=c, n_train=n, **keys) for c, n in enumerate(sizes)]
+        return [state for state, _ in made], made[0][1]
 
     @staticmethod
     def model(data):
         return nets.init_network(nets.ArchSpec(data.dim, (8, 4), data.num_classes), 17)
 
-    @pytest.mark.parametrize("per_client", [
-        {},
-        {1: {"lr": 0.05}, 2: {"batch_size": 5}, 4: {"epochs": 2}, 5: {"batch_size": 5}},
-    ], ids=["one_group", "mixed_groups"])
-    def test_each_client_equals_its_serial_reference(self, per_client):
+    def test_each_client_equals_its_serial_reference(self):
         data = make_data()
         model = self.model(data)
-        states = self.clients(data, self.SIZES, per_client)
-        results = local_train_lockstep(states, model, data, round_index=3)
+        states, recipe = self.clients(data, self.SIZES)
+        results = local_train_lockstep(states, model, data, round_index=3, **recipe)
         for st, (net, loss) in zip(states, results):
-            ref_net, ref_loss = reference_local_train(st, model, data, 3)
+            ref_net, ref_loss = reference_local_train(st, model, data, 3, **recipe)
             assert np.array_equal(net.params, ref_net.params)
             assert loss == ref_loss
 
     @pytest.mark.parametrize("sizes", [SIZES, (19,)], ids=["six_clients", "one_client"])
     def test_fedavg_round_equals_serial_reference(self, sizes, monkeypatch):
         data = make_data()
-        states = self.clients(data, sizes)
-        server = make_server(data, epochs=0)
+        states, recipe = self.clients(data, sizes)
+        server = make_server(data, epochs=0, recipe=recipe)
         server.global_knowledge = broadcast = self.model(data)
         aggregated = []
 
@@ -231,7 +235,8 @@ class TestLockstep:
 
         monkeypatch.setattr("fedkemf.server.fedavg_aggregate", spy)
         stats = run_round(server, states, data, "fedavg", sample_ratio=1.0)
-        refs = [reference_local_train(st, broadcast, data, server.round) for st in states]
+        refs = [reference_local_train(st, broadcast, data, server.round, **recipe)
+                for st in states]
         assert stats["sampled"] == list(range(len(sizes)))
         for member, (ref_net, _) in zip(aggregated[0], refs):
             assert np.array_equal(member.params, ref_net.params)
@@ -243,24 +248,24 @@ class TestLockstep:
         # The larger shard (client 1) diverges at an earlier lockstep step than
         # client 0, yet a serial loop would raise for client 0 first.
         data = make_data()
-        states = self.clients(data, (8, 40), lr=1e12, epochs=16)
+        states, recipe = self.clients(data, (8, 40), lr=1e12, epochs=16)
         model = nets.init_network(nets.ArchSpec(data.dim, (8,), data.num_classes), 0)
         alone = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for st in states:
                 with pytest.raises(DivergenceError) as err:
-                    local_train(st, model, data, round_index=1)
+                    local_train(st, model, data, round_index=1, **recipe)
                 alone[st.client_id] = err.value
         assert alone[1].epoch < alone[0].epoch
         lockstep_errors = []
 
-        def replay(state, *args):
+        def replay(state, *args, **recipe):
             if not lockstep_errors:
                 lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
-            return local_train(state, *args)
+            return local_train(state, *args, **recipe)
 
         monkeypatch.setattr(client, "local_train", replay)
-        server = make_server(data, epochs=0)
+        server = make_server(data, epochs=0, recipe=recipe)
         server.global_knowledge, server.round = model, 0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
@@ -281,11 +286,12 @@ class TestMutualLockstep:
     ARCHS = ((32,), (64,), (64, 32))
 
     @classmethod
-    def clients(cls, data, sizes, per_client=None, **keys):
+    def clients(cls, data, sizes, **keys):
+        """(states, recipe) of clients with shards of `sizes` rows, sharing one recipe."""
         keys = {"epochs": 3, "batch_size": 8, **keys}
-        return [make_client(data, cid=c, n_train=n, hidden=cls.ARCHS[c % len(cls.ARCHS)],
-                            **{**keys, **(per_client or {}).get(c, {})})
+        made = [make_client(data, cid=c, n_train=n, hidden=cls.ARCHS[c % len(cls.ARCHS)], **keys)
                 for c, n in enumerate(sizes)]
+        return [state for state, _ in made], made[0][1]
 
     @staticmethod
     def data():
@@ -296,18 +302,15 @@ class TestMutualLockstep:
     def knowledge(data):
         return nets.init_network(nets.ArchSpec(data.dim, (16,), data.num_classes), 7)
 
-    @pytest.mark.parametrize("per_client", [
-        {},
-        {1: {"lr": 0.05}, 2: {"batch_size": 5}, 4: {"epochs": 2}, 5: {"batch_size": 5}},
-    ], ids=["one_group", "mixed_groups"])
-    def test_each_client_equals_its_serial_reference(self, per_client):
+    def test_each_client_equals_its_serial_reference(self):
         data = self.data()
         knowledge = self.knowledge(data)
-        states = self.clients(data, self.SIZES, per_client)
-        twins = self.clients(data, self.SIZES, per_client)
-        results = client_update_lockstep(states, knowledge, data, round_index=3)
+        states, recipe = self.clients(data, self.SIZES)
+        twins, _ = self.clients(data, self.SIZES)
+        results = client_update_lockstep(states, knowledge, data, round_index=3, **recipe)
         for st, twin, (kn, loss, acc) in zip(states, twins, results):
-            ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 3)
+            ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 3,
+                                                                           **recipe)
             assert np.array_equal(kn.params, ref_kn.params)
             assert np.array_equal(st.local_model.params, ref_theta.params)
             assert loss == ref_loss
@@ -316,8 +319,8 @@ class TestMutualLockstep:
     @pytest.mark.parametrize("sizes", [SIZES, (19,)], ids=["six_clients", "one_client"])
     def test_fedkemf_round_equals_serial_reference(self, sizes, monkeypatch):
         data = self.data()
-        states, twins = self.clients(data, sizes), self.clients(data, sizes)
-        server = make_server(data, epochs=0)
+        (states, recipe), (twins, _) = self.clients(data, sizes), self.clients(data, sizes)
+        server = make_server(data, epochs=0, recipe=recipe)
         server.global_knowledge = broadcast = self.knowledge(data)
         distilled = []
 
@@ -327,7 +330,8 @@ class TestMutualLockstep:
 
         monkeypatch.setattr("fedkemf.server.distill", spy)
         stats = run_round(server, states, data, "fedkemf", sample_ratio=1.0)
-        refs = [reference_client_update(twin, broadcast, data, server.round) for twin in twins]
+        refs = [reference_client_update(twin, broadcast, data, server.round, **recipe)
+                for twin in twins]
         assert stats["sampled"] == list(range(len(sizes)))
         for member, st, (ref_kn, ref_theta, _, ref_acc) in zip(distilled[0], states, refs):
             assert np.array_equal(member.params, ref_kn.params)
@@ -340,25 +344,25 @@ class TestMutualLockstep:
         # The larger shard (client 1) diverges at an earlier lockstep step than
         # client 0, yet a serial loop would raise for client 0 first.
         data = self.data()
-        states = self.clients(data, (8, 40), lr=1e12, epochs=16)
-        twins = self.clients(data, (8, 40), lr=1e12, epochs=16)
+        states, recipe = self.clients(data, (8, 40), lr=1e12, epochs=16)
+        twins, _ = self.clients(data, (8, 40), lr=1e12, epochs=16)
         knowledge = self.knowledge(data)
         alone = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for twin in twins:
                 with pytest.raises(DivergenceError) as err:
-                    client_update(twin, knowledge, data, round_index=1)
+                    client_update(twin, knowledge, data, round_index=1, **recipe)
                 alone[twin.client_id] = err.value
         assert alone[1].epoch < alone[0].epoch
         lockstep_errors = []
 
-        def replay(state, *args):
+        def replay(state, *args, **recipe):
             if not lockstep_errors:
                 lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
-            return client_update(state, *args)
+            return client_update(state, *args, **recipe)
 
         monkeypatch.setattr(client, "client_update", replay)
-        server = make_server(data, epochs=0)
+        server = make_server(data, epochs=0, recipe=recipe)
         server.global_knowledge, server.round = knowledge, 0
         before = [st.local_model for st in states]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -377,7 +381,7 @@ class TestMutualLockstep:
         # one serial round on, and client 1 keeps its model.
         data = self.data()
         knowledge = self.knowledge(data)
-        states, twins = self.clients(data, (19, 13)), self.clients(data, (19, 13))
+        (states, recipe), (twins, _) = self.clients(data, (19, 13)), self.clients(data, (19, 13))
         before = states[1].local_model
         scored = ClientState.accuracy
 
@@ -388,9 +392,9 @@ class TestMutualLockstep:
 
         monkeypatch.setattr(ClientState, "accuracy", accuracy)
         with pytest.raises(DivergenceError) as err:
-            client_update_lockstep(states, knowledge, data, round_index=2)
+            client_update_lockstep(states, knowledge, data, round_index=2, **recipe)
         assert err.value.client_id == 1
-        ref_theta = reference_client_update(twins[0], knowledge, data, 2)[1]
+        ref_theta = reference_client_update(twins[0], knowledge, data, 2, **recipe)[1]
         assert np.array_equal(states[0].local_model.params, ref_theta.params)
         assert states[1].local_model is before
 
@@ -425,22 +429,22 @@ class TestForwardCounts:
         return calls
 
     @staticmethod
-    def batches(state):
-        return state.epochs * math.ceil(len(state.train_indices) / state.batch_size)
+    def batches(state, recipe):
+        return recipe["epochs"] * math.ceil(len(state.train_indices) / recipe["batch_size"])
 
     def test_client_update_three_per_batch(self, forwards):
         data = make_data()
-        state = make_client(data)
+        state, recipe = make_client(data)
         client_update(state, nets.init_network(
-            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data)
-        assert len(forwards) == 3 * self.batches(state) + 1  # + the val evaluation
+            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, **recipe)
+        assert len(forwards) == 3 * self.batches(state, recipe) + 1  # + the val evaluation
 
     def test_local_train_one_per_batch(self, forwards):
         data = make_data()
-        state = make_client(data)
+        state, recipe = make_client(data)
         local_train(state, nets.init_network(
-            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data)
-        assert len(forwards) == self.batches(state)
+            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, **recipe)
+        assert len(forwards) == self.batches(state, recipe)
 
     def test_distill_members_once_per_call(self, forwards):
         data = make_data()
@@ -453,9 +457,8 @@ class TestForwardCounts:
 
     def test_round_scores_only_unscored_clients(self, forwards):
         data = synth_blobs(3, 80, 4, 0.8, seed=5)
-        clients = [make_client(data, cid=c, hidden=(4,), n_train=40, epochs=0)
-                   for c in range(6)]
-        server = make_server(data, count=40, epochs=0)
+        clients = [make_client(data, cid=c, hidden=(4,), n_train=40)[0] for c in range(6)]
+        server = make_server(data, count=40, epochs=0, recipe={"epochs": 0})
         run_round(server, clients, data, "fedkemf", sample_ratio=0.5)
         assert len(forwards) == len(clients)  # 3 in client_update, 3 in run_round
         forwards.clear()
@@ -480,19 +483,19 @@ class TestLossTermCounts:
     @pytest.mark.parametrize("batch_size", [4, 13, 200])
     def test_client_update(self, terms, batch_size):
         data = make_data()
-        state = make_client(data, batch_size=batch_size)
+        state, recipe = make_client(data, batch_size=batch_size)
         client_update(state, nets.init_network(
-            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data)
+            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, **recipe)
         # the local model's CE + KL per epoch; the val evaluation scores accuracy only
-        assert terms == {"_ce_terms": state.epochs, "_kl_terms": state.epochs}
+        assert terms == {"_ce_terms": recipe["epochs"], "_kl_terms": recipe["epochs"]}
 
     @pytest.mark.parametrize("batch_size", [4, 13, 200])
     def test_local_train(self, terms, batch_size):
         data = make_data()
-        state = make_client(data, batch_size=batch_size)
+        state, recipe = make_client(data, batch_size=batch_size)
         local_train(state, nets.init_network(
-            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data)
-        assert terms == {"_ce_terms": state.epochs, "_kl_terms": 0}
+            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, **recipe)
+        assert terms == {"_ce_terms": recipe["epochs"], "_kl_terms": 0}
 
     @pytest.mark.parametrize("batch_size", [4, 13, 200])
     def test_distill(self, terms, batch_size):

@@ -4,7 +4,9 @@ Run from anywhere in the repository:
 
     python3 tools/identity.py --against HEAD~1 [--workdir DIR]
 
-The cases are the shipped configs/blobs_fedkemf.cfg and configs/blobs_fedavg.cfg,
+The cases are the shipped configs/blobs_fedkemf.cfg and configs/blobs_fedavg.cfg;
+blobs_fedkemf with `strategy = avg_logits`, with `strategy = majority_vote` and
+with `server.init = warm_start`, the ensemble and init paths no other case takes;
 and the benchmark workloads kemf-many and avg-small at seeds 1-3, whose configs
 are generated from bench/workloads.py (read, never edited).  Both trees run on
 the same config text, taken from this tree.  The revision is exported with
@@ -32,6 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ("configs/blobs_fedkemf.cfg", "configs/blobs_fedavg.cfg")
+# (shipped config, key, value): the config with one setting changed
+VARIANTS = (("configs/blobs_fedkemf.cfg", "strategy", "avg_logits"),
+            ("configs/blobs_fedkemf.cfg", "strategy", "majority_vote"),
+            ("configs/blobs_fedkemf.cfg", "server.init", "warm_start"))
 WORKLOADS = ("kemf-many", "avg-small")
 SEEDS = (1, 2, 3)
 TIMING_COLUMN = "wall_seconds"
@@ -48,13 +54,23 @@ def _workloads():
     return module.WORKLOADS
 
 
+def _setting(text, key, value):
+    """`text` with the value of its one `key = ...` line replaced."""
+    text, count = re.subn(rf"(?m)^{re.escape(key)}\s*=.*$", f"{key} = {value}", text)
+    if count != 1:
+        raise ValueError(f"expected one {key} line, found {count}")
+    return text
+
+
 def cases():
     """[(name, config text for an out_dir)] in report order."""
     found = []
-    for path in SHIPPED:
-        text = (ROOT / path).read_text()
-        found.append((Path(path).stem, lambda out_dir, text=text: re.sub(
-            r"(?m)^out_dir\s*=.*$", f"out_dir = {out_dir}", text)))
+    shipped = [(Path(path).stem, (ROOT / path).read_text()) for path in SHIPPED]
+    for path, key, value in VARIANTS:
+        shipped.append((f"{Path(path).stem}-{value}",
+                        _setting((ROOT / path).read_text(), key, value)))
+    for name, text in shipped:
+        found.append((name, lambda out_dir, text=text: _setting(text, "out_dir", out_dir)))
     workloads = _workloads()
     for name in WORKLOADS:
         for seed in SEEDS:
@@ -145,7 +161,7 @@ def main(argv=None):
                                         tmp / "runs" / "against" / name)
                 verdict = "identical" if diff is None else f"DIFFERS  first at {diff}"
             differing += verdict != "identical"
-            print(f"{name:<18} {verdict}", flush=True)
+            print(f"{name:<27} {verdict}", flush=True)
         total = len(cases())
         print(f"{total - differing} of {total} cases byte-identical")
     return 1 if differing else 0
