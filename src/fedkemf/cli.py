@@ -64,11 +64,10 @@ def _cmd_eval(args):
     config = parse_config(args.config)
     net = checkpoint.load(args.checkpoint)
     train, test = build_datasets(config)
-    classes = max(train.num_classes, test.num_classes)
-    if (net.arch.input_dim, net.arch.num_classes) != (test.dim, classes):
+    if (net.arch.input_dim, net.arch.num_classes) != (test.dim, train.num_classes):
         raise ShapeMismatchError(
             f"checkpoint takes {net.arch.input_dim} features to {net.arch.num_classes} classes; "
-            f"the config's data has {test.dim} features and {classes} classes")
+            f"the config's data has {test.dim} features and {train.num_classes} classes")
     acc, loss = nets.evaluate(net, test.features, test.labels)
     print(f"test_accuracy: {acc:.4f}")
     print(f"test_loss: {loss:.4f}")

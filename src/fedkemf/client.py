@@ -77,8 +77,7 @@ def step_plan(sizes, batch_size):
 
 
 def _lockstep_epochs(members, batch_size, setup):
-    """The epoch loop of both lockstep trainers: (per epoch the K * pad rows' loss terms, per
-    member its batches' bounds in them).
+    """The epoch loop of both lockstep trainers: per member, per epoch, its batch losses.
 
     members[k] = (x, target, epochs), largest x first; `epochs` yields each
     epoch's row order (batches of batch_size joined), which refills padded
@@ -90,21 +89,15 @@ def _lockstep_epochs(members, batch_size, setup):
     x_rows = np.empty((len(sizes), sizes[0], members[0][0].shape[1]))
     t_rows = np.ones((len(sizes), sizes[0], members[0][1].shape[1]))
     run = setup(x_rows, t_rows, step_plan(sizes, batch_size))
-    scored = []
+    bounds = [batch_bounds(k * sizes[0], n, batch_size) for k, n in enumerate(sizes)]
+    losses = [[] for _ in members]
     for epoch, orders in enumerate(zip(*(m[2] for m in members))):
         for k, ((x, target, _), order) in enumerate(zip(members, orders)):
             x_rows[k, :sizes[k]], t_rows[k, :sizes[k]] = x[order], target[order]
-        scored.append(run(epoch))
-    return scored, [batch_bounds(k * sizes[0], n, batch_size) for k, n in enumerate(sizes)]
-
-
-def _mean_losses(scored, bounds):
-    """Each member's mean batch loss over all epochs, from (per-epoch terms, member bounds)."""
-    means = []
-    for member_bounds in bounds:
-        losses = [loss for terms in scored for loss in nets.batch_means(terms, member_bounds)]
-        means.append(float(np.mean(losses)) if losses else 0.0)
-    return means
+        terms = run(epoch)
+        for member_losses, member_bounds in zip(losses, bounds):
+            member_losses.append(nets.batch_means(terms, member_bounds))
+    return losses
 
 
 def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **context):
@@ -134,7 +127,7 @@ def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **con
 
 
 def _mutual_learning(kn, thetas, members, batch_size, context):
-    """Lockstep deep mutual learning; returns _lockstep_epochs' (scored, bounds).
+    """Lockstep deep mutual learning; returns _lockstep_epochs' losses.
 
     `kn` stacks the members' knowledge copies; thetas = [(Trainer, its
     members, ascending)] stacks their local models, one per architecture, so
@@ -195,13 +188,13 @@ def _mutual_learning(kn, thetas, members, batch_size, context):
     return _lockstep_epochs(members, batch_size, setup)
 
 
-def _lockstep(states, net: nets.Network, data: Dataset, round_index, recipe, train, alone):
-    """The driver of both lockstep entry points: train(order, shards, context) on the states'
-    shards, `order` their positions, largest shard first, ties by client id.
+def _lockstep(states, net: nets.Network, data: Dataset, round_index, train, entry, **recipe):
+    """The driver of both entry points: train(order, shards, context) on the states' shards,
+    `order` their positions, largest shard first, ties by client id.
 
-    `recipe` is the (lr, epochs, batch_size, seed) keywords every client
-    trains with.  Errors name the client only when there is one, and always
-    the round.  If a check fails, the clients are replayed with alone(state,
+    `recipe` is the lr, epochs, batch_size and seed every client trains
+    with.  Errors name the client only when there is one, and always the
+    round.  If a check fails, the clients are replayed with entry([state],
     net, data, round_index, **recipe) in the given order (a serial loop's),
     which raises the serial loop's DivergenceError.
     """
@@ -215,12 +208,12 @@ def _lockstep(states, net: nets.Network, data: Dataset, round_index, recipe, tra
     except DivergenceError:
         if len(states) > 1:
             for st in states:
-                alone(st, net, data, round_index, **recipe)
+                entry([st], net, data, round_index, **recipe)
         raise
 
 
-def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
-                           round_index: int = 0, *, lr, epochs, batch_size, seed):
+def client_update(states, knowledge_net: nets.Network, data: Dataset, round_index: int = 0, *,
+                  lr, epochs, batch_size, seed):
     """[(updated_knowledge, mean_train_loss, local_val_accuracy)] of each state's round of
     deep mutual learning, in lockstep.
 
@@ -233,8 +226,9 @@ def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
     clients' knowledge copies are one stack and their local models one stack
     per architecture (_mutual_learning).  Each result equals the client's run
     alone.  The states change only once every stack has trained and the
-    local models are scored, in the given order.  A failed check replays the
-    clients alone (_lockstep).
+    local models are scored, in the given order; the local model and its val
+    accuracy persist in the state.  A failed check replays the clients alone
+    (_lockstep).
     """
     num_classes = knowledge_net.arch.num_classes
     if any(st.local_model.arch.num_classes != num_classes for st in states):
@@ -247,9 +241,7 @@ def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
         thetas = [(nets.Trainer([states[order[r]].local_model for r in rows], lr), rows)
                   for rows in by_arch.values()]
         kn = nets.Trainer([knowledge_net] * len(order), lr)
-        scored, bounds = _mutual_learning(kn, thetas, [shards[k] for k in order], batch_size,
-                                          context)
-        losses = dict(zip(order, _mean_losses(scored, bounds)))
+        losses = _mutual_learning(kn, thetas, [shards[k] for k in order], batch_size, context)
         # Checked and scored in one client's own order: local model, val accuracy, knowledge.
         # Each local model is a copy, as a row view would keep its whole stack alive.
         local = {}
@@ -257,43 +249,29 @@ def client_update_lockstep(states, knowledge_net: nets.Network, data: Dataset,
             local.update(zip((order[r] for r in rows),
                              (model.copy() for model in theta.trained(**context))))
         accs = [st.accuracy(local[k], data, round_index=round_index) for k, st in enumerate(states)]
-        knowledge = dict(zip(order, kn.trained(**context)))
+        means = [float(np.mean(np.concatenate(m))) if epochs else 0.0 for m in losses]
+        results = dict(zip(order, zip(kn.trained(**context), means)))
         for k, st in enumerate(states):
             st.local_model, st.val_accuracy = local[k], accs[k]
-        return [(knowledge[k], losses[k], accs[k]) for k in range(len(states))]
-    recipe = {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": seed}
-    return _lockstep(states, knowledge_net, data, round_index, recipe, train, client_update)
+        return [(*results[k], accs[k]) for k in range(len(states))]
+    return _lockstep(states, knowledge_net, data, round_index, train, client_update,
+                     lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
 
 
-def client_update(state: ClientState, knowledge_net: nets.Network, data: Dataset,
-                  round_index: int = 0, *, lr, epochs, batch_size, seed):
-    """(updated_knowledge, mean_train_loss, local_val_accuracy) of one client's round of
-    deep mutual learning; the local model and its val accuracy persist in the state."""
-    return client_update_lockstep([state], knowledge_net, data, round_index, lr=lr,
-                                  epochs=epochs, batch_size=batch_size, seed=seed)[0]
-
-
-def local_train_lockstep(states, model: nets.Network, data: Dataset, round_index: int = 0, *,
-                         lr, epochs, batch_size, seed):
-    """[(trained_model, mean_train_loss)] of each state's local_train from `model`, in lockstep.
+def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0, *,
+                lr, epochs, batch_size, seed):
+    """[(trained_model, mean_train_loss)] of each state's plain-CE local training (the
+    weighted-averaging baseline) from the shared-architecture `model`, in lockstep.
 
     The clients are one fit stack, largest shard first, ties by client id;
-    each result equals local_train alone.  A failed check replays the
-    clients alone (_lockstep).
+    each result equals the client's run alone, and `model` is not changed.
+    A failed check replays the clients alone (_lockstep).
     """
     def train(order, shards, context):
         trainer = nets.Trainer([model] * len(order), lr)
-        scored, bounds = fit(trainer, [shards[k] for k in order], batch_size, labels=True,
-                             **context)
-        results = dict(zip(order, zip(trainer.trained(**context), _mean_losses(scored, bounds))))
+        losses = fit(trainer, [shards[k] for k in order], batch_size, labels=True, **context)
+        means = [float(np.mean(np.concatenate(m))) if epochs else 0.0 for m in losses]
+        results = dict(zip(order, zip(trainer.trained(**context), means)))
         return [results[k] for k in range(len(states))]
-    recipe = {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": seed}
-    return _lockstep(states, model, data, round_index, recipe, train, local_train)
-
-
-def local_train(state: ClientState, model: nets.Network, data: Dataset, round_index: int = 0, *,
-                lr, epochs, batch_size, seed):
-    """(trained_model, mean_train_loss) of the weighted-averaging baseline's plain-CE
-    local training of a shared-architecture model; the incoming model is copied."""
-    return local_train_lockstep([state], model, data, round_index, lr=lr, epochs=epochs,
-                                batch_size=batch_size, seed=seed)[0]
+    return _lockstep(states, model, data, round_index, train, local_train,
+                     lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)

@@ -81,6 +81,8 @@ def load_idx(images_path, labels_path, name="idx") -> Dataset:
         )
     if count == 0:
         raise DataError(f"{images_path} and {labels_path} hold no items")
+    if rows * cols == 0:
+        raise DataError(f"{images_path}: images of {rows}x{cols} pixels hold no features")
     features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     return Dataset(features, labels.astype(np.int64), int(labels.max()) + 1, name)
 

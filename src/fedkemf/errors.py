@@ -45,7 +45,7 @@ class InfeasiblePartitionError(DataError):
 
 
 class DivergenceError(FedKemfError):
-    """Non-finite loss or gradient encountered during training."""
+    """Non-finite logits, gradients or parameters in training, distillation or evaluation."""
 
     exit_code = 4
 

@@ -47,6 +47,9 @@ def build_datasets(config: ExperimentConfig):
     test = load_idx(config.idx_test_images, config.idx_test_labels, name="test")
     if train.num_classes < 2:
         raise DataError(f"{config.idx_train_labels}: labels name 1 class, need at least 2")
+    if test.num_classes > train.num_classes:
+        raise DataError(f"{config.idx_test_labels}: labels name {test.num_classes} classes, "
+                        f"the train labels only {train.num_classes}")
     if test.dim != train.dim:
         raise ShapeMismatchError(f"test images have {test.dim} features, train images {train.dim}")
     return train, test

@@ -6,9 +6,7 @@ import numpy as np
 
 from . import nets
 from .checkpoint import checkpoint_nbytes
-from .client import batch_iterator, client_update_lockstep, fit, local_train_lockstep
-# bench/tracing.py patches these names here, though run_round calls neither.
-from .client import client_update, local_train  # noqa: F401
+from .client import batch_iterator, client_update, fit, local_train
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
 
@@ -143,9 +141,9 @@ def distill(server: ServerState, members, data: Dataset):
     seeds = (derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
              for epoch in range(server.distill_epochs))
     epochs = (np.concatenate(batch_iterator(positions, server.batch_size, s)) for s in seeds)
-    scored, bounds = fit(student, [(x_split, teacher, epochs)], server.batch_size,
-                         what="distillation ", **context)
-    last_loss = float(np.mean(nets.batch_means(scored[-1], bounds[0])))
+    (losses,) = fit(student, [(x_split, teacher, epochs)], server.batch_size,
+                    what="distillation ", **context)
+    last_loss = float(np.mean(losses[-1]))
     return student.trained(**context)[0], last_loss
 
 
@@ -168,7 +166,7 @@ def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, a
     sampled = sample_clients(len(clients), sample_ratio, round_index, server.rng_seed)
     broadcast = server.global_knowledge
     ck_bytes = checkpoint_nbytes(broadcast.arch)
-    train = client_update_lockstep if mode == "fedkemf" else local_train_lockstep
+    train = client_update if mode == "fedkemf" else local_train
     results = train([clients[cid] for cid in sampled], broadcast, data, round_index, lr=server.lr,
                     epochs=server.local_epochs, batch_size=server.batch_size, seed=server.rng_seed)
     members = [r[0] for r in results]  # in sampled, id-sorted, order

@@ -105,22 +105,27 @@ class TestRun:
         assert main(["run", str(cfg)]) == 3
 
     @pytest.mark.parametrize("train, test", [  # (classes, width) of each IDX file pair
-        ((3, 16), (3, 9)), ((1, 16), (3, 16)), ((0, 16), (3, 16))],
-        ids=["different_widths", "one_class", "zero_items"])
+        ((3, 16), (3, 9)), ((1, 16), (3, 16)), ((0, 16), (3, 16)), ((3, 8), (5, 8)),
+        ((3, 0), (3, 0))],
+        ids=["different_widths", "one_class", "zero_items", "test_classes_train_lacks",
+             "zero_width"])
     def test_idx_data_that_cannot_train_is_data_error(self, tmp_path, capsys, train, test):
         paths = {}
         for split, (classes, dim) in (("train", train), ("test", test)):
-            blobs = synth_blobs(3, 60, dim, 1.0, seed=1)
+            blobs = synth_blobs(5, 60, max(dim, 1), 1.0, seed=1)
             keep = blobs.labels < classes
-            data = Dataset(np.clip(blobs.features[keep] / 8 + 0.5, 0, 1), blobs.labels[keep],
-                           max(classes, 1))
+            data = Dataset(np.clip(blobs.features[keep, :dim] / 8 + 0.5, 0, 1),
+                           blobs.labels[keep], max(classes, 1))
             paths[f"dataset.{split}_images"] = tmp_path / f"{split}-images.idx"
             paths[f"dataset.{split}_labels"] = tmp_path / f"{split}-labels.idx"
             save_idx(data, paths[f"dataset.{split}_images"], paths[f"dataset.{split}_labels"])
         cfg = write_config(tmp_path, min_per_client=1, **{"dataset.kind": "idx", **paths})
-        assert main(["run", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        ck = tmp_path / "fresh.fkmf"  # any valid checkpoint: the data is rejected first
+        checkpoint.save(nets.init_network(nets.ArchSpec(1, (), 3), 0), ck)
+        for argv in (["run", str(cfg)], ["partition", str(cfg)], ["eval", str(ck), str(cfg)]):
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lr="1e12", local_epochs=20)

@@ -53,7 +53,7 @@ class TestClientUpdate:
         data, state, recipe = make_state(epochs=0)
         theta_before = state.local_model.params.copy()
         kn = knowledge_net(data)
-        out, loss, _ = client_update(state, kn, data, **recipe)
+        out, loss, _ = client_update([state], kn, data, **recipe)[0]
         assert np.array_equal(out.params, kn.params)
         assert np.array_equal(state.local_model.params, theta_before)
         assert loss == 0.0
@@ -62,7 +62,7 @@ class TestClientUpdate:
         data, state, recipe = make_state(epochs=2)
         kn = knowledge_net(data)
         before = kn.params.copy()
-        client_update(state, kn, data, **recipe)
+        client_update([state], kn, data, **recipe)
         assert np.array_equal(kn.params, before)
 
     def test_symmetric_first_step(self):
@@ -84,14 +84,14 @@ class TestClientUpdate:
         untrained_acc, _ = nets.evaluate(
             state.local_model, data.features[state.val_indices], data.labels[state.val_indices]
         )
-        _, _, val_acc = client_update(state, kn, data, **recipe)
+        _, _, val_acc = client_update([state], kn, data, **recipe)[0]
         assert val_acc >= 0.9
         assert val_acc > untrained_acc
 
     def test_strong_teacher_lifts_knowledge_net(self):
         data, state, recipe = make_state(epochs=10, lr=0.2)
         # pre-train the local model alone to act as a strong teacher
-        pre, _ = local_train(state, state.local_model, data, **recipe)
+        pre, _ = local_train([state], state.local_model, data, **recipe)[0]
         shard_x = data.features[state.train_indices]
         shard_y = data.labels[state.train_indices]
         acc, _ = nets.evaluate(pre, shard_x, shard_y)
@@ -100,7 +100,7 @@ class TestClientUpdate:
         recipe["epochs"] = 2
         kn = knowledge_net(data)
         before, _ = nets.evaluate(kn, shard_x, shard_y)
-        updated, _, _ = client_update(state, kn, data, **recipe)
+        updated, _, _ = client_update([state], kn, data, **recipe)[0]
         after, _ = nets.evaluate(updated, shard_x, shard_y)
         assert after > before
 
@@ -123,10 +123,10 @@ class TestClientUpdate:
             state.train_indices = list(shard)
             state.val_indices = []
             baseline_init = state.local_model.copy()
-            client_update(state, teacher, data, round_index=0, **recipe)
+            client_update([state], teacher, data, round_index=0, **recipe)
             with_kl, _ = nets.evaluate(state.local_model, data.features, data.labels)
             state.local_model = baseline_init
-            plain, _ = local_train(state, baseline_init, data, round_index=0, **recipe)
+            plain, _ = local_train([state], baseline_init, data, round_index=0, **recipe)[0]
             without_kl, _ = nets.evaluate(plain, data.features, data.labels)
             wins += with_kl > without_kl
         assert wins >= 4
@@ -135,7 +135,7 @@ class TestClientUpdate:
     def test_divergence_error_carries_context(self):
         data, state, recipe = make_state(epochs=10, lr=1e12)  # absurd lr forces overflow
         with pytest.raises(DivergenceError) as err:
-            client_update(state, knowledge_net(data), data, round_index=3, **recipe)
+            client_update([state], knowledge_net(data), data, round_index=3, **recipe)
         assert err.value.client_id == 0
         assert err.value.round_index == 3
         assert err.value.epoch is not None
@@ -143,8 +143,8 @@ class TestClientUpdate:
     def test_deterministic_given_same_inputs(self):
         def run():
             data, state, recipe = make_state(epochs=3)
-            out, loss, acc = client_update(state, knowledge_net(data), data, round_index=2,
-                                           **recipe)
+            out, loss, acc = client_update([state], knowledge_net(data), data, round_index=2,
+                                           **recipe)[0]
             return out.params, loss, acc
 
         a, b = run(), run()
@@ -159,6 +159,6 @@ class TestLocalTrain:
         model = nets.init_network(state.local_model.arch, 5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                local_train(state, model, data, round_index=4, **recipe)
+                local_train([state], model, data, round_index=4, **recipe)
         assert (err.value.client_id, err.value.round_index) == (2, 4)
         assert "client_id=2, round_index=4, epoch=" in str(err.value)

@@ -1,21 +1,21 @@
 """Property: lockstep training is each client's serial run, for any group of clients.
 
-Both lockstep engines (local_train_lockstep for fedavg, client_update_lockstep
-for fedkemf) stack the sampled clients and step them together.  Hypothesis
-draws the groups: one (lr, epochs, batch_size) recipe that every client of
-the example trains with, shard sizes down to one row and below the batch
-size, mixes of the shipped `32 | 64 | 64,32` local architectures, and up to
-12 clients.  Every client's lockstep result must be bit-identical to the
-reference loop built from the public primitives, and a forced divergence
-must raise exactly the error of the serial loop (each client alone, in the
-given order).  Sizes stay small, so an example takes milliseconds.
+Both entry points (local_train for fedavg, client_update for fedkemf) stack
+the sampled clients and step them together.  Hypothesis draws the groups:
+one (lr, epochs, batch_size) recipe that every client of the example trains
+with, shard sizes down to one row and below the batch size, mixes of the
+shipped `32 | 64 | 64,32` local architectures, and up to 12 clients.  Every
+client's lockstep result must be bit-identical to the reference loop built
+from the public primitives, and a forced divergence must raise exactly the
+error of the serial loop (each client alone, in the given order).  Sizes
+stay small, so an example takes milliseconds.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fedkemf import nets
-from fedkemf.client import client_update, client_update_lockstep, local_train, local_train_lockstep
+from fedkemf.client import client_update, local_train
 from fedkemf.data import Dataset, synth_blobs
 from fedkemf.errors import DivergenceError
 
@@ -63,7 +63,7 @@ def test_mutual_lockstep_equals_serial_reference(group):
     data = make_data()
     net = knowledge(data)
     (states, recipe), (twins, _) = clients(data, group), clients(data, group)
-    results = client_update_lockstep(states, net, data, round_index=ROUND, **recipe)
+    results = client_update(states, net, data, round_index=ROUND, **recipe)
     for st_, twin, (kn, loss, acc) in zip(states, twins, results):
         ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, net, data, ROUND,
                                                                        **recipe)
@@ -79,7 +79,7 @@ def test_plain_lockstep_equals_serial_reference(group):
     data = make_data()
     model = shared_model(data, group)
     states, recipe = clients(data, group)
-    results = local_train_lockstep(states, model, data, round_index=ROUND, **recipe)
+    results = local_train(states, model, data, round_index=ROUND, **recipe)
     for st_, (net, loss) in zip(states, results):
         ref_net, ref_loss = reference_local_train(st_, model, data, ROUND, **recipe)
         assert np.array_equal(net.params, ref_net.params)
@@ -91,7 +91,7 @@ def serial(train, states, model, data, recipe):
     results = []
     for st_ in states:
         try:
-            results.append(train(st_, model, data, ROUND, **recipe))
+            results.append(train([st_], model, data, ROUND, **recipe)[0])
         except DivergenceError as err:
             return results, err
     return results, None
@@ -115,13 +115,13 @@ def test_divergence_names_the_serial_loops_client(mode, group, poison):
         if recipe["epochs"]:
             data.features[target.train_indices[poison[1] % len(target.train_indices)]] = np.nan
     if mode == "mutual":
-        lockstep, alone, model = client_update_lockstep, client_update, knowledge(data)
+        train, model = client_update, knowledge(data)
     else:
-        lockstep, alone, model = local_train_lockstep, local_train, shared_model(data, group)
+        train, model = local_train, shared_model(data, group)
     with np.errstate(all="ignore"):
-        want, want_err = serial(alone, twins, model, data, recipe)
+        want, want_err = serial(train, twins, model, data, recipe)
         try:
-            got, got_err = lockstep(states, model, data, round_index=ROUND, **recipe), None
+            got, got_err = train(states, model, data, round_index=ROUND, **recipe), None
         except DivergenceError as err:
             got, got_err = None, err
     assert poison is None or recipe["epochs"] == 0 or want_err is not None

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fedkemf import nets
+from fedkemf import nets, server as server_module
 from fedkemf.client import ClientState
 from fedkemf.data import synth_blobs
 from fedkemf.server import (
@@ -252,8 +252,8 @@ class TestRunRound:
         from fedkemf.client import client_update
 
         (twin,), _ = make_clients(data, [100], epochs=1)
-        expected, _, _ = client_update(twin, server.global_knowledge, data, round_index=1,
-                                       **recipe)
+        expected, _, _ = client_update([twin], server.global_knowledge, data, round_index=1,
+                                       **recipe)[0]
         stats = run_round(server, clients, data, "fedkemf", sample_ratio=1.0)
         assert stats["sampled"] == [0]
         assert np.array_equal(server.global_knowledge.params, expected.params)
@@ -275,3 +275,25 @@ class TestRunRound:
         server = make_server(data, distill_count=10)
         with pytest.raises(ValueError):
             run_round(server, clients, data, "fedsgd", sample_ratio=1.0)
+
+    @pytest.mark.parametrize("mode, entry", [("fedkemf", "client_update"),
+                                             ("fedavg", "local_train")])
+    def test_round_trains_its_clients_in_one_call_by_name(self, monkeypatch, mode, entry):
+        # The benchmark spans the client phase by patching these two names in the
+        # server module; a round that trained through any other name would read 0.
+        data = synth_blobs(2, 60, 2, 0.5, seed=4)
+        clients, _ = make_clients(data, [20] * 6, epochs=1)
+        server = make_server(data, distill_epochs=1, distill_count=20, local_epochs=1)
+        calls = {"client_update": [], "local_train": []}
+        for name in calls:
+            def recording(states, *args, _name=name, _train=getattr(server_module, name),
+                          **kwargs):
+                calls[_name].append([id(st) for st in states])
+                return _train(states, *args, **kwargs)
+            monkeypatch.setattr(server_module, name, recording)
+        sampled = [run_round(server, clients, data, mode, sample_ratio=0.5)["sampled"]
+                   for _ in range(2)]
+        other = "local_train" if entry == "client_update" else "client_update"
+        assert calls[other] == []
+        assert calls[entry] == [[id(clients[cid]) for cid in ids] for ids in sampled]
+        assert all(ids == sorted(ids) and len(ids) == 3 for ids in sampled)

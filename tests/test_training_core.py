@@ -14,10 +14,7 @@ import pytest
 
 from fedkemf import nets
 from fedkemf import client
-from fedkemf.client import (
-    ClientState, batch_iterator, client_update, client_update_lockstep, local_train,
-    local_train_lockstep, step_plan,
-)
+from fedkemf.client import ClientState, batch_iterator, client_update, local_train, step_plan
 from fedkemf.data import synth_blobs
 from fedkemf.errors import DivergenceError
 from fedkemf.seeding import SALT_DISTILL, derive_seed
@@ -138,7 +135,7 @@ class TestReferenceEquivalence:
         knowledge = nets.init_network(nets.ArchSpec(data.dim, (6,), data.num_classes), 7)
         state, recipe = make_client(data, hidden=hidden)
         twin, _ = make_client(data, hidden=hidden)
-        kn, loss, acc = client_update(state, knowledge, data, round_index=4, **recipe)
+        kn, loss, acc = client_update([state], knowledge, data, round_index=4, **recipe)[0]
         ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 4,
                                                                        **recipe)
         assert np.array_equal(kn.params, ref_kn.params)
@@ -152,7 +149,7 @@ class TestReferenceEquivalence:
         state, recipe = make_client(data)
         local_before, kn_before = state.local_model, knowledge.params.copy()
         theta_before = local_before.params.copy()
-        client_update(state, knowledge, data, **recipe)
+        client_update([state], knowledge, data, **recipe)
         assert np.array_equal(knowledge.params, kn_before)
         assert np.array_equal(local_before.params, theta_before)
         assert state.local_model is not local_before
@@ -162,7 +159,7 @@ class TestReferenceEquivalence:
         model = nets.init_network(nets.ArchSpec(data.dim, (8,), data.num_classes), 11)
         before = model.params.copy()
         state, recipe = make_client(data)
-        net, loss = local_train(state, model, data, round_index=2, **recipe)
+        net, loss = local_train([state], model, data, round_index=2, **recipe)[0]
         ref_net, ref_loss = reference_local_train(make_client(data)[0], model, data, 2, **recipe)
         assert np.array_equal(net.params, ref_net.params)
         assert loss == ref_loss
@@ -215,7 +212,7 @@ class TestLockstep:
         data = make_data()
         model = self.model(data)
         states, recipe = self.clients(data, self.SIZES)
-        results = local_train_lockstep(states, model, data, round_index=3, **recipe)
+        results = local_train(states, model, data, round_index=3, **recipe)
         for st, (net, loss) in zip(states, results):
             ref_net, ref_loss = reference_local_train(st, model, data, 3, **recipe)
             assert np.array_equal(net.params, ref_net.params)
@@ -254,15 +251,15 @@ class TestLockstep:
         with np.errstate(over="ignore", invalid="ignore"):
             for st in states:
                 with pytest.raises(DivergenceError) as err:
-                    local_train(st, model, data, round_index=1, **recipe)
+                    local_train([st], model, data, round_index=1, **recipe)
                 alone[st.client_id] = err.value
         assert alone[1].epoch < alone[0].epoch
         lockstep_errors = []
 
-        def replay(state, *args, **recipe):
+        def replay(states, *args, **recipe):
             if not lockstep_errors:
                 lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
-            return local_train(state, *args, **recipe)
+            return local_train(states, *args, **recipe)
 
         monkeypatch.setattr(client, "local_train", replay)
         server = make_server(data, epochs=0, recipe=recipe)
@@ -307,7 +304,7 @@ class TestMutualLockstep:
         knowledge = self.knowledge(data)
         states, recipe = self.clients(data, self.SIZES)
         twins, _ = self.clients(data, self.SIZES)
-        results = client_update_lockstep(states, knowledge, data, round_index=3, **recipe)
+        results = client_update(states, knowledge, data, round_index=3, **recipe)
         for st, twin, (kn, loss, acc) in zip(states, twins, results):
             ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 3,
                                                                            **recipe)
@@ -351,15 +348,15 @@ class TestMutualLockstep:
         with np.errstate(over="ignore", invalid="ignore"):
             for twin in twins:
                 with pytest.raises(DivergenceError) as err:
-                    client_update(twin, knowledge, data, round_index=1, **recipe)
+                    client_update([twin], knowledge, data, round_index=1, **recipe)
                 alone[twin.client_id] = err.value
         assert alone[1].epoch < alone[0].epoch
         lockstep_errors = []
 
-        def replay(state, *args, **recipe):
+        def replay(states, *args, **recipe):
             if not lockstep_errors:
                 lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
-            return client_update(state, *args, **recipe)
+            return client_update(states, *args, **recipe)
 
         monkeypatch.setattr(client, "client_update", replay)
         server = make_server(data, epochs=0, recipe=recipe)
@@ -392,7 +389,7 @@ class TestMutualLockstep:
 
         monkeypatch.setattr(ClientState, "accuracy", accuracy)
         with pytest.raises(DivergenceError) as err:
-            client_update_lockstep(states, knowledge, data, round_index=2, **recipe)
+            client_update(states, knowledge, data, round_index=2, **recipe)
         assert err.value.client_id == 1
         ref_theta = reference_client_update(twins[0], knowledge, data, 2, **recipe)[1]
         assert np.array_equal(states[0].local_model.params, ref_theta.params)
@@ -435,14 +432,14 @@ class TestForwardCounts:
     def test_client_update_three_per_batch(self, forwards):
         data = make_data()
         state, recipe = make_client(data)
-        client_update(state, nets.init_network(
+        client_update([state], nets.init_network(
             nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, **recipe)
         assert len(forwards) == 3 * self.batches(state, recipe) + 1  # + the val evaluation
 
     def test_local_train_one_per_batch(self, forwards):
         data = make_data()
         state, recipe = make_client(data)
-        local_train(state, nets.init_network(
+        local_train([state], nets.init_network(
             nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, **recipe)
         assert len(forwards) == self.batches(state, recipe)
 
@@ -484,7 +481,7 @@ class TestLossTermCounts:
     def test_client_update(self, terms, batch_size):
         data = make_data()
         state, recipe = make_client(data, batch_size=batch_size)
-        client_update(state, nets.init_network(
+        client_update([state], nets.init_network(
             nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, **recipe)
         # the local model's CE + KL per epoch; the val evaluation scores accuracy only
         assert terms == {"_ce_terms": recipe["epochs"], "_kl_terms": recipe["epochs"]}
@@ -493,7 +490,7 @@ class TestLossTermCounts:
     def test_local_train(self, terms, batch_size):
         data = make_data()
         state, recipe = make_client(data, batch_size=batch_size)
-        local_train(state, nets.init_network(
+        local_train([state], nets.init_network(
             nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, **recipe)
         assert terms == {"_ce_terms": recipe["epochs"], "_kl_terms": 0}
 
