@@ -5,24 +5,11 @@ import json
 import math
 from dataclasses import dataclass
 
+from .checkpoint import checkpoint_nbytes
+
 MB = 1024 ** 2
 GB = 1024 ** 3
-DIRECTIONS = ("upload_only", "up_and_down")  # CostModel.directions
-
-@dataclass
-class CostModel:
-    payload_bytes: int  # per client per round; measured checkpoint size by default
-    directions: str = "upload_only"  # one of DIRECTIONS
-
-    def __post_init__(self):
-        if self.payload_bytes <= 0:
-            raise ValueError("payload_bytes must be positive")
-        if self.directions not in DIRECTIONS:
-            raise ValueError(f"directions must be {' or '.join(DIRECTIONS)}")
-
-    def round_bytes(self, sampled_clients: int) -> int:
-        factor = 2 if self.directions == "up_and_down" else 1
-        return factor * self.payload_bytes * sampled_clients
+DIRECTIONS = ("upload_only", "up_and_down")  # WireAudit.directions
 
 
 @dataclass
@@ -38,23 +25,33 @@ class RoundRecord:
 
 
 class WireAudit:
-    """Records every network crossing the client/server boundary."""
+    """The byte ledger: every crossing of the client/server boundary, each charged
+    `payload_bytes`, or the serialized size of the network that crosses when that is None."""
 
-    def __init__(self):
+    def __init__(self, payload_bytes=None, directions="upload_only"):
+        self.payload_bytes = payload_bytes
+        self.directions = directions
         self.uploads = []    # (round, client_id, arch, nbytes)
         self.downloads = []  # (round, client_id, arch, nbytes)
 
-    def record_upload(self, round_index, client_id, arch, nbytes):
-        self.uploads.append((round_index, client_id, arch, nbytes))
+    def _charge(self, arch):
+        return checkpoint_nbytes(arch) if self.payload_bytes is None else self.payload_bytes
 
-    def record_download(self, round_index, client_id, arch, nbytes):
-        self.downloads.append((round_index, client_id, arch, nbytes))
+    def record(self, round_index, client_id, down_arch, up_arch):
+        """One client's round: the broadcast network down, its trained copy up."""
+        self.downloads.append((round_index, client_id, down_arch, self._charge(down_arch)))
+        self.uploads.append((round_index, client_id, up_arch, self._charge(up_arch)))
 
     def crossing_archs(self):
         return [a for _, _, a, _ in self.uploads + self.downloads]
 
     def uploaded_bytes(self):
         return sum(n for _, _, _, n in self.uploads)
+
+    def total_bytes(self):
+        """Bytes charged so far: the uploads, plus the downloads under up_and_down."""
+        downloaded = sum(n for _, _, _, n in self.downloads)
+        return self.uploaded_bytes() + (downloaded if self.directions == "up_and_down" else 0)
 
 
 def communication_cost(rounds: int, payload_bytes: float, sampled_clients: int) -> float:

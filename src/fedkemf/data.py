@@ -1,6 +1,7 @@
 """Dataset loading/synthesis and label-skewed Dirichlet partitioning."""
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -57,10 +58,12 @@ class PartitionMap:
 
 
 def _read_exact(f, n, path):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError(f"{path}: expected {n} bytes, got {len(buf)}")
-    return buf
+    """The next n bytes of f; a header that claims more than the file holds raises
+    TruncatedFileError before anything is read or allocated."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise TruncatedFileError(f"{path}: expected {n} bytes, got {left}")
+    return f.read(n)
 
 
 def load_idx(images_path, labels_path, name="idx") -> Dataset:

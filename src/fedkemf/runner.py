@@ -9,7 +9,7 @@ import numpy as np
 from . import checkpoint, nets
 from .client import ClientState
 from .config import ExperimentConfig
-from .costs import MB, CostModel, RoundRecord, WireAudit, emit_metrics
+from .costs import MB, RoundRecord, WireAudit, emit_metrics
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .seeding import (
@@ -126,23 +126,17 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         f.write(partition.to_json())
         f.write("\n")
 
-    payload = (
-        int(config.payload_mb * MB) if config.payload_mb is not None
-        else checkpoint.checkpoint_nbytes(server.global_knowledge.arch)
-    )
-    cost_model = CostModel(payload_bytes=payload, directions=config.directions)
-    audit = WireAudit()
+    payload = None if config.payload_mb is None else int(config.payload_mb * MB)
+    audit = WireAudit(payload, config.directions)
 
     initial_accuracy = nets.accuracy(server.global_knowledge, test.features, test.labels,
                                      round_index=0)
     records = []
-    cumulative = 0
     for _ in range(config.rounds):
         t0 = time.perf_counter()
         stats = run_round(server, clients, data, config.mode,
                           config.sample_ratio, audit=audit)
         wall = time.perf_counter() - t0
-        cumulative += cost_model.round_bytes(len(stats["sampled"]))
         acc = nets.accuracy(server.global_knowledge, test.features, test.labels,
                             round_index=server.round)
         checkpoint.save(server.global_knowledge,
@@ -154,7 +148,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
             mean_client_val_accuracy=stats["mean_client_val_accuracy"],
             mean_train_loss=stats["mean_train_loss"],
             distill_loss=stats["distill_loss"],
-            cumulative_bytes=cumulative,
+            cumulative_bytes=audit.total_bytes(),
             wall_seconds=wall,
         ))
 

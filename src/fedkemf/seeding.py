@@ -7,7 +7,13 @@ regardless of scheduling order.
 
 import numpy as np
 
-# Stream salts; distinct constants keep unrelated streams independent.
+# Stream salts.  Distinct salts keep the salted streams apart, but a client's
+# epoch orders are seeded from (seed, client_id, round, epoch) with no salt, and
+# SeedSequence pads short entropy with zeros.  So the client whose id equals a
+# salt shares seeds with that salt's stream: client 101's epoch 0 of round r with
+# the sampling of round r, client 202's round r with the distillation of round
+# r + 1, clients 303 and 808 with the init and val-split streams.  Salting either
+# side would change every artifact.
 SALT_SAMPLING = 101
 SALT_DISTILL = 202
 SALT_CLIENT_INIT = 303

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .checkpoint import checkpoint_nbytes
 from .client import batch_iterator, client_update, fit, local_train
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
@@ -85,7 +84,7 @@ def teacher_distributions(member_logits, strategy, **context):
     if strategy == "majority_vote":
         return combined
     nets.check_finite(combined, "teacher logits", context)
-    return nets.softmax(combined)
+    return nets.softmax_finite(combined)
 
 
 def average_init(members):
@@ -165,7 +164,6 @@ def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, a
     round_index = server.round + 1
     sampled = sample_clients(len(clients), sample_ratio, round_index, server.rng_seed)
     broadcast = server.global_knowledge
-    ck_bytes = checkpoint_nbytes(broadcast.arch)
     train = client_update if mode == "fedkemf" else local_train
     results = train([clients[cid] for cid in sampled], broadcast, data, round_index, lr=server.lr,
                     epochs=server.local_epochs, batch_size=server.batch_size, seed=server.rng_seed)
@@ -173,8 +171,7 @@ def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, a
     train_losses = [r[1] for r in results]
     if audit is not None:
         for cid, member in zip(sampled, members):
-            audit.record_download(round_index, cid, broadcast.arch, ck_bytes)
-            audit.record_upload(round_index, cid, member.arch, ck_bytes)
+            audit.record(round_index, cid, broadcast.arch, member.arch)
 
     distill_loss = 0.0
     if mode == "fedkemf":

@@ -127,6 +127,20 @@ class TestRun:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    def test_idx_header_claiming_more_than_the_file_holds_is_data_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, *[2 ** 32 - 1] * 3) + bytes(8))
+        labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+        paths = {f"dataset.{split}_{kind}": path for split in ("train", "test")
+                 for kind, path in (("images", images), ("labels", labels))}
+        cfg = write_config(tmp_path, **{"dataset.kind": "idx", **paths})
+        ck = tmp_path / "fresh.fkmf"  # any valid checkpoint: the data is rejected first
+        checkpoint.save(nets.init_network(nets.ArchSpec(1, (), 3), 0), ck)
+        for argv in (["run", str(cfg)], ["partition", str(cfg)], ["eval", str(ck), str(cfg)]):
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lr="1e12", local_epochs=20)
         with np.errstate(over="ignore", invalid="ignore"):

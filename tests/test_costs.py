@@ -3,10 +3,12 @@ import json
 
 import pytest
 
+from fedkemf.checkpoint import checkpoint_nbytes
 from fedkemf.costs import (
-    GB, MB, CostModel, RoundRecord, communication_cost,
+    GB, MB, RoundRecord, WireAudit, communication_cost,
     emit_metrics, format_gb, speedup,
 )
+from fedkemf.nets import ArchSpec
 
 # Published cost-table rows: (rounds, payload MB, sampled clients, total GB).
 BASELINE_ROWS = [
@@ -60,18 +62,30 @@ class TestSpeedup:
             speedup(1.0, 0.0)
 
 
-class TestCostModel:
-    def test_single_direction_default(self):
-        cm = CostModel(payload_bytes=100)
-        assert cm.round_bytes(12) == 1200
+SMALL, LARGE = ArchSpec(4, (8,), 3), ArchSpec(4, (64, 32), 3)
+
+
+class TestWireAudit:
+    def test_measured_charge_is_each_crossing_networks_checkpoint_size(self):
+        audit = WireAudit()
+        audit.record(1, 0, SMALL, SMALL)
+        audit.record(1, 3, SMALL, LARGE)
+        assert audit.crossing_archs() == [SMALL, LARGE, SMALL, SMALL]
+        assert audit.uploaded_bytes() == checkpoint_nbytes(SMALL) + checkpoint_nbytes(LARGE)
+        assert audit.total_bytes() == audit.uploaded_bytes()
+
+    def test_payload_override_charges_every_crossing_the_same(self):
+        audit = WireAudit(payload_bytes=100)
+        for cid in range(12):
+            audit.record(1, cid, SMALL, LARGE)
+        assert audit.uploaded_bytes() == audit.total_bytes() == 1200
 
     def test_up_and_down_doubles(self):
-        cm = CostModel(payload_bytes=100, directions="up_and_down")
-        assert cm.round_bytes(12) == 2400
-
-    def test_rejects_bad_payload(self):
-        with pytest.raises(ValueError):
-            CostModel(payload_bytes=0)
+        audit = WireAudit(payload_bytes=100, directions="up_and_down")
+        for cid in range(12):
+            audit.record(1, cid, SMALL, SMALL)
+        assert audit.uploaded_bytes() == 1200
+        assert audit.total_bytes() == 2400
 
 
 def make_records(accs, bytes_per_round=1000):

@@ -8,7 +8,9 @@ from fedkemf.data import (
     Dataset, PartitionMap, dirichlet_partition, label_entropy, label_histogram,
     load_idx, save_idx, synth_blobs,
 )
-from fedkemf.errors import BadMagicError, CountMismatchError, InfeasiblePartitionError
+from fedkemf.errors import (
+    BadMagicError, CountMismatchError, InfeasiblePartitionError, TruncatedFileError,
+)
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows, cols):
@@ -48,6 +50,19 @@ class TestIdx:
         broken.write_bytes(b"\xff" * 24)
         with pytest.raises(BadMagicError):
             load_idx(broken, lbl)
+
+    @pytest.mark.parametrize("images_header, labels_header", [
+        ((0x803, 3, 2, 2), (0x801, 2)),  # 12 pixels claimed, 8 present
+        ((0x803, 2, 2, 2), (0x801, 3)),  # 3 labels claimed, 2 present
+        ((0x803, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1), (0x801, 2)),  # more than an index holds
+    ], ids=["short_images_body", "short_labels_body", "overflowing_header"])
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path, images_header,
+                                                       labels_header):
+        img, lbl = write_idx_pair(tmp_path, [0] * 8, [0, 1], 2, 2)
+        img.write_bytes(struct.pack(">IIII", *images_header) + bytes(8))
+        lbl.write_bytes(struct.pack(">II", *labels_header) + bytes([0, 1]))
+        with pytest.raises(TruncatedFileError):
+            load_idx(img, lbl)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -57,7 +57,8 @@ def test_checkpoints_are_compared_byte_for_byte_in_round_order(tmp_path):
 def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
     names = [name for name, _ in identity.cases()]
     assert names == ["blobs_fedkemf", "blobs_fedavg", "blobs_fedkemf-avg_logits",
-                     "blobs_fedkemf-majority_vote", "blobs_fedkemf-warm_start"] + [
+                     "blobs_fedkemf-majority_vote", "blobs_fedkemf-warm_start",
+                     "blobs_fedkemf-up_and_down", "blobs_fedkemf-2.1"] + [
         f"{w}-seed{s}" for w in ("kemf-many", "avg-small") for s in (1, 2, 3)]
     texts = {name: config_text(tmp_path / "out") for name, config_text in identity.cases()}
     for text in texts.values():
@@ -65,8 +66,14 @@ def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
     shipped = texts["blobs_fedkemf"].splitlines()
     for name, line in [("blobs_fedkemf-avg_logits", "strategy = avg_logits"),
                        ("blobs_fedkemf-majority_vote", "strategy = majority_vote"),
-                       ("blobs_fedkemf-warm_start", "server.init = warm_start")]:
+                       ("blobs_fedkemf-warm_start", "server.init = warm_start"),
+                       ("blobs_fedkemf-up_and_down", "directions = up_and_down"),
+                       ("blobs_fedkemf-2.1", "payload_mb = 2.1")]:
         variant = texts[name].splitlines()
-        # the shipped config with exactly one line changed
+        # the shipped config with exactly one line changed, or one line added at the end
         assert line in variant and line not in shipped
-        assert [a != b for a, b in zip(shipped, variant)].count(True) == 1
+        if len(variant) == len(shipped):
+            assert [a != b for a, b in zip(shipped, variant)].count(True) == 1
+        else:
+            assert variant == shipped + [line]
+

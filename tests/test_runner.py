@@ -64,9 +64,11 @@ def test_cumulative_bytes_match_audit_exactly(tmp_path):
 
 
 def test_payload_override(tmp_path):
-    cfg = make_config(tmp_path, tag="override", payload_mb=2.1, rounds=1, sample_ratio=1.0)
-    result = run_experiment(cfg)
-    assert result.records[0].cumulative_bytes == 4 * int(2.1 * 1024 ** 2)
+    for directions, crossings in (("upload_only", 4), ("up_and_down", 8)):
+        cfg = make_config(tmp_path, tag=directions, payload_mb=2.1, rounds=1, sample_ratio=1.0,
+                          directions=directions)
+        result = run_experiment(cfg)
+        assert result.records[0].cumulative_bytes == crossings * int(2.1 * 1024 ** 2)
 
 
 def test_run_determinism_and_parallel_equivalence(tmp_path):

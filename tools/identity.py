@@ -7,13 +7,14 @@ Run from anywhere in the repository:
 The cases are the shipped configs/blobs_fedkemf.cfg and configs/blobs_fedavg.cfg;
 blobs_fedkemf with `strategy = avg_logits`, with `strategy = majority_vote` and
 with `server.init = warm_start`, the ensemble and init paths no other case takes;
-and the benchmark workloads kemf-many and avg-small at seeds 1-3, whose configs
-are generated from bench/workloads.py (read, never edited).  Both trees run on
-the same config text, taken from this tree.  The revision is exported with
-`git archive` into a temporary directory under DIR (default: the system's temp
-directory), which is removed at the end; this tree runs from its working files,
-uncommitted changes included.  Each run is a fresh `fedkemf run` process with
-FEDKEMF_SEED unset.
+blobs_fedkemf with `directions = up_and_down` and with `payload_mb = 2.1`, the
+byte-ledger paths no other case takes; and the benchmark workloads kemf-many and
+avg-small at seeds 1-3, whose configs are generated from bench/workloads.py
+(read, never edited).  Both trees run on the same config text, taken from this
+tree.  The revision is exported with `git archive` into a temporary directory
+under DIR (default: the system's temp directory), which is removed at the end;
+this tree runs from its working files, uncommitted changes included.  Each run
+is a fresh `fedkemf run` process with FEDKEMF_SEED unset.
 
 Compared per case: metrics.csv without its wall_seconds column, metrics.json,
 partition.json and every round_*.fkmf checkpoint.  One line per case names the first differing
@@ -34,10 +35,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ("configs/blobs_fedkemf.cfg", "configs/blobs_fedavg.cfg")
-# (shipped config, key, value): the config with one setting changed
+# (shipped config, key, value): the config with one setting changed or added
 VARIANTS = (("configs/blobs_fedkemf.cfg", "strategy", "avg_logits"),
             ("configs/blobs_fedkemf.cfg", "strategy", "majority_vote"),
-            ("configs/blobs_fedkemf.cfg", "server.init", "warm_start"))
+            ("configs/blobs_fedkemf.cfg", "server.init", "warm_start"),
+            ("configs/blobs_fedkemf.cfg", "directions", "up_and_down"),
+            ("configs/blobs_fedkemf.cfg", "payload_mb", "2.1"))
 WORKLOADS = ("kemf-many", "avg-small")
 SEEDS = (1, 2, 3)
 TIMING_COLUMN = "wall_seconds"
@@ -55,10 +58,13 @@ def _workloads():
 
 
 def _setting(text, key, value):
-    """`text` with the value of its one `key = ...` line replaced."""
+    """`text` with the value of its one `key = ...` line replaced, or with that line appended
+    when it has none.  A mistyped key is appended too, and both trees reject it (exit 2)."""
     text, count = re.subn(rf"(?m)^{re.escape(key)}\s*=.*$", f"{key} = {value}", text)
-    if count != 1:
-        raise ValueError(f"expected one {key} line, found {count}")
+    if count > 1:
+        raise ValueError(f"expected at most one {key} line, found {count}")
+    if count == 0:
+        text = f"{text.rstrip()}\n{key} = {value}\n"
     return text
 
 
