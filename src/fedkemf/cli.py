@@ -42,8 +42,10 @@ def _build_parser():
 
 def _cmd_run(args):
     config = parse_config(args.config)
-    # Overflow and invalid values are caught by the finiteness guards, which
-    # raise DivergenceError; numpy's own warnings would only add noise to stderr.
+    # Training runs under errstate(all="ignore") and checks finiteness once per
+    # epoch; only a failed check replays the call with per-step guards, under
+    # this errstate.  Those guards and the evaluation checks raise DivergenceError,
+    # so numpy's overflow and invalid warnings would only add noise to stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_experiment(config, jobs=max(1, args.jobs))
     print(f"rounds: {len(result.records)}")

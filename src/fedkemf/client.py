@@ -51,12 +51,6 @@ def _shard(state: ClientState, data: Dataset, round_index, num_classes, epochs, 
     return data.features[train], nets.onehot(data.labels[train], num_classes), orders
 
 
-def batch_bounds(offset, n, batch_size):
-    """(start, stop) rows of the batches of n rows from `offset`; the last may be partial."""
-    starts = range(offset, offset + n, batch_size)
-    return list(zip(starts, [*starts[1:], offset + n]))
-
-
 def step_plan(sizes, batch_size):
     """One epoch's steps for members of `sizes` rows, largest first: [(rows, [(start, stop,
     batch)])], each member's batches in order.
@@ -76,57 +70,105 @@ def step_plan(sizes, batch_size):
                    for j, n in enumerate(sizes) if n % batch_size]
 
 
-def _lockstep_epochs(members, batch_size, setup):
-    """The epoch loop of both lockstep trainers: per member, per epoch, its batch losses.
+def _scoring_layout(sizes, batch_size):
+    """How an epoch is scored on real rows only, in few numpy calls: (rows, full, partials,
+    batches).
+
+    `rows` picks out of the flattened (K, sizes[0]) blocks every member's
+    whole batches, member by member, then each member's partial last batch;
+    `full` counts the whole batches and `partials` are the partial batches'
+    (start, stop) in `rows`, as nets.batch_means takes them.  batches[k]
+    picks member k's losses, in batch order, out of batch_means' result.
+    """
+    pad = sizes[0]
+    whole = [n // batch_size * batch_size for n in sizes]
+    rows = np.concatenate([k * pad + np.arange(w) for k, w in enumerate(whole)]
+                          + [k * pad + np.arange(w, n)
+                             for k, (w, n) in enumerate(zip(whole, sizes))])
+    full = sum(whole) // batch_size
+    partials, batches = [], []
+    start, first = sum(whole), 0
+    for w, n in zip(whole, sizes):
+        own = list(range(first, first + w // batch_size))
+        first += w // batch_size
+        if n > w:
+            own.append(full + len(partials))
+            partials.append((start, start + n - w))
+            start += n - w
+        batches.append(np.array(own, dtype=np.int64))
+    return rows, full, partials, batches
+
+
+def _lockstep_epochs(members, batch_size, setup, trainers, scored):
+    """The epoch loop of both lockstep trainers: per member, per scored epoch, its batch losses.
 
     members[k] = (x, target, epochs), largest x first; `epochs` yields each
-    epoch's row order (batches of batch_size joined), which refills padded
-    (K, pad, .) row and target blocks; unused target rows stay 1, so losses
-    scored over whole blocks stay finite.  setup(x_rows, t_rows, step_plan)
-    returns run(epoch): it steps one epoch and returns its loss terms.
+    epoch's row order (batches of batch_size joined), gathered into padded
+    (K, pad, .) row and target blocks; no step or score uses their unused rows.
+    setup(x_rows, t_rows, step_plan) returns (run, score, probs): run(epoch)
+    steps one epoch, score(rows) returns its loss terms on the given rows of
+    the flattened blocks, and `probs` are the softmax blocks run writes,
+    whose unused rows stay 1 so that the check passes on them.  Unless the
+    trainers are strict, every epoch ends with nets.check_epoch.  Only the
+    epochs in `scored` are scored, and only on real rows.
     """
     sizes = [len(m[0]) for m in members]
     x_rows = np.empty((len(sizes), sizes[0], members[0][0].shape[1]))
-    t_rows = np.ones((len(sizes), sizes[0], members[0][1].shape[1]))
-    run = setup(x_rows, t_rows, step_plan(sizes, batch_size))
-    bounds = [batch_bounds(k * sizes[0], n, batch_size) for k, n in enumerate(sizes)]
+    t_rows = np.empty((len(sizes), sizes[0], members[0][1].shape[1]))
+    run, score, probs = setup(x_rows, t_rows, step_plan(sizes, batch_size))
+    rows, full, partials, batches = _scoring_layout(sizes, batch_size)
+    check = not any(t.strict for t in trainers)
     losses = [[] for _ in members]
     for epoch, orders in enumerate(zip(*(m[2] for m in members))):
         for k, ((x, target, _), order) in enumerate(zip(members, orders)):
-            x_rows[k, :sizes[k]], t_rows[k, :sizes[k]] = x[order], target[order]
-        terms = run(epoch)
-        for member_losses, member_bounds in zip(losses, bounds):
-            member_losses.append(nets.batch_means(terms, member_bounds))
+            # mode="clip" only skips the buffering that mode="raise" needs; every index is valid
+            np.take(x, order, axis=0, out=x_rows[k, :sizes[k]], mode="clip")
+            np.take(target, order, axis=0, out=t_rows[k, :sizes[k]], mode="clip")
+        run(epoch)
+        if check:
+            nets.check_epoch(probs, trainers)
+        if epoch in scored:
+            means = nets.batch_means(score(rows), batch_size, full, partials)
+            for member_losses, own in zip(losses, batches):
+                member_losses.append(means[own])
     return losses
 
 
-def fit(trainer: nets.Trainer, members, batch_size, labels=False, what="", **context):
+def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what="", **context):
     """Lockstep single-student SGD: each trainer member steps toward its own fixed target block.
 
-    `members` and the result are _lockstep_epochs'; the steps follow
-    step_plan.  Losses are scored per epoch: CE toward a one-hot `target`'s
-    labels if `labels`, else KL from `target`; `what` prefixes the names in
-    errors.
+    `members`, `scored` and the result are _lockstep_epochs'; the steps
+    follow step_plan.  Losses are scored per scored epoch: CE toward a
+    one-hot `target`'s labels if `labels`, else KL from `target`; `what`
+    prefixes the names in errors.
     """
     def setup(x_rows, t_rows, plan):
         q_rows = np.ones(t_rows.shape)
         flat_q, flat_t = (block.reshape(-1, block.shape[2]) for block in (q_rows, t_rows))
-        steps = [(trainer.views(rows), rows, batches) for rows, batches in plan]
+        # (views, [(b, x, target and q blocks of batch b)]) per step_plan slice
+        steps = [(trainer.views(rows),
+                  [(b, *(block[rows, start:stop] for block in (x_rows, t_rows, q_rows)))
+                   for start, stop, b in batches])
+                 for rows, batches in plan]
+        logits = what + "logits"
 
         def run(epoch):
-            for views, rows, batches in steps:
-                for start, stop, b in batches:
-                    q, inputs, pre = trainer.probs(x_rows[rows, start:stop], q_rows[rows, start:stop],
-                                                   what + "logits", context, epoch, b, views=views)
-                    trainer.step(inputs, pre, nets.logit_delta(q, t_rows[rows, start:stop]),
-                                 context, epoch, b, views=views)
-            return (nets.row_terms(flat_q, flat_t.argmax(axis=1)) if labels
-                    else nets.row_terms(flat_q, teacher_probs=flat_t))
-        return run
-    return _lockstep_epochs(members, batch_size, setup)
+            for views, batches in steps:
+                for b, x, t, q_out in batches:
+                    q, inputs, pre = trainer.probs(x, q_out, logits, context, epoch, b, views=views)
+                    trainer.step(inputs, pre, nets.logit_delta(q, t), context, epoch, b,
+                                 views=views)
+
+        def score(rows):
+            q, t = np.take(flat_q, rows, axis=0), np.take(flat_t, rows, axis=0)
+            if labels:
+                return nets.row_terms(q, t.argmax(axis=1))
+            return nets.row_terms(q, teacher_probs=t)
+        return run, score, [q_rows]
+    return _lockstep_epochs(members, batch_size, setup, [trainer], scored)
 
 
-def _mutual_learning(kn, thetas, members, batch_size, context):
+def _mutual_learning(kn, thetas, members, batch_size, scored, context):
     """Lockstep deep mutual learning; returns _lockstep_epochs' losses.
 
     `kn` stacks the members' knowledge copies; thetas = [(Trainer, its
@@ -138,7 +180,7 @@ def _mutual_learning(kn, thetas, members, batch_size, context):
     steps on CE plus KL toward those.  The local losses are scored.
     """
     def setup(x_rows, y_rows, plan):
-        # knowledge rows, local rows before and after the local step; unused rows stay finite
+        # knowledge rows, local rows before and after the local step; unused rows stay 1
         g_rows, q_rows, p_rows = (np.ones(y_rows.shape) for _ in range(3))
         # (Trainer, members, x, one-hot and q blocks padded to its own largest member)
         stacks = [(theta, np.array(rows),
@@ -165,6 +207,7 @@ def _mutual_learning(kn, thetas, members, batch_size, context):
                                                      for block in (x_rows, y_rows, g_rows, p_rows))))
         flat_y, flat_g, flat_q = (block.reshape(-1, block.shape[2])
                                   for block in (y_rows, g_rows, q_rows))
+        probs = [g_rows, p_rows] + [q_a for *_, q_a in stacks]
 
         def run(epoch):
             for _, member_rows, x_a, y_a, _ in stacks:
@@ -181,30 +224,40 @@ def _mutual_learning(kn, thetas, members, batch_size, context):
                     if sel is not None:
                         p[sel] = stepped
                 kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), context, epoch, b, views=views)
+
+        def score(rows):
             for _, member_rows, _, _, q_a in stacks:
                 q_rows[member_rows, :len(q_a[0])] = q_a
-            return nets.row_terms(flat_q, flat_y.argmax(axis=1), flat_g)
-        return run
-    return _lockstep_epochs(members, batch_size, setup)
+            q, y, g = (np.take(block, rows, axis=0) for block in (flat_q, flat_y, flat_g))
+            return nets.row_terms(q, y.argmax(axis=1), g)
+        return run, score, probs
+    return _lockstep_epochs(members, batch_size, setup, [kn] + [theta for theta, _ in thetas],
+                            scored)
 
 
 def _lockstep(states, net: nets.Network, data: Dataset, round_index, train, entry, **recipe):
-    """The driver of both entry points: train(order, shards, context) on the states' shards,
-    `order` their positions, largest shard first, ties by client id.
+    """The driver of both entry points: train(order, shards, context, strict) on the states'
+    shards, `order` their positions, largest shard first, ties by client id.
 
     `recipe` is the lr, epochs, batch_size and seed every client trains
     with.  Errors name the client only when there is one, and always the
-    round.  If a check fails, the clients are replayed with entry([state],
-    net, data, round_index, **recipe) in the given order (a serial loop's),
-    which raises the serial loop's DivergenceError.
+    round.  train runs under nets.per_epoch_checked: strict only if the
+    per-epoch check fails.  If the strict pass raises, the clients are
+    replayed with entry([state], net, data, round_index, **recipe) in the
+    given order (a serial loop's), which raises the serial loop's
+    DivergenceError.
     """
-    shards = [_shard(st, data, round_index, net.arch.num_classes, recipe["epochs"],
-                     recipe["batch_size"], recipe["seed"]) for st in states]
-    order = sorted(range(len(states)), key=lambda k: (-len(shards[k][0]), states[k].client_id))
+    order = sorted(range(len(states)),
+                   key=lambda k: (-len(states[k].train_indices), states[k].client_id))
     context = {"client_id": states[0].client_id} if len(states) == 1 else {}
     context["round_index"] = round_index
+
+    def call(strict):
+        shards = [_shard(st, data, round_index, net.arch.num_classes, recipe["epochs"],
+                         recipe["batch_size"], recipe["seed"]) for st in states]
+        return train(order, shards, context, strict)
     try:
-        return train(order, shards, context)
+        return nets.per_epoch_checked(call)
     except DivergenceError:
         if len(states) > 1:
             for st in states:
@@ -227,21 +280,23 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
     per architecture (_mutual_learning).  Each result equals the client's run
     alone.  The states change only once every stack has trained and the
     local models are scored, in the given order; the local model and its val
-    accuracy persist in the state.  A failed check replays the clients alone
+    accuracy persist in the state.  A failed per-epoch check replays the call
+    with per-step guards, and a divergence then replays the clients alone
     (_lockstep).
     """
     num_classes = knowledge_net.arch.num_classes
     if any(st.local_model.arch.num_classes != num_classes for st in states):
         raise ValueError("knowledge and local networks disagree on num_classes")
 
-    def train(order, shards, context):
+    def train(order, shards, context, strict):
         by_arch = {}
         for r, k in enumerate(order):
             by_arch.setdefault(states[k].local_model.arch, []).append(r)
-        thetas = [(nets.Trainer([states[order[r]].local_model for r in rows], lr), rows)
+        thetas = [(nets.Trainer([states[order[r]].local_model for r in rows], lr, strict), rows)
                   for rows in by_arch.values()]
-        kn = nets.Trainer([knowledge_net] * len(order), lr)
-        losses = _mutual_learning(kn, thetas, [shards[k] for k in order], batch_size, context)
+        kn = nets.Trainer([knowledge_net] * len(order), lr, strict)
+        losses = _mutual_learning(kn, thetas, [shards[k] for k in order], batch_size,
+                                  range(epochs), context)
         # Checked and scored in one client's own order: local model, val accuracy, knowledge.
         # Each local model is a copy, as a row view would keep its whole stack alive.
         local = {}
@@ -265,11 +320,13 @@ def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0
 
     The clients are one fit stack, largest shard first, ties by client id;
     each result equals the client's run alone, and `model` is not changed.
-    A failed check replays the clients alone (_lockstep).
+    A failed per-epoch check replays the call with per-step guards, and a
+    divergence then replays the clients alone (_lockstep).
     """
-    def train(order, shards, context):
-        trainer = nets.Trainer([model] * len(order), lr)
-        losses = fit(trainer, [shards[k] for k in order], batch_size, labels=True, **context)
+    def train(order, shards, context, strict):
+        trainer = nets.Trainer([model] * len(order), lr, strict)
+        losses = fit(trainer, [shards[k] for k in order], batch_size, range(epochs), labels=True,
+                     **context)
         means = [float(np.mean(np.concatenate(m))) if epochs else 0.0 for m in losses]
         results = dict(zip(order, zip(trainer.trained(**context), means)))
         return [results[k] for k in range(len(states))]

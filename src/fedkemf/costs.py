@@ -33,25 +33,28 @@ class WireAudit:
         self.directions = directions
         self.uploads = []    # (round, client_id, arch, nbytes)
         self.downloads = []  # (round, client_id, arch, nbytes)
+        self._uploaded = self._downloaded = 0  # running sums of the ledgers' nbytes
 
     def _charge(self, arch):
         return checkpoint_nbytes(arch) if self.payload_bytes is None else self.payload_bytes
 
     def record(self, round_index, client_id, down_arch, up_arch):
         """One client's round: the broadcast network down, its trained copy up."""
-        self.downloads.append((round_index, client_id, down_arch, self._charge(down_arch)))
-        self.uploads.append((round_index, client_id, up_arch, self._charge(up_arch)))
+        down, up = self._charge(down_arch), self._charge(up_arch)
+        self.downloads.append((round_index, client_id, down_arch, down))
+        self.uploads.append((round_index, client_id, up_arch, up))
+        self._downloaded += down
+        self._uploaded += up
 
     def crossing_archs(self):
         return [a for _, _, a, _ in self.uploads + self.downloads]
 
     def uploaded_bytes(self):
-        return sum(n for _, _, _, n in self.uploads)
+        return self._uploaded
 
     def total_bytes(self):
         """Bytes charged so far: the uploads, plus the downloads under up_and_down."""
-        downloaded = sum(n for _, _, _, n in self.downloads)
-        return self.uploaded_bytes() + (downloaded if self.directions == "up_and_down" else 0)
+        return self._uploaded + (self._downloaded if self.directions == "up_and_down" else 0)
 
 
 def communication_cost(rounds: int, payload_bytes: float, sampled_clients: int) -> float:

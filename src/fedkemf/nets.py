@@ -92,18 +92,17 @@ def _forward_cached(net: Network, features: np.ndarray, layers=None):
 
     This is the one forward primitive: every other forward goes through it.
     `layers` may pass precomputed (W, b) views of `net`, or of a stack of K
-    nets like it, which then take K x N x input_dim features.
+    nets like it, which then take K x N x input_dim float64 features, unchecked.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-1] != net.arch.input_dim:
-        raise ValueError(
-            f"features must be N x {net.arch.input_dim}, got {x.shape}"
-        )
     if layers is None:
+        a = np.asarray(features, dtype=np.float64)
+        if a.ndim not in (2, 3) or a.shape[-1] != net.arch.input_dim:
+            raise ValueError(f"features must be N x {net.arch.input_dim}, got {a.shape}")
         layers = net.layers()
+    else:
+        a = features  # a Trainer's own float64 (K, N, input_dim) block
     layer_inputs = []
     pre_acts = []
-    a = x
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         layer_inputs.append(a)
@@ -270,32 +269,74 @@ def row_terms(q, labels=None, teacher_probs=None):
     return terms
 
 
-def batch_means(terms, bounds):
-    """Each batch's loss from per-row terms: the batch mean of each term, summed in order.
+def batch_means(terms, batch_size, full, partials):
+    """Batch losses from per-row terms: each batch's mean of each term, summed in order.
 
-    `bounds` are the batches' (start, stop) rows.  The sum of a contiguous
-    slice divided by its length is the same arithmetic as .mean() of that
-    batch alone, so the losses equal those scored batch by batch.
+    The terms' rows hold `full` whole batches of batch_size rows, then the
+    partial batches at `partials`, (start, stop) pairs.  Returns one array:
+    the whole batches' losses, then the partial batches'.  The whole batches
+    are summed as one (full, batch_size) reshape along its rows, each partial
+    batch as one slice; a contiguous sum divided by its length is the same
+    arithmetic as .mean() of that batch alone, so the losses equal those
+    scored batch by batch.
     """
-    losses = []
-    for start, stop in bounds:
-        loss = float(np.add.reduce(terms[0][start:stop])) / (stop - start)
-        for t in terms[1:]:
-            loss += float(np.add.reduce(t[start:stop])) / (stop - start)
-        losses.append(loss)
-    return losses
+    n = full * batch_size
+    means = [np.concatenate([np.add.reduce(t[:n].reshape(full, batch_size), axis=1) / batch_size,
+                             [np.add.reduce(t[a:b]) / (b - a) for a, b in partials]])
+             for t in terms]
+    return sum(means[1:], means[0])
+
+
+class EpochCheckFailed(Exception):
+    """A pass without per-step guards failed its once-per-epoch check (check_epoch)."""
 
 
 def check_finite(value, what, context=None, epoch=None, batch_index=None):
-    """The one finiteness guard: DivergenceError carrying the `context` dict unless all finite.
+    """The per-step finiteness guard: DivergenceError carrying the `context` dict unless all
+    finite.  A batch's epoch and batch_index join the context only when the check fails.
 
-    A batch's epoch and batch_index join the context only when the check fails.
+    Training runs these per-step guards only in the replay of a call whose
+    once-per-epoch check failed (per_epoch_checked), so that the error names
+    the first failing step; evaluations and teachers call it directly.
     """
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         where = {} if epoch is None else {"epoch": epoch, "batch_index": batch_index}
         context = {**(context or {}), **where}
         named = ", ".join(f"{k}={v}" for k, v in context.items())
         raise DivergenceError(f"non-finite {what}" + (f" ({named})" if named else ""), **context)
+
+
+def check_epoch(probs, trainers):
+    """Raise EpochCheckFailed unless every softmax block in `probs` is > 0 and every
+    trainer's parameters are finite.
+
+    This fails on every epoch in which a per-step guard would have: a NaN,
+    +inf or -inf logit leaves a NaN or an exact 0 in its softmax row, and a
+    non-finite gradient leaves non-finite parameters that no later step makes
+    finite again.  A healthy softmax that underflows to an exact 0 fails it
+    too; its strict replay then returns the same result.
+    """
+    if not (all(q.min() > 0.0 for q in probs)
+            and all(np.logical_and.reduce(np.isfinite(t.params), axis=None) for t in trainers)):
+        raise EpochCheckFailed
+
+
+def per_epoch_checked(call):
+    """call(strict) with the per-step guards off, and again with them on only if needed.
+
+    call(False) runs under np.errstate(all="ignore") and checks once per
+    epoch (check_epoch).  If that check fails, or the pass raises a
+    DivergenceError, call(True) runs again from the same unchanged inputs,
+    with the per-step guards and under the caller's errstate: it raises
+    exactly the per-step error, with numpy's warnings, or returns the
+    per-step result.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return call(False)
+    except (EpochCheckFailed, DivergenceError):
+        pass
+    return call(True)
 
 
 def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
@@ -316,13 +357,19 @@ class Trainer:
     block, so a step allocates no Network.  A stacked step is, member by
     member, the arithmetic of sgd_step(net, loss_gradient(...), lr):
     np.matmul runs each slice as a 2-D call would.
+
+    A `strict` trainer checks every step's logits and gradient (check_finite).
+    The normal pass is not strict: its epoch loop checks once per epoch
+    (check_epoch), and a failed check replays the call strict
+    (per_epoch_checked), which raises the first failing step's error.
     """
 
-    def __init__(self, members, lr: float):
+    def __init__(self, members, lr: float, strict=False):
         """`members`: same-architecture Networks, one member each; [net] * k holds k copies."""
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
+        self.strict = strict
         self.arch = members[0].arch
         self.params = np.stack([m.params for m in members])
         self._grad = np.empty_like(self.params)
@@ -335,17 +382,20 @@ class Trainer:
 
     def probs(self, features, out, what, context=None, epoch=None, batch_index=None, *, views):
         """(softmax rows into `out` or a new array, layer_inputs, pre_acts) of the (K, N, .)
-        `features` through the members of `views`; checks the logits."""
+        `features` through the members of `views`; a strict trainer checks the logits."""
         logits, layer_inputs, pre_acts = _forward_cached(self.nets[0], features, views[0])
-        check_finite(logits, what, context, epoch, batch_index)
+        if self.strict:
+            check_finite(logits, what, context, epoch, batch_index)
         return softmax_finite(logits, out=out), layer_inputs, pre_acts
 
     def step(self, layer_inputs, pre_acts, delta, context=None, epoch=None, batch_index=None, *,
              views):
-        """Backpropagate `delta` through the cached forward and apply one SGD step."""
+        """Backpropagate `delta` through the cached forward and apply one SGD step; a strict
+        trainer checks the gradient."""
         layers, grad_layers, params, grad = views
         _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta)
-        check_finite(grad, "gradient", context, epoch, batch_index)
+        if self.strict:
+            check_finite(grad, "gradient", context, epoch, batch_index)
         grad *= self.lr
         params -= grad
 

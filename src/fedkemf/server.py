@@ -117,8 +117,9 @@ def distill(server: ServerState, members, data: Dataset):
 
     The student starts from the members' parameter average (or the previous
     global network under warm_start); client.fit steps it on batch-mean KL
-    from the teacher, built once per call (one forward per frozen member).
-    Returns (student, last_mean_kl), the mean over the last epoch's batches.
+    from the teacher, built once per call (one forward per frozen member),
+    under nets.per_epoch_checked.  Returns (student, last_mean_kl), the mean
+    over the last epoch's batches, the only epoch scored.
     """
     if not members:
         raise ValueError("need at least one member to distill")
@@ -126,9 +127,8 @@ def distill(server: ServerState, members, data: Dataset):
         start = server.global_knowledge
     else:
         start = average_init(members)
-    student = nets.Trainer([start], server.distill_lr)
     if server.distill_epochs == 0:
-        return student.nets[0], 0.0
+        return nets.Trainer([start], server.distill_lr).nets[0], 0.0
     context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
     member_logits = [nets.forward(m, x_split) for m in members]
@@ -137,13 +137,17 @@ def distill(server: ServerState, members, data: Dataset):
     if teacher.shape != (len(x_split), start.arch.num_classes):
         raise ValueError("teacher distribution shape mismatch")
     positions = np.arange(len(x_split))
-    seeds = (derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
-             for epoch in range(server.distill_epochs))
-    epochs = (np.concatenate(batch_iterator(positions, server.batch_size, s)) for s in seeds)
-    (losses,) = fit(student, [(x_split, teacher, epochs)], server.batch_size,
-                    what="distillation ", **context)
-    last_loss = float(np.mean(losses[-1]))
-    return student.trained(**context)[0], last_loss
+    last = server.distill_epochs - 1
+
+    def call(strict):
+        student = nets.Trainer([start], server.distill_lr, strict)
+        seeds = (derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
+                 for epoch in range(server.distill_epochs))
+        epochs = (np.concatenate(batch_iterator(positions, server.batch_size, s)) for s in seeds)
+        (losses,) = fit(student, [(x_split, teacher, epochs)], server.batch_size, (last,),
+                        what="distillation ", **context)
+        return student.trained(**context)[0], float(np.mean(losses[-1]))
+    return nets.per_epoch_checked(call)
 
 
 def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, audit=None):

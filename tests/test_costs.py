@@ -88,6 +88,20 @@ class TestWireAudit:
         assert audit.total_bytes() == 2400
 
 
+    @pytest.mark.parametrize("payload, directions", [
+        (None, "upload_only"), (None, "up_and_down"), (100, "upload_only"), (100, "up_and_down")])
+    def test_running_totals_equal_the_ledger_sums(self, payload, directions):
+        audit = WireAudit(payload_bytes=payload, directions=directions)
+        for r in range(1, 6):
+            for cid, (down, up) in enumerate([(SMALL, SMALL), (SMALL, LARGE), (LARGE, SMALL)]):
+                audit.record(r, cid, down, up)
+                uploaded = sum(n for *_, n in audit.uploads)
+                downloaded = sum(n for *_, n in audit.downloads)
+                assert audit.uploaded_bytes() == uploaded
+                assert audit.total_bytes() == uploaded + (
+                    downloaded if directions == "up_and_down" else 0)
+
+
 def make_records(accs, bytes_per_round=1000):
     return [
         RoundRecord(round=i + 1, sampled_clients=4, global_test_accuracy=a,

@@ -1,0 +1,162 @@
+"""The per-epoch check against the per-step guards it stands in for.
+
+Training runs without per-step finiteness guards and checks once per epoch
+(nets.check_epoch); a failed check replays the call with the guards on
+(nets.per_epoch_checked).  Each case here runs a call both ways, the normal
+pass and the guarded pass alone, and requires the same error or the same
+bits, and the same numpy warnings.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from fedkemf import nets
+from fedkemf.client import ClientState, batch_iterator, local_train
+from fedkemf.data import Dataset
+from fedkemf.errors import DivergenceError
+from fedkemf.seeding import derive_seed
+from fedkemf.server import distill
+
+from test_training_core import make_data, make_server, trained_members
+
+ROUND, SEED, CLIENT = 2, 5, 4
+REAL_PER_EPOCH_CHECKED = nets.per_epoch_checked
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Records each pass's `strict` flag; run(fn, strict_only) calls fn with the normal
+    two-pass scheme, or with the guarded pass alone."""
+    seen = []
+
+    def run(fn, strict_only=False):
+        def checked(call):
+            def recorded(strict):
+                seen.append(strict)
+                return call(strict)
+            return recorded(True) if strict_only else REAL_PER_EPOCH_CHECKED(recorded)
+        monkeypatch.setattr(nets, "per_epoch_checked", checked)
+        return fn()
+    run.seen = seen
+    return run
+
+
+def outcome(fn):
+    """('error', what the error says) or ('ok', the result's parameters and losses), and the
+    numpy warnings the call emitted, under errstate(all="warn")."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except DivergenceError as err:
+            result = ("error", (err.client_id, err.round_index, err.epoch, err.batch_index,
+                                str(err)))
+        else:
+            result = ("ok", [(net.params.tobytes(), loss) for net, loss in result])
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def shard_data(x, labels):
+    """A 1-feature, 2-class dataset whose client trains on every row, with no val split."""
+    data = Dataset(np.asarray(x, dtype=np.float64).reshape(-1, 1), np.asarray(labels), 2)
+    state = ClientState(CLIENT, nets.init_network(nets.ArchSpec(1, (), 2), 0),
+                        np.arange(len(labels)), np.array([], dtype=np.int64))
+    return data, state
+
+
+def train(data, state, params, hidden=(), lr=0.1, epochs=2, batch_size=2):
+    model = nets.Network(nets.ArchSpec(1, hidden, 2), np.array(params, dtype=np.float64))
+    return lambda: local_train([state], model, data, ROUND, lr=lr, epochs=epochs,
+                               batch_size=batch_size, seed=SEED)
+
+
+def last_batch_row(n, batch_size, epoch=0):
+    """The shard row that epoch `epoch` puts first in its last batch."""
+    seed = derive_seed(SEED, CLIENT, ROUND, epoch)
+    return int(batch_iterator(np.arange(n), batch_size, seed)[-1][0])
+
+
+def assert_same_as_strict(passes, fn):
+    """The outcome of fn, after checking that the normal pass failed its check, was replayed
+    strict, and ended as the strict pass alone does."""
+    normal = outcome(lambda: passes(fn))
+    assert passes.seen == [False, True]
+    del passes.seen[:]
+    strict = outcome(lambda: passes(fn, strict_only=True))
+    assert passes.seen == [True]
+    assert normal == strict
+    return normal
+
+
+def test_minus_inf_logit_with_finite_parameters(passes):
+    # W = [1e-300, -1e10]: the 1e300 row's logits are [1, -inf], its softmax [1, 0]; label 0
+    # makes its gradient 0, so the parameters stay finite and only the softmax check sees it.
+    x = np.zeros(5)
+    x[last_batch_row(5, 2)] = 1e300
+    data, state = shard_data(x, np.zeros(5, dtype=int))
+    (kind, err), _ = assert_same_as_strict(passes, train(data, state, [1e-300, -1e10, 0.0, 0.0]))
+    assert kind == "error" and err[2:4] == (0, 2) and "non-finite logits" in err[4]
+
+
+def test_non_finite_gradient_on_an_epochs_last_batch(passes):
+    # One hidden unit: W1 = 1e-308 keeps h = 1e-298 and the logits [100, -100] finite on the
+    # 1e10 row, but W2 = [1e300, -1e300] backpropagates ~1e300 into dW1 = 1e10 * 1e300 = inf.
+    x = np.zeros(5)
+    x[last_batch_row(5, 2)] = 1e10
+    data, state = shard_data(x, np.ones(5, dtype=int))
+    fn = train(data, state, [1e-308, 0.0, 1e300, -1e300, 0.0, 0.0], hidden=(1,))
+    (kind, err), _ = assert_same_as_strict(passes, fn)
+    assert kind == "error" and err[2:4] == (0, 2) and "non-finite gradient" in err[4]
+
+
+def test_lr_times_gradient_overflowing_on_the_final_step(passes):
+    # One batch, one epoch: the gradient is finite, lr * gradient is not, and no step follows
+    # that would see it, so the error is trained()'s, on the parameters.
+    data, state = shard_data([10.0, 10.0], [0, 1])
+    fn = train(data, state, [0.5, -0.5, 0.0, 0.0], lr=1e308, epochs=1, batch_size=2)
+    (kind, err), _ = assert_same_as_strict(passes, fn)
+    assert kind == "error" and err[2:4] == (None, None) and "non-finite parameters" in err[4]
+
+
+def test_healthy_softmax_underflow_returns_the_strict_result(passes):
+    # W = [0, -100]: the x = 10 rows' logits are [0, -1000], softmax exactly [1, 0].  Nothing
+    # is non-finite, yet the check cannot tell, so the call is replayed and must return the
+    # same bits (and the same underflow warnings).
+    data, state = shard_data([10.0, 0.0, 10.0, 1.0, 10.0], [0, 1, 0, 1, 0])
+    (kind, _), _ = assert_same_as_strict(passes, train(data, state, [0.0, -100.0, 0.0, 0.0]))
+    assert kind == "ok"
+
+
+def test_healthy_call_runs_one_pass(passes):
+    data, state = shard_data([1.0, -1.0, 2.0, 0.5, -2.0], [0, 1, 0, 1, 1])
+    outcome(lambda: passes(train(data, state, [0.3, -0.3, 0.0, 0.0])))
+    assert passes.seen == [False]
+
+
+def test_diverging_call_warns_as_the_strict_path(passes):
+    # A huge distillation lr overflows the student; both paths warn the same, in order.
+    data = make_data()
+    server = make_server(data)
+    server.distill_lr = 1e300
+    members = trained_members(data)
+
+    def fn():
+        return [distill(server, members, data)]
+    (kind, err), warned = assert_same_as_strict(passes, fn)
+    assert kind == "error" and warned and all(c is RuntimeWarning for c, _ in warned)
+
+
+def test_check_epoch_sees_each_kind_of_failure():
+    trainer = nets.Trainer([nets.init_network(nets.ArchSpec(2, (), 2), 0)], 0.1)
+    with np.errstate(all="ignore"):
+        rows = {name: nets.softmax_finite(np.array([[0.0, v]]))
+                for name, v in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))}
+    for q in rows.values():
+        with pytest.raises(nets.EpochCheckFailed):
+            nets.check_epoch([np.ones((2, 2)), q], [trainer])
+    nets.check_epoch([np.full((2, 2), 0.5)], [trainer])
+    trainer.params[0, 1] = np.inf
+    with pytest.raises(nets.EpochCheckFailed):
+        nets.check_epoch([np.full((2, 2), 0.5)], [trainer])

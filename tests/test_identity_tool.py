@@ -77,3 +77,18 @@ def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
         else:
             assert variant == shipped + [line]
 
+
+
+def test_blas_core_name_is_read_from_numpys_openblas():
+    import numpy
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    name = identity.blas_core_name()
+    assert isinstance(name, str) and name
+    if list(libs.glob("*openblas*")):
+        assert name != "unknown"
+
+
+def test_blas_core_name_without_a_library_is_unknown(tmp_path):
+    assert identity.blas_core_name(tmp_path) == "unknown"
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    assert identity.blas_core_name(tmp_path) == "unknown"

@@ -18,11 +18,13 @@ is a fresh `fedkemf run` process with FEDKEMF_SEED unset.
 
 Compared per case: metrics.csv without its wall_seconds column, metrics.json,
 partition.json and every round_*.fkmf checkpoint.  One line per case names the first differing
-file.  Exit status 0 when every case is identical, 1 otherwise.
+file.  The summary line names the OpenBLAS core numpy runs on, since checkpoints differ
+between cores.  Exit status 0 when every case is identical, 1 otherwise.
 """
 
 import argparse
 import csv
+import ctypes
 import importlib.util
 import io
 import os
@@ -119,6 +121,25 @@ def first_difference(a: Path, b: Path):
     return None
 
 
+def blas_core_name(libs=None):
+    """The OpenBLAS core this interpreter's numpy runs on (e.g. SkylakeX), read through ctypes
+    from the scipy-openblas library in `libs` (default: numpy's numpy.libs), or "unknown"."""
+    if libs is None:
+        import numpy
+        libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(Path(libs).glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not a loadable library, or not this build
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        name = corename()
+        if name:
+            return name.decode("ascii", errors="replace")
+    return "unknown"
+
+
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True).stdout
 
@@ -169,7 +190,8 @@ def main(argv=None):
             differing += verdict != "identical"
             print(f"{name:<27} {verdict}", flush=True)
         total = len(cases())
-        print(f"{total - differing} of {total} cases byte-identical")
+        print(f"{total - differing} of {total} cases byte-identical "
+              f"(OpenBLAS core {blas_core_name()})")
     return 1 if differing else 0
 
 
