@@ -43,9 +43,10 @@ def _build_parser():
 def _cmd_run(args):
     config = parse_config(args.config)
     # Training runs under errstate(all="ignore") and checks finiteness once per
-    # epoch; only a failed check replays the call with per-step guards, under
-    # this errstate.  Those guards and the evaluation checks raise DivergenceError,
-    # so numpy's overflow and invalid warnings would only add noise to stderr.
+    # epoch; only a failed check or a divergence replays the call guarded (each
+    # client alone, in the serial loop's order), under this errstate.  The guards
+    # and the evaluation checks raise DivergenceError, so numpy's overflow and
+    # invalid warnings would only add noise to stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_experiment(config, jobs=max(1, args.jobs))
     print(f"rounds: {len(result.records)}")

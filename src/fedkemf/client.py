@@ -6,7 +6,6 @@ import numpy as np
 
 from . import nets
 from .data import Dataset
-from .errors import DivergenceError
 from .seeding import derive_seed
 
 
@@ -100,7 +99,8 @@ def _scoring_layout(sizes, batch_size):
 
 
 def _lockstep_epochs(members, batch_size, setup, trainers, scored):
-    """The epoch loop of both lockstep trainers: per member, per scored epoch, its batch losses.
+    """The epoch loop of both lockstep trainers: per member, its mean batch loss over the
+    scored epochs (0.0 if none).
 
     members[k] = (x, target, epochs), largest x first; `epochs` yields each
     epoch's row order (batches of batch_size joined), gathered into padded
@@ -109,7 +109,7 @@ def _lockstep_epochs(members, batch_size, setup, trainers, scored):
     steps one epoch, score(rows) returns its loss terms on the given rows of
     the flattened blocks, and `probs` are the softmax blocks run writes,
     whose unused rows stay 1 so that the check passes on them.  Unless the
-    trainers are strict, every epoch ends with nets.check_epoch.  Only the
+    trainers are guarded, every epoch ends with nets.check_epoch.  Only the
     epochs in `scored` are scored, and only on real rows.
     """
     sizes = [len(m[0]) for m in members]
@@ -117,7 +117,7 @@ def _lockstep_epochs(members, batch_size, setup, trainers, scored):
     t_rows = np.empty((len(sizes), sizes[0], members[0][1].shape[1]))
     run, score, probs = setup(x_rows, t_rows, step_plan(sizes, batch_size))
     rows, full, partials, batches = _scoring_layout(sizes, batch_size)
-    check = not any(t.strict for t in trainers)
+    check = all(t.guard is None for t in trainers)
     losses = [[] for _ in members]
     for epoch, orders in enumerate(zip(*(m[2] for m in members))):
         for k, ((x, target, _), order) in enumerate(zip(members, orders)):
@@ -131,10 +131,10 @@ def _lockstep_epochs(members, batch_size, setup, trainers, scored):
             means = nets.batch_means(score(rows), batch_size, full, partials)
             for member_losses, own in zip(losses, batches):
                 member_losses.append(means[own])
-    return losses
+    return [float(np.mean(np.concatenate(m))) if m else 0.0 for m in losses]
 
 
-def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what="", **context):
+def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what=""):
     """Lockstep single-student SGD: each trainer member steps toward its own fixed target block.
 
     `members`, `scored` and the result are _lockstep_epochs'; the steps
@@ -155,9 +155,8 @@ def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what="
         def run(epoch):
             for views, batches in steps:
                 for b, x, t, q_out in batches:
-                    q, inputs, pre = trainer.probs(x, q_out, logits, context, epoch, b, views=views)
-                    trainer.step(inputs, pre, nets.logit_delta(q, t), context, epoch, b,
-                                 views=views)
+                    q, inputs, pre = trainer.probs(x, q_out, logits, epoch, b, views=views)
+                    trainer.step(inputs, pre, nets.logit_delta(q, t), epoch, b, views=views)
 
         def score(rows):
             q, t = np.take(flat_q, rows, axis=0), np.take(flat_t, rows, axis=0)
@@ -168,8 +167,8 @@ def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what="
     return _lockstep_epochs(members, batch_size, setup, [trainer], scored)
 
 
-def _mutual_learning(kn, thetas, members, batch_size, scored, context):
-    """Lockstep deep mutual learning; returns _lockstep_epochs' losses.
+def _mutual_learning(kn, thetas, members, batch_size, scored):
+    """Lockstep deep mutual learning; returns _lockstep_epochs' mean losses.
 
     `kn` stacks the members' knowledge copies; thetas = [(Trainer, its
     members, ascending)] stacks their local models, one per architecture, so
@@ -214,16 +213,16 @@ def _mutual_learning(kn, thetas, members, batch_size, scored, context):
                 x_a[:] = x_rows[member_rows, :len(x_a[0])]
                 y_a[:] = y_rows[member_rows, :len(y_a[0])]
             for views, b, local, x, y, g_out, p in steps:
-                g, g_inputs, g_pre = kn.probs(x, g_out, "logits", context, epoch, b, views=views)
+                g, g_inputs, g_pre = kn.probs(x, g_out, "logits", epoch, b, views=views)
                 for theta, own, sel, x_a, y_a, q_out in local:
-                    q, inputs, pre = theta.probs(x_a, q_out, "logits", context, epoch, b, views=own)
+                    q, inputs, pre = theta.probs(x_a, q_out, "logits", epoch, b, views=own)
                     theta.step(inputs, pre, nets.logit_delta(q, y_a, g if sel is None else g[sel]),
-                               context, epoch, b, views=own)
-                    stepped = theta.probs(x_a, p if sel is None else None, "logits",
-                                          context, epoch, b, views=own)[0]
+                               epoch, b, views=own)
+                    stepped = theta.probs(x_a, p if sel is None else None, "logits", epoch, b,
+                                          views=own)[0]
                     if sel is not None:
                         p[sel] = stepped
-                kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), context, epoch, b, views=views)
+                kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), epoch, b, views=views)
 
         def score(rows):
             for _, member_rows, _, _, q_a in stacks:
@@ -235,34 +234,32 @@ def _mutual_learning(kn, thetas, members, batch_size, scored, context):
                             scored)
 
 
-def _lockstep(states, net: nets.Network, data: Dataset, round_index, train, entry, **recipe):
-    """The driver of both entry points: train(order, shards, context, strict) on the states'
-    shards, `order` their positions, largest shard first, ties by client id.
+def _lockstep(states, num_classes, data: Dataset, round_index, train, *, epochs, batch_size,
+              seed):
+    """The driver of both entry points, under nets.per_epoch_checked: train(group, shards,
+    guard) trains a group of states on their shards and returns their results in group order.
 
-    `recipe` is the lr, epochs, batch_size and seed every client trains
-    with.  Errors name the client only when there is one, and always the
-    round.  train runs under nets.per_epoch_checked: strict only if the
-    per-epoch check fails.  If the strict pass raises, the clients are
-    replayed with entry([state], net, data, round_index, **recipe) in the
-    given order (a serial loop's), which raises the serial loop's
-    DivergenceError.
+    The unguarded pass trains every state as one group, largest shard first,
+    ties by client id.  Its replay is the serial loop: each state alone, in
+    the given order, guarded with the context that names its client and the
+    round.  That loop raises the serial loop's DivergenceError and leaves the
+    states as the serial loop does.  Results come in the given order.
     """
-    order = sorted(range(len(states)),
-                   key=lambda k: (-len(states[k].train_indices), states[k].client_id))
-    context = {"client_id": states[0].client_id} if len(states) == 1 else {}
-    context["round_index"] = round_index
+    def shards(group):
+        return [_shard(st, data, round_index, num_classes, epochs, batch_size, seed)
+                for st in group]
 
-    def call(strict):
-        shards = [_shard(st, data, round_index, net.arch.num_classes, recipe["epochs"],
-                         recipe["batch_size"], recipe["seed"]) for st in states]
-        return train(order, shards, context, strict)
-    try:
-        return nets.per_epoch_checked(call)
-    except DivergenceError:
-        if len(states) > 1:
-            for st in states:
-                entry([st], net, data, round_index, **recipe)
-        raise
+    def call(guarded):
+        if guarded:
+            return [train([st], shards([st]), {"client_id": st.client_id,
+                                               "round_index": round_index})[0]
+                    for st in states]
+        order = sorted(range(len(states)),
+                       key=lambda k: (-len(states[k].train_indices), states[k].client_id))
+        group = [states[k] for k in order]
+        results = dict(zip(order, train(group, shards(group), None)))
+        return [results[k] for k in range(len(states))]
+    return nets.per_epoch_checked(call)
 
 
 def client_update(states, knowledge_net: nets.Network, data: Dataset, round_index: int = 0, *,
@@ -279,38 +276,33 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
     clients' knowledge copies are one stack and their local models one stack
     per architecture (_mutual_learning).  Each result equals the client's run
     alone.  The states change only once every stack has trained and the
-    local models are scored, in the given order; the local model and its val
-    accuracy persist in the state.  A failed per-epoch check replays the call
-    with per-step guards, and a divergence then replays the clients alone
-    (_lockstep).
+    local models are scored; the local model and its val accuracy persist in
+    the state.  A failed per-epoch check, or any divergence, replays the
+    clients alone and guarded, in the given order (_lockstep).
     """
     num_classes = knowledge_net.arch.num_classes
     if any(st.local_model.arch.num_classes != num_classes for st in states):
         raise ValueError("knowledge and local networks disagree on num_classes")
 
-    def train(order, shards, context, strict):
+    def train(group, shards, guard):
         by_arch = {}
-        for r, k in enumerate(order):
-            by_arch.setdefault(states[k].local_model.arch, []).append(r)
-        thetas = [(nets.Trainer([states[order[r]].local_model for r in rows], lr, strict), rows)
+        for r, st in enumerate(group):
+            by_arch.setdefault(st.local_model.arch, []).append(r)
+        thetas = [(nets.Trainer([group[r].local_model for r in rows], lr, guard), rows)
                   for rows in by_arch.values()]
-        kn = nets.Trainer([knowledge_net] * len(order), lr, strict)
-        losses = _mutual_learning(kn, thetas, [shards[k] for k in order], batch_size,
-                                  range(epochs), context)
-        # Checked and scored in one client's own order: local model, val accuracy, knowledge.
+        kn = nets.Trainer([knowledge_net] * len(group), lr, guard)
+        means = _mutual_learning(kn, thetas, shards, batch_size, range(epochs))
+        # Checked and scored before any state changes: local models, val accuracies, knowledge.
         # Each local model is a copy, as a row view would keep its whole stack alive.
-        local = {}
-        for theta, rows in thetas:
-            local.update(zip((order[r] for r in rows),
-                             (model.copy() for model in theta.trained(**context))))
-        accs = [st.accuracy(local[k], data, round_index=round_index) for k, st in enumerate(states)]
-        means = [float(np.mean(np.concatenate(m))) if epochs else 0.0 for m in losses]
-        results = dict(zip(order, zip(kn.trained(**context), means)))
-        for k, st in enumerate(states):
-            st.local_model, st.val_accuracy = local[k], accs[k]
-        return [(*results[k], accs[k]) for k in range(len(states))]
-    return _lockstep(states, knowledge_net, data, round_index, train, client_update,
-                     lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
+        local = {r: model.copy() for theta, rows in thetas
+                 for r, model in zip(rows, theta.trained())}
+        accs = [st.accuracy(local[r], data, round_index=round_index) for r, st in enumerate(group)]
+        results = list(zip(kn.trained(), means, accs))
+        for r, st in enumerate(group):
+            st.local_model, st.val_accuracy = local[r], accs[r]
+        return results
+    return _lockstep(states, num_classes, data, round_index, train,
+                     epochs=epochs, batch_size=batch_size, seed=seed)
 
 
 def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0, *,
@@ -320,15 +312,12 @@ def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0
 
     The clients are one fit stack, largest shard first, ties by client id;
     each result equals the client's run alone, and `model` is not changed.
-    A failed per-epoch check replays the call with per-step guards, and a
-    divergence then replays the clients alone (_lockstep).
+    A failed per-epoch check, or any divergence, replays the clients alone
+    and guarded, in the given order (_lockstep).
     """
-    def train(order, shards, context, strict):
-        trainer = nets.Trainer([model] * len(order), lr, strict)
-        losses = fit(trainer, [shards[k] for k in order], batch_size, range(epochs), labels=True,
-                     **context)
-        means = [float(np.mean(np.concatenate(m))) if epochs else 0.0 for m in losses]
-        results = dict(zip(order, zip(trainer.trained(**context), means)))
-        return [results[k] for k in range(len(states))]
-    return _lockstep(states, model, data, round_index, train, local_train,
-                     lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
+    def train(group, shards, guard):
+        trainer = nets.Trainer([model] * len(group), lr, guard)
+        means = fit(trainer, shards, batch_size, range(epochs), labels=True)
+        return list(zip(trainer.trained(), means))
+    return _lockstep(states, model.arch.num_classes, data, round_index, train,
+                     epochs=epochs, batch_size=batch_size, seed=seed)

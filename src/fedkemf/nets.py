@@ -295,9 +295,10 @@ def check_finite(value, what, context=None, epoch=None, batch_index=None):
     """The per-step finiteness guard: DivergenceError carrying the `context` dict unless all
     finite.  A batch's epoch and batch_index join the context only when the check fails.
 
-    Training runs these per-step guards only in the replay of a call whose
-    once-per-epoch check failed (per_epoch_checked), so that the error names
-    the first failing step; evaluations and teachers call it directly.
+    Training runs these per-step guards only in a guarded Trainer, in the
+    replay of a call whose once-per-epoch check failed (per_epoch_checked),
+    so that the error names the first failing step; evaluations and teachers
+    call it directly.
     """
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         where = {} if epoch is None else {"epoch": epoch, "batch_index": batch_index}
@@ -314,7 +315,7 @@ def check_epoch(probs, trainers):
     +inf or -inf logit leaves a NaN or an exact 0 in its softmax row, and a
     non-finite gradient leaves non-finite parameters that no later step makes
     finite again.  A healthy softmax that underflows to an exact 0 fails it
-    too; its strict replay then returns the same result.
+    too; its guarded replay then returns the same result.
     """
     if not (all(q.min() > 0.0 for q in probs)
             and all(np.logical_and.reduce(np.isfinite(t.params), axis=None) for t in trainers)):
@@ -322,14 +323,15 @@ def check_epoch(probs, trainers):
 
 
 def per_epoch_checked(call):
-    """call(strict) with the per-step guards off, and again with them on only if needed.
+    """call(guarded) unguarded, and again guarded only if needed.
 
-    call(False) runs under np.errstate(all="ignore") and checks once per
-    epoch (check_epoch).  If that check fails, or the pass raises a
-    DivergenceError, call(True) runs again from the same unchanged inputs,
-    with the per-step guards and under the caller's errstate: it raises
-    exactly the per-step error, with numpy's warnings, or returns the
-    per-step result.
+    call(False) runs under np.errstate(all="ignore") without per-step guards
+    and checks once per epoch (check_epoch).  If that check fails, or the
+    pass raises a DivergenceError, call(True) runs again from the same
+    unchanged inputs, with guarded Trainers and under the caller's errstate:
+    it raises exactly the per-step error, with numpy's warnings, or returns
+    the guarded result.  An unguarded pass's errors never reach the caller,
+    so they need not name anything.
     """
     try:
         with np.errstate(all="ignore"):
@@ -358,18 +360,20 @@ class Trainer:
     member, the arithmetic of sgd_step(net, loss_gradient(...), lr):
     np.matmul runs each slice as a 2-D call would.
 
-    A `strict` trainer checks every step's logits and gradient (check_finite).
-    The normal pass is not strict: its epoch loop checks once per epoch
-    (check_epoch), and a failed check replays the call strict
-    (per_epoch_checked), which raises the first failing step's error.
+    A guarded trainer checks every step's logits and gradient (check_finite),
+    and its errors carry `guard`, the context dict that names the client and
+    round.  An unguarded trainer (guard None) has no per-step checks: its
+    epoch loop checks once per epoch (check_epoch), and a failed check or any
+    error replays the call guarded (per_epoch_checked), which raises the
+    first failing step's error.
     """
 
-    def __init__(self, members, lr: float, strict=False):
+    def __init__(self, members, lr: float, guard=None):
         """`members`: same-architecture Networks, one member each; [net] * k holds k copies."""
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.strict = strict
+        self.guard = guard
         self.arch = members[0].arch
         self.params = np.stack([m.params for m in members])
         self._grad = np.empty_like(self.params)
@@ -380,29 +384,28 @@ class Trainer:
         p, g = self.params[rows], self._grad[rows]
         return _layer_views(self.arch, p), _layer_views(self.arch, g), p, g
 
-    def probs(self, features, out, what, context=None, epoch=None, batch_index=None, *, views):
+    def probs(self, features, out, what, epoch=None, batch_index=None, *, views):
         """(softmax rows into `out` or a new array, layer_inputs, pre_acts) of the (K, N, .)
-        `features` through the members of `views`; a strict trainer checks the logits."""
+        `features` through the members of `views`; a guarded trainer checks the logits."""
         logits, layer_inputs, pre_acts = _forward_cached(self.nets[0], features, views[0])
-        if self.strict:
-            check_finite(logits, what, context, epoch, batch_index)
+        if self.guard is not None:
+            check_finite(logits, what, self.guard, epoch, batch_index)
         return softmax_finite(logits, out=out), layer_inputs, pre_acts
 
-    def step(self, layer_inputs, pre_acts, delta, context=None, epoch=None, batch_index=None, *,
-             views):
-        """Backpropagate `delta` through the cached forward and apply one SGD step; a strict
+    def step(self, layer_inputs, pre_acts, delta, epoch=None, batch_index=None, *, views):
+        """Backpropagate `delta` through the cached forward and apply one SGD step; a guarded
         trainer checks the gradient."""
         layers, grad_layers, params, grad = views
         _backward_into(grad_layers, layers, layer_inputs, pre_acts, delta)
-        if self.strict:
-            check_finite(grad, "gradient", context, epoch, batch_index)
+        if self.guard is not None:
+            check_finite(grad, "gradient", self.guard, epoch, batch_index)
         grad *= self.lr
         params -= grad
 
-    def trained(self, **context):
+    def trained(self):
         """The trained networks, one per member, once their parameters are checked finite
         (a finite gradient can still overflow lr * grad on the last step)."""
-        check_finite(self.params, "parameters", context)
+        check_finite(self.params, "parameters", self.guard)
         return self.nets
 
 

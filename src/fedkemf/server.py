@@ -139,14 +139,14 @@ def distill(server: ServerState, members, data: Dataset):
     positions = np.arange(len(x_split))
     last = server.distill_epochs - 1
 
-    def call(strict):
-        student = nets.Trainer([start], server.distill_lr, strict)
+    def call(guarded):
+        student = nets.Trainer([start], server.distill_lr, context if guarded else None)
         seeds = (derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
                  for epoch in range(server.distill_epochs))
         epochs = (np.concatenate(batch_iterator(positions, server.batch_size, s)) for s in seeds)
-        (losses,) = fit(student, [(x_split, teacher, epochs)], server.batch_size, (last,),
-                        what="distillation ", **context)
-        return student.trained(**context)[0], float(np.mean(losses[-1]))
+        (loss,) = fit(student, [(x_split, teacher, epochs)], server.batch_size, (last,),
+                      what="distillation ")
+        return student.trained()[0], loss
     return nets.per_epoch_checked(call)
 
 

@@ -19,7 +19,7 @@ from fedkemf.errors import DivergenceError
 from fedkemf.seeding import derive_seed
 from fedkemf.server import distill
 
-from test_training_core import make_data, make_server, trained_members
+from test_training_core import make_data, make_server, reference_local_train, trained_members
 
 ROUND, SEED, CLIENT = 2, 5, 4
 REAL_PER_EPOCH_CHECKED = nets.per_epoch_checked
@@ -27,15 +27,15 @@ REAL_PER_EPOCH_CHECKED = nets.per_epoch_checked
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Records each pass's `strict` flag; run(fn, strict_only) calls fn with the normal
+    """Records each pass's `guarded` flag; run(fn, strict_only) calls fn with the normal
     two-pass scheme, or with the guarded pass alone."""
     seen = []
 
     def run(fn, strict_only=False):
         def checked(call):
-            def recorded(strict):
-                seen.append(strict)
-                return call(strict)
+            def recorded(guarded):
+                seen.append(guarded)
+                return call(guarded)
             return recorded(True) if strict_only else REAL_PER_EPOCH_CHECKED(recorded)
         monkeypatch.setattr(nets, "per_epoch_checked", checked)
         return fn()
@@ -66,10 +66,12 @@ def shard_data(x, labels):
     return data, state
 
 
-def train(data, state, params, hidden=(), lr=0.1, epochs=2, batch_size=2):
+RECIPE = {"lr": 0.1, "epochs": 2, "batch_size": 2, "seed": SEED}
+
+
+def train(data, states, params, hidden=(), **recipe):
     model = nets.Network(nets.ArchSpec(1, hidden, 2), np.array(params, dtype=np.float64))
-    return lambda: local_train([state], model, data, ROUND, lr=lr, epochs=epochs,
-                               batch_size=batch_size, seed=SEED)
+    return lambda: local_train(states, model, data, ROUND, **{**RECIPE, **recipe})
 
 
 def last_batch_row(n, batch_size, epoch=0):
@@ -96,7 +98,7 @@ def test_minus_inf_logit_with_finite_parameters(passes):
     x = np.zeros(5)
     x[last_batch_row(5, 2)] = 1e300
     data, state = shard_data(x, np.zeros(5, dtype=int))
-    (kind, err), _ = assert_same_as_strict(passes, train(data, state, [1e-300, -1e10, 0.0, 0.0]))
+    (kind, err), _ = assert_same_as_strict(passes, train(data, [state], [1e-300, -1e10, 0.0, 0.0]))
     assert kind == "error" and err[2:4] == (0, 2) and "non-finite logits" in err[4]
 
 
@@ -106,7 +108,7 @@ def test_non_finite_gradient_on_an_epochs_last_batch(passes):
     x = np.zeros(5)
     x[last_batch_row(5, 2)] = 1e10
     data, state = shard_data(x, np.ones(5, dtype=int))
-    fn = train(data, state, [1e-308, 0.0, 1e300, -1e300, 0.0, 0.0], hidden=(1,))
+    fn = train(data, [state], [1e-308, 0.0, 1e300, -1e300, 0.0, 0.0], hidden=(1,))
     (kind, err), _ = assert_same_as_strict(passes, fn)
     assert kind == "error" and err[2:4] == (0, 2) and "non-finite gradient" in err[4]
 
@@ -115,23 +117,29 @@ def test_lr_times_gradient_overflowing_on_the_final_step(passes):
     # One batch, one epoch: the gradient is finite, lr * gradient is not, and no step follows
     # that would see it, so the error is trained()'s, on the parameters.
     data, state = shard_data([10.0, 10.0], [0, 1])
-    fn = train(data, state, [0.5, -0.5, 0.0, 0.0], lr=1e308, epochs=1, batch_size=2)
+    fn = train(data, [state], [0.5, -0.5, 0.0, 0.0], lr=1e308, epochs=1, batch_size=2)
     (kind, err), _ = assert_same_as_strict(passes, fn)
     assert kind == "error" and err[2:4] == (None, None) and "non-finite parameters" in err[4]
 
 
-def test_healthy_softmax_underflow_returns_the_strict_result(passes):
+@pytest.mark.parametrize("clients", [1, 2], ids=["one_client", "two_clients"])
+def test_healthy_softmax_underflow_returns_the_strict_result(passes, clients):
     # W = [0, -100]: the x = 10 rows' logits are [0, -1000], softmax exactly [1, 0].  Nothing
-    # is non-finite, yet the check cannot tell, so the call is replayed and must return the
-    # same bits (and the same underflow warnings).
+    # is non-finite, yet the check cannot tell, so the call is replayed (with two clients, as
+    # the serial loop) and must return the same bits (and the same underflow warnings).
     data, state = shard_data([10.0, 0.0, 10.0, 1.0, 10.0], [0, 1, 0, 1, 0])
-    (kind, _), _ = assert_same_as_strict(passes, train(data, state, [0.0, -100.0, 0.0, 0.0]))
-    assert kind == "ok"
+    other = ClientState(CLIENT + 1, state.local_model, np.arange(3), np.array([], dtype=np.int64))
+    states = [state, other][:clients]
+    params = [0.0, -100.0, 0.0, 0.0]
+    (kind, result), _ = assert_same_as_strict(passes, train(data, states, params))
+    model = nets.Network(nets.ArchSpec(1, (), 2), np.array(params))
+    refs = [reference_local_train(st, model, data, ROUND, **RECIPE) for st in states]
+    assert kind == "ok" and result == [(net.params.tobytes(), loss) for net, loss in refs]
 
 
 def test_healthy_call_runs_one_pass(passes):
     data, state = shard_data([1.0, -1.0, 2.0, 0.5, -2.0], [0, 1, 0, 1, 1])
-    outcome(lambda: passes(train(data, state, [0.3, -0.3, 0.0, 0.0])))
+    outcome(lambda: passes(train(data, [state], [0.3, -0.3, 0.0, 0.0])))
     assert passes.seen == [False]
 
 

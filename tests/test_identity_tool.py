@@ -58,17 +58,20 @@ def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
     names = [name for name, _ in identity.cases()]
     assert names == ["blobs_fedkemf", "blobs_fedavg", "blobs_fedkemf-avg_logits",
                      "blobs_fedkemf-majority_vote", "blobs_fedkemf-warm_start",
-                     "blobs_fedkemf-up_and_down", "blobs_fedkemf-2.1"] + [
+                     "blobs_fedkemf-up_and_down", "blobs_fedkemf-2.1",
+                     "blobs_fedkemf-1e12", "blobs_fedavg-1e12"] + [
         f"{w}-seed{s}" for w in ("kemf-many", "avg-small") for s in (1, 2, 3)]
     texts = {name: config_text(tmp_path / "out") for name, config_text in identity.cases()}
     for text in texts.values():
         assert f"out_dir = {tmp_path / 'out'}" in text.splitlines()
-    shipped = texts["blobs_fedkemf"].splitlines()
     for name, line in [("blobs_fedkemf-avg_logits", "strategy = avg_logits"),
                        ("blobs_fedkemf-majority_vote", "strategy = majority_vote"),
                        ("blobs_fedkemf-warm_start", "server.init = warm_start"),
                        ("blobs_fedkemf-up_and_down", "directions = up_and_down"),
-                       ("blobs_fedkemf-2.1", "payload_mb = 2.1")]:
+                       ("blobs_fedkemf-2.1", "payload_mb = 2.1"),
+                       ("blobs_fedkemf-1e12", "lr = 1e12"),
+                       ("blobs_fedavg-1e12", "lr = 1e12")]:
+        shipped = texts[name.split("-")[0]].splitlines()
         variant = texts[name].splitlines()
         # the shipped config with exactly one line changed, or one line added at the end
         assert line in variant and line not in shipped
@@ -77,6 +80,32 @@ def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
         else:
             assert variant == shipped + [line]
 
+
+DIVERGED = (4, "error: non-finite logits (client_id=0, round_index=1, epoch=0, batch_index=0)")
+
+
+@pytest.mark.parametrize("this, against, expected", [
+    ((0, ""), (0, "a warning"), "identical"),
+    (DIVERGED, DIVERGED, "identical"),
+    (DIVERGED, (0, ""), "FAILED  this exit 4: error: non-finite logits"),
+    ((0, ""), DIVERGED, "FAILED  against exit 4: error: non-finite logits"),
+    (DIVERGED, (4, "error: non-finite gradient (client_id=1, round_index=1)"),
+     "FAILED  this exit 4: error: non-finite logits"),
+    (DIVERGED, (5, DIVERGED[1]), "FAILED  this exit 4: error: non-finite logits"),
+], ids=["both_ok", "same_failure", "this_fails", "against_fails", "other_error",
+        "other_exit"])
+def test_verdict_needs_the_same_exit_and_error_line(tmp_path, this, against, expected):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b")
+    found = identity.verdict({"this": this, "against": against}, a, b)
+    assert found.startswith(expected)
+
+
+def test_verdict_of_equal_failures_compares_their_artifacts(tmp_path):
+    a = write_run(tmp_path / "a", rounds=(1,))
+    b = write_run(tmp_path / "b", rounds=(1, 2))
+    found = identity.verdict({"this": DIVERGED, "against": DIVERGED}, a, b)
+    assert found == "DIFFERS  first at round_2.fkmf"
 
 
 def test_blas_core_name_is_read_from_numpys_openblas():

@@ -7,7 +7,6 @@ reproduce them bit for bit.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -115,6 +114,20 @@ def make_server(data, strategy="max_logits", init_mode="avg_members", count=75, 
         rng_seed=recipe["seed"],
         round=2,
     )
+
+
+@pytest.fixture
+def training_passes(monkeypatch):
+    """Every training pass of the test, as (clients trained, the trainers' guard): one
+    client._lockstep_epochs call each."""
+    seen = []
+    epochs = client._lockstep_epochs
+
+    def recorded(members, batch_size, setup, trainers, scored):
+        seen.append((len(members), trainers[0].guard))
+        return epochs(members, batch_size, setup, trainers, scored)
+    monkeypatch.setattr(client, "_lockstep_epochs", recorded)
+    return seen
 
 
 def trained_members(data, count=3):
@@ -241,7 +254,7 @@ class TestLockstep:
         expected = fedavg_aggregate([net for net, _ in refs], [len(st.train_indices) for st in states])
         assert np.array_equal(server.global_knowledge.params, expected.params)
 
-    def test_divergence_names_the_serial_loops_client(self, monkeypatch):
+    def test_divergence_names_the_serial_loops_client(self, training_passes):
         # The larger shard (client 1) diverges at an earlier lockstep step than
         # client 0, yet a serial loop would raise for client 0 first.
         data = make_data()
@@ -254,23 +267,18 @@ class TestLockstep:
                     local_train([st], model, data, round_index=1, **recipe)
                 alone[st.client_id] = err.value
         assert alone[1].epoch < alone[0].epoch
-        lockstep_errors = []
-
-        def replay(states, *args, **recipe):
-            if not lockstep_errors:
-                lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
-            return local_train(states, *args, **recipe)
-
-        monkeypatch.setattr(client, "local_train", replay)
+        del training_passes[:]
         server = make_server(data, epochs=0, recipe=recipe)
         server.global_knowledge, server.round = model, 0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 run_round(server, states, data, "fedavg", sample_ratio=1.0)
-        assert lockstep_errors[0].epoch == alone[1].epoch
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
+        # the unguarded lockstep pass, then the serial replay: client 0 alone diverges, and
+        # client 1 never trains again
+        assert training_passes == [(2, None), (1, {"client_id": 0, "round_index": 1})]
 
 
 class TestMutualLockstep:
@@ -337,7 +345,7 @@ class TestMutualLockstep:
         assert stats["mean_train_loss"] == float(np.mean([ref[2] for ref in refs]))
         assert stats["mean_client_val_accuracy"] == float(np.mean([ref[3] for ref in refs]))
 
-    def test_divergence_names_the_serial_loops_client(self, monkeypatch):
+    def test_divergence_names_the_serial_loops_client(self, training_passes):
         # The larger shard (client 1) diverges at an earlier lockstep step than
         # client 0, yet a serial loop would raise for client 0 first.
         data = self.data()
@@ -351,28 +359,23 @@ class TestMutualLockstep:
                     client_update([twin], knowledge, data, round_index=1, **recipe)
                 alone[twin.client_id] = err.value
         assert alone[1].epoch < alone[0].epoch
-        lockstep_errors = []
-
-        def replay(states, *args, **recipe):
-            if not lockstep_errors:
-                lockstep_errors.append(sys.exc_info()[1])  # the error that started the replay
-            return client_update(states, *args, **recipe)
-
-        monkeypatch.setattr(client, "client_update", replay)
+        del training_passes[:]
         server = make_server(data, epochs=0, recipe=recipe)
         server.global_knowledge, server.round = knowledge, 0
         before = [st.local_model for st in states]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 run_round(server, states, data, "fedkemf", sample_ratio=1.0)
-        assert lockstep_errors[0].epoch == alone[1].epoch
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
+        # the unguarded lockstep pass, then the serial replay: client 0 alone diverges, and
+        # client 1 never trains again
+        assert training_passes == [(2, None), (1, {"client_id": 0, "round_index": 1})]
         # the serial loop failed on client 0, before any state changed
         assert all(st.local_model is model for st, model in zip(states, before))
 
-    def test_states_change_only_after_every_check(self, monkeypatch):
+    def test_states_change_only_after_every_check(self, monkeypatch, training_passes):
         # Client 1's val evaluation diverges after every stack has trained.  The
         # replay must start from the states as sampled, so client 0 ends exactly
         # one serial round on, and client 1 keeps its model.
@@ -391,6 +394,9 @@ class TestMutualLockstep:
         with pytest.raises(DivergenceError) as err:
             client_update(states, knowledge, data, round_index=2, **recipe)
         assert err.value.client_id == 1
+        # three passes for two clients: the unguarded lockstep pass, then each client alone
+        assert training_passes == [(2, None), (1, {"client_id": 0, "round_index": 2}),
+                                   (1, {"client_id": 1, "round_index": 2})]
         ref_theta = reference_client_update(twins[0], knowledge, data, 2, **recipe)[1]
         assert np.array_equal(states[0].local_model.params, ref_theta.params)
         assert states[1].local_model is before
@@ -509,14 +515,15 @@ class TestLossTermCounts:
 
 
 def test_trained_rejects_overflowed_parameters():
-    trainer = nets.Trainer([nets.init_network(nets.ArchSpec(2, (), 2), 0)], 1e308)
+    trainer = nets.Trainer([nets.init_network(nets.ArchSpec(2, (), 2), 0)], 1e308,
+                           guard={"client_id": 3})
     views = trainer.views(slice(1))
     _, inputs, pre = trainer.probs(np.array([[[4.0, 4.0]]]), None, "logits", views=views)
     with np.errstate(over="ignore", invalid="ignore"):
         # finite gradient, lr * grad = inf
         trainer.step(inputs, pre, np.array([[[-1.0, 1.0]]]), views=views)
     with pytest.raises(DivergenceError) as err:
-        trainer.trained(client_id=3)
+        trainer.trained()
     assert err.value.client_id == 3
 
 

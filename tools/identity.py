@@ -8,18 +8,21 @@ The cases are the shipped configs/blobs_fedkemf.cfg and configs/blobs_fedavg.cfg
 blobs_fedkemf with `strategy = avg_logits`, with `strategy = majority_vote` and
 with `server.init = warm_start`, the ensemble and init paths no other case takes;
 blobs_fedkemf with `directions = up_and_down` and with `payload_mb = 2.1`, the
-byte-ledger paths no other case takes; and the benchmark workloads kemf-many and
-avg-small at seeds 1-3, whose configs are generated from bench/workloads.py
-(read, never edited).  Both trees run on the same config text, taken from this
-tree.  The revision is exported with `git archive` into a temporary directory
-under DIR (default: the system's temp directory), which is removed at the end;
-this tree runs from its working files, uncommitted changes included.  Each run
-is a fresh `fedkemf run` process with FEDKEMF_SEED unset.
+byte-ledger paths no other case takes; both shipped configs with `lr = 1e12`,
+which diverge (exit 4); and the benchmark workloads kemf-many and avg-small at
+seeds 1-3, whose configs are generated from bench/workloads.py (read, never
+edited).  Both trees run on the same config text, taken from this tree.  The
+revision is exported with `git archive` into a temporary directory under DIR
+(default: the system's temp directory), which is removed at the end; this tree
+runs from its working files, uncommitted changes included.  Each run is a fresh
+`fedkemf run` process with FEDKEMF_SEED unset.
 
-Compared per case: metrics.csv without its wall_seconds column, metrics.json,
-partition.json and every round_*.fkmf checkpoint.  One line per case names the first differing
-file.  The summary line names the OpenBLAS core numpy runs on, since checkpoints differ
-between cores.  Exit status 0 when every case is identical, 1 otherwise.
+Compared per case: the exit status and, when a run fails, its last stderr line;
+then metrics.csv without its wall_seconds column, metrics.json, partition.json
+and every round_*.fkmf checkpoint the runs wrote.  A case fails when either run
+fails and the two failures differ.  One line per case names the first differing
+file.  The summary line names the OpenBLAS core numpy runs on, since checkpoints
+differ between cores.  Exit status 0 when every case is identical, 1 otherwise.
 """
 
 import argparse
@@ -42,7 +45,9 @@ VARIANTS = (("configs/blobs_fedkemf.cfg", "strategy", "avg_logits"),
             ("configs/blobs_fedkemf.cfg", "strategy", "majority_vote"),
             ("configs/blobs_fedkemf.cfg", "server.init", "warm_start"),
             ("configs/blobs_fedkemf.cfg", "directions", "up_and_down"),
-            ("configs/blobs_fedkemf.cfg", "payload_mb", "2.1"))
+            ("configs/blobs_fedkemf.cfg", "payload_mb", "2.1"),
+            ("configs/blobs_fedkemf.cfg", "lr", "1e12"),
+            ("configs/blobs_fedavg.cfg", "lr", "1e12"))
 WORKLOADS = ("kemf-many", "avg-small")
 SEEDS = (1, 2, 3)
 TIMING_COLUMN = "wall_seconds"
@@ -121,6 +126,17 @@ def first_difference(a: Path, b: Path):
     return None
 
 
+def verdict(results, a: Path, b: Path):
+    """"identical", "DIFFERS ..." or "FAILED ..." for one case, from each tree's
+    (exit status, last stderr line) in `results` and its out_dir, a and b."""
+    failed = {tree: r for tree, r in results.items() if r[0] != 0}
+    if failed and len(set(results.values())) > 1:
+        return "FAILED  " + "; ".join(
+            f"{tree} exit {code}: {err}" for tree, (code, err) in failed.items())
+    diff = first_difference(a, b)
+    return "identical" if diff is None else f"DIFFERS  first at {diff}"
+
+
 def blas_core_name(libs=None):
     """The OpenBLAS core this interpreter's numpy runs on (e.g. SkylakeX), read through ctypes
     from the scipy-openblas library in `libs` (default: numpy's numpy.libs), or "unknown"."""
@@ -179,16 +195,10 @@ def main(argv=None):
         for name, config_text in cases():
             results = {tree: run(src, config_text, tmp / "runs" / tree / name)
                        for tree, src in trees.items()}
-            failed = {tree: r for tree, r in results.items() if r[0] != 0}
-            if failed:
-                verdict = "FAILED  " + "; ".join(
-                    f"{tree} exit {code}: {err}" for tree, (code, err) in failed.items())
-            else:
-                diff = first_difference(tmp / "runs" / "this" / name,
-                                        tmp / "runs" / "against" / name)
-                verdict = "identical" if diff is None else f"DIFFERS  first at {diff}"
-            differing += verdict != "identical"
-            print(f"{name:<27} {verdict}", flush=True)
+            found = verdict(results, tmp / "runs" / "this" / name,
+                            tmp / "runs" / "against" / name)
+            differing += found != "identical"
+            print(f"{name:<27} {found}", flush=True)
         total = len(cases())
         print(f"{total - differing} of {total} cases byte-identical "
               f"(OpenBLAS core {blas_core_name()})")
