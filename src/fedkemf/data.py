@@ -131,7 +131,10 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
 
     Partitions `indices` (defaults to the whole dataset) disjointly and
     completely across clients; redraws with seed+attempt until every client
-    holds at least min_per_client samples.
+    holds at least min_per_client samples.  Each draw permutes every non-empty
+    class's indices and cuts them at the draw's cumulative shares, so a client's
+    shard is its piece of each class in class order.  Only an accepted draw's
+    shards are built, with one stable counting sort of its rows by owning client.
     """
     if num_clients < 1:
         raise ValueError("need at least 1 client")
@@ -142,23 +145,28 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
     class_indices = [universe[labels == k] for k in range(dataset.num_classes)]
     for attempt in range(max_attempts):
         rng = np.random.default_rng(seed + attempt)
-        splits = []
-        counts = np.zeros(num_clients, dtype=np.int64)
+        rows, pieces = [], []
         for class_idx in class_indices:
             if class_idx.size == 0:
                 continue
-            class_idx = rng.permutation(class_idx)
+            rows.append(rng.permutation(class_idx))
             p = rng.dirichlet(np.full(num_clients, alpha))
             cuts = (np.cumsum(p)[:-1] * class_idx.size).astype(np.int64)
-            counts += np.diff(cuts, prepend=0, append=class_idx.size)
-            splits.append((class_idx, cuts))
+            pieces.append(np.diff(cuts, prepend=0, append=class_idx.size))
+        sizes = np.array(pieces, dtype=np.int64).reshape(-1, num_clients)  # class x client
+        counts = sizes.sum(axis=0)
         # Reject a draw on its per-client counts before building any index list.
         if counts.min() < min_per_client:
             continue
-        shards = [[] for _ in range(num_clients)]
-        for class_idx, cuts in splits:
-            for j, piece in enumerate(np.split(class_idx, cuts)):
-                shards[j].extend(piece.tolist())
+        # The draw's rows stably sorted by owning client, as a counting sort: piece
+        # (class k, client j) moves from its class-major start to its client-major
+        # one.  (np.argsort of an owner column gives the same rows but raised the
+        # benchmark's peak RSS by ~0.15 MB.)  universe[:0] types a draw with no rows.
+        class_major, client_major = sizes.ravel(), sizes.T.ravel()
+        start = (np.cumsum(class_major) - class_major).reshape(sizes.shape).T.ravel()
+        shift = np.repeat(start - (np.cumsum(client_major) - client_major), client_major)
+        by_client = np.concatenate([universe[:0], *rows])[shift + np.arange(shift.size)]
+        shards = [piece.tolist() for piece in np.split(by_client, np.cumsum(counts)[:-1])]
         return PartitionMap(shards, float(alpha), int(seed))
     raise InfeasiblePartitionError(
         f"could not give every client {min_per_client} samples in {max_attempts} draws"

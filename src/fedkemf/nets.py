@@ -74,8 +74,12 @@ def _layer_views(arch: ArchSpec, flat: np.ndarray):
     return views
 
 
-def init_network(arch: ArchSpec, seed: int) -> Network:
-    """Seeded init: weights uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero."""
+def init_network(arch: ArchSpec, seed) -> Network:
+    """Seeded init: weights uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero.
+
+    `seed` is an int or a np.random.Generator, which np.random.default_rng passes
+    through and this draws from.
+    """
     rng = np.random.default_rng(seed)
     dims = arch.layer_dims
     chunks = []

@@ -13,8 +13,8 @@ from .costs import MB, RoundRecord, WireAudit, emit_metrics
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .seeding import (
-    SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_PARTITION, SALT_SERVER_SPLIT,
-    SALT_TEST_DATA, SALT_VAL_SPLIT, derive_seed,
+    BULK_MIN_STREAMS, SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_PARTITION,
+    SALT_SERVER_SPLIT, SALT_TEST_DATA, SALT_VAL_SPLIT, bulk_generators, derive_seed,
 )
 from .server import ServerState, run_round
 
@@ -71,25 +71,46 @@ def build_partition(config: ExperimentConfig, data: Dataset):
 
 
 def _train_val_split(shard, val_fraction, seed):
+    """(train, val) int64 index arrays of a shard permuted by `seed`, an int or a Generator
+    (np.random.default_rng passes a Generator through)."""
     rng = np.random.default_rng(seed)
     shard = rng.permutation(np.asarray(shard, dtype=np.int64))
     n_val = int(len(shard) * val_fraction) if len(shard) >= 2 else 0
     return shard[n_val:], shard[:n_val]
 
 
+def _client_streams(experiment_seed, num_clients):
+    """Each client's val-split then init stream, in client order.
+
+    Below BULK_MIN_STREAMS streams these are derive_seed ints; from there on,
+    the streams themselves from one bulk_generators pass, each valid until the
+    next is drawn.  Both give the same draws.
+    """
+    salts = (SALT_VAL_SPLIT, SALT_CLIENT_INIT)
+    if len(salts) * num_clients < BULK_MIN_STREAMS:
+        return (derive_seed(experiment_seed, salt, cid)
+                for cid in range(num_clients) for salt in salts)
+    cids = np.arange(num_clients, dtype=np.uint64)[:, None]
+    return bulk_generators(derive_seed(experiment_seed, np.array(salts, dtype=np.uint64), cids)
+                           .ravel())
+
+
 def build_states(config: ExperimentConfig, data: Dataset, server_indices, partition):
-    """Instantiate client states (round-robin heterogeneous archs) and the server."""
+    """Instantiate client states (round-robin heterogeneous archs) and the server.
+
+    Client cid's val split and init draw from the streams
+    derive_seed(experiment_seed, SALT_VAL_SPLIT or SALT_CLIENT_INIT, cid),
+    made by _client_streams.
+    """
     knowledge_arch = nets.ArchSpec(data.dim, config.knowledge_arch, data.num_classes)
+    archs = [nets.ArchSpec(data.dim, hidden, data.num_classes) for hidden in config.client_archs]
+    streams = _client_streams(config.experiment_seed, len(partition.client_indices))
     clients = []
     for cid, shard in enumerate(partition.client_indices):
-        hidden = config.client_archs[cid % len(config.client_archs)]
-        arch = nets.ArchSpec(data.dim, hidden, data.num_classes)
-        train_idx, val_idx = _train_val_split(
-            shard, config.val_fraction, derive_seed(config.experiment_seed, SALT_VAL_SPLIT, cid)
-        )
+        train_idx, val_idx = _train_val_split(shard, config.val_fraction, next(streams))
         clients.append(ClientState(
             client_id=cid,
-            local_model=nets.init_network(arch, derive_seed(config.experiment_seed, SALT_CLIENT_INIT, cid)),
+            local_model=nets.init_network(archs[cid % len(archs)], next(streams)),
             train_indices=train_idx,
             val_indices=val_idx,
         ))

@@ -7,9 +7,13 @@ regardless of scheduling order.
 derive_seed is np.random.SeedSequence's hash of the context, computed in
 Python integers with numpy's hash constants precomputed: building a
 SeedSequence for every epoch costs more than the hash.  The streams
-themselves are np.random.default_rng(seed)'s.  tests/test_seeding.py pins
-derive_seed to numpy over 10,000 context tuples.
+themselves are np.random.default_rng(seed)'s.  bulk_generators makes many of
+those streams at once, for set-up's per-client streams: the same hash over
+uint64 arrays, then PCG64's seeding in Python integers.  tests/test_seeding.py
+pins both to numpy.
 """
+
+import numpy as np
 
 # Stream salts.  Distinct salts keep the salted streams apart, but a client's
 # epoch orders are seeded from (seed, client_id, round, epoch) with no salt, and
@@ -49,27 +53,83 @@ _POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _INPUT_HASHES = _POOL_HASHES[:4]
 _MIXING = [(src, dst, x, m) for (src, dst), (x, m) in zip(
     [(src, dst) for src in range(4) for dst in range(4) if src != dst], _POOL_HASHES[4:])]
-_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 2)
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+# numpy/random/src/pcg64/pcg64.h: PCG_DEFAULT_MULTIPLIER_128.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+# Streams from which bulk_generators pays.  Its two vector hashes cost a fixed
+# ~0.6 ms, then ~5 us a stream, against ~40 us a stream for the scalar
+# np.random.default_rng(derive_seed(...)).  Timing runner.build_states in fresh
+# processes (2 cores, SkylakeX, numpy 2.4), the two paths tie at 16 streams
+# (8 clients) and the bulk one is ~0.6 ms ahead at 32 (16 clients) and ~2.6 ms
+# at 64.  So 32: at the tie the scalar path stays, as it costs nothing to set up.
+BULK_MIN_STREAMS = 32
 
 
-def derive_seed(*parts) -> int:
-    """Collapse one to four integers of context into one 64-bit seed, stably across platforms.
-
-    Equals int(np.random.SeedSequence([p & 0xFFFFFFFF for p in parts])
-    .generate_state(2, np.uint32).view(np.uint64)[0]) on a little-endian host:
-    the four-word pool (shorter entropy is padded with zero words), then two
-    state words.
-    """
-    if len(parts) > 4:
-        raise ValueError(f"derive_seed takes at most four parts, got {len(parts)}")
+def _pool(words):
+    """SeedSequence's four-word entropy pool of one to four 32-bit words, each an int or
+    a uint64 array (uint64 wraps where Python ints grow, and every step masks to 32
+    bits, so both give the same words)."""
     pool = []
-    for word, (x, m) in zip([int(p) & _M32 for p in parts] + [0] * (4 - len(parts)),
-                            _INPUT_HASHES):
+    for word, (x, m) in zip(words + [0] * (4 - len(words)), _INPUT_HASHES):
         h = (word ^ x) * m & _M32
         pool.append(h ^ h >> 16)
     for src, dst, x, m in _MIXING:
         h = (pool[src] ^ x) * m & _M32
         h = 0xCA01F9DD * pool[dst] - 0x4973F715 * (h ^ h >> 16) & _M32
         pool[dst] = h ^ h >> 16
-    lo, hi = (((v ^ x) * m & _M32) for v, (x, m) in zip(pool, _STATE_HASHES))
-    return (lo ^ lo >> 16) | (hi ^ hi >> 16) << 32
+    return pool
+
+
+def _state_words(pool, count):
+    """SeedSequence.generate_state(count, np.uint32) of `pool`: the pool, cycled, hashed."""
+    words = []
+    for i, (x, m) in enumerate(_STATE_HASHES[:count]):
+        h = (pool[i % 4] ^ x) * m & _M32
+        words.append(h ^ h >> 16)
+    return words
+
+
+def derive_seed(*parts):
+    """Collapse one to four integers of context into one 64-bit seed, stably across platforms.
+
+    Equals int(np.random.SeedSequence([p & 0xFFFFFFFF for p in parts])
+    .generate_state(2, np.uint32).view(np.uint64)[0]) on a little-endian host:
+    the four-word pool (shorter entropy is padded with zero words), then two
+    state words.  Any part may be a np.uint64 array; the parts then broadcast
+    and the result is a uint64 array of seeds, element by element the int the
+    scalar parts would give.
+    """
+    if len(parts) > 4:
+        raise ValueError(f"derive_seed takes at most four parts, got {len(parts)}")
+    words = [p & _M32 if isinstance(p, np.ndarray) else int(p) & _M32 for p in parts]
+    lo, hi = _state_words(_pool(words), 2)
+    return lo | hi << 32
+
+
+def bulk_generators(seeds):
+    """Yield np.random.default_rng(seed)'s generator for each seed of a uint64 array, in order.
+
+    One Generator is made per call and re-seeded for every seed, so each
+    yielded generator is valid until the next one is drawn.  The seeding is
+    default_rng's: SeedSequence(seed)'s eight state words (a seed below 2**32
+    is one entropy word, a larger one two, and the pool pads both with zero
+    words), then PCG64's 128-bit set-up, state = ((inc + initstate) * MULT +
+    inc) mod 2**128 with inc = initseq << 1 | 1.  Its set-up cost pays from
+    BULK_MIN_STREAMS seeds on.
+    """
+    w = _state_words(_pool([seeds & _M32, seeds >> 32]), 8)
+    # generate_state(4, np.uint64) is little-endian pairs of the eight 32-bit words;
+    # PCG64 reads its four words as (initstate high, low, initseq high, low).
+    state_hi, state_lo, seq_hi, seq_lo = (w[2 * k] | w[2 * k + 1] << 32 for k in range(4))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for a, b, c, d in zip(state_hi.tolist(), state_lo.tolist(), seq_hi.tolist(), seq_lo.tolist()):
+        inc = (c << 64 | d) << 1 & _M128 | 1
+        state["state"] = {"state": ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128,
+                          "inc": inc}
+        bit_generator.state = state
+        yield generator

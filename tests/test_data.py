@@ -172,6 +172,59 @@ class TestDirichletPartition:
         assert sorted(pm.client_indices[0]) == list(range(len(ds)))
 
 
+def split_per_class(dataset, num_clients, alpha, seed, min_per_client, indices, max_attempts):
+    """The per-class partition written out: each draw splits every non-empty class at its
+    Dirichlet cuts with np.split and extends each client's list by its piece; None when
+    no draw gives every client min_per_client rows."""
+    universe = np.asarray(indices, dtype=np.int64)
+    labels = dataset.labels[universe]
+    for attempt in range(max_attempts):
+        rng = np.random.default_rng(seed + attempt)
+        shards = [[] for _ in range(num_clients)]
+        for k in range(dataset.num_classes):
+            class_idx = universe[labels == k]
+            if class_idx.size == 0:
+                continue
+            class_idx = rng.permutation(class_idx)
+            p = rng.dirichlet(np.full(num_clients, alpha))
+            cuts = (np.cumsum(p)[:-1] * class_idx.size).astype(np.int64)
+            for j, piece in enumerate(np.split(class_idx, cuts)):
+                shards[j].extend(piece.tolist())
+        if min(len(shard) for shard in shards) >= min_per_client:
+            return shards
+    return None
+
+
+def test_partition_equals_per_class_split_reference():
+    rng = np.random.default_rng(909)
+    compared = empty_class = zero_piece = infeasible = 0
+    while compared < 200:
+        num_classes = int(rng.integers(2, 9))
+        labels = rng.integers(0, num_classes, size=int(rng.integers(50, 400)))
+        ds = Dataset(rng.standard_normal((labels.size, 2)), labels, num_classes)
+        indices = rng.permutation(labels.size)[:int(rng.integers(labels.size // 2, labels.size))]
+        if compared % 3 == 0:  # a class with no rows in `indices`
+            indices = indices[ds.labels[indices] != rng.integers(0, num_classes)]
+        num_clients = int(rng.integers(1, 25))
+        alpha = float(rng.choice([0.05, 0.3, 1.0, 10.0]))
+        seed = int(rng.integers(0, 2 ** 40))
+        draw = (ds, num_clients, alpha, seed, int(rng.integers(0, 3)), indices, 10)
+        expected = split_per_class(*draw)
+        if expected is None:
+            infeasible += 1
+            with pytest.raises(InfeasiblePartitionError):
+                dirichlet_partition(*draw)
+            continue
+        assert dirichlet_partition(*draw).client_indices == expected, draw[1:5]
+        compared += 1
+        present = np.unique(ds.labels[indices])
+        empty_class += present.size < num_classes
+        zero_piece += any(label_histogram(ds, shard)[present].min() == 0 for shard in expected)
+    assert empty_class >= 60 and zero_piece >= 60 and infeasible >= 5
+    no_rows = (ds, 3, 1.0, 0, 0, [], 10)
+    assert dirichlet_partition(*no_rows).client_indices == split_per_class(*no_rows) == [[]] * 3
+
+
 def test_partition_map_json_round_trip():
     pm = PartitionMap([[0, 2], [1, 3]], alpha=0.5, seed=7)
     back = PartitionMap.from_json(pm.to_json())

@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from fedkemf import checkpoint, runner
+from fedkemf import checkpoint, nets, runner
 from fedkemf.config import ExperimentConfig
 from fedkemf.data import PartitionMap
 from fedkemf.errors import InfeasiblePartitionError
 from fedkemf.runner import build_datasets, run_experiment
+from fedkemf.seeding import BULK_MIN_STREAMS, SALT_CLIENT_INIT, SALT_VAL_SPLIT, derive_seed
 
 
 def make_config(tmp_path, tag="run", **overrides):
@@ -146,3 +147,28 @@ def test_client_splits_are_int64_index_arrays(tmp_path):
             assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
         assert len(st.val_indices) == int(len(shard) * 0.2)
         assert sorted(np.concatenate([st.val_indices, st.train_indices]).tolist()) == sorted(shard)
+
+
+@pytest.mark.parametrize("num_clients", [BULK_MIN_STREAMS // 2 - 1, BULK_MIN_STREAMS // 2])
+def test_build_states_equals_a_default_rng_per_client(tmp_path, num_clients):
+    # One client below the bulk constant runs the scalar path, at it the bulk one.
+    cfg = make_config(tmp_path, num_clients=num_clients, val_fraction=0.2, experiment_seed=-3,
+                      synth_per_class=200, min_per_client=4)
+    bulk = all(isinstance(s, np.random.Generator)
+               for s in runner._client_streams(cfg.experiment_seed, num_clients))
+    assert bulk == (2 * num_clients >= BULK_MIN_STREAMS)
+    data, _ = build_datasets(cfg)
+    server_indices, partition = runner.build_partition(cfg, data)
+    clients, _ = runner.build_states(cfg, data, server_indices, partition)
+    assert len(clients) == num_clients
+    for cid, (st, shard) in enumerate(zip(clients, partition.client_indices)):
+        rng = np.random.default_rng(derive_seed(cfg.experiment_seed, SALT_VAL_SPLIT, cid))
+        order = rng.permutation(np.asarray(shard, dtype=np.int64))
+        n_val = int(len(order) * cfg.val_fraction)
+        hidden = cfg.client_archs[cid % len(cfg.client_archs)]
+        model = nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes),
+                                  derive_seed(cfg.experiment_seed, SALT_CLIENT_INIT, cid))
+        assert st.client_id == cid and st.local_model.arch == model.arch
+        assert st.local_model.params.tobytes() == model.params.tobytes()
+        assert st.val_indices.tolist() == order[:n_val].tolist()
+        assert st.train_indices.tolist() == order[n_val:].tolist()

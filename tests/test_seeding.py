@@ -1,9 +1,11 @@
-"""seeding.derive_seed against numpy: every derived seed is the one numpy's SeedSequence makes.
+"""seeding against numpy: every derived seed is the one numpy's SeedSequence makes, and
+every bulk stream is the one np.random.default_rng makes.
 
-derive_seed computes numpy's SeedSequence hash in Python integers.  These
-tests compare it with numpy itself over 10,000 context tuples, so a numpy
-release that changed the hash would fail here instead of silently moving
-every artifact.
+derive_seed computes numpy's SeedSequence hash in Python integers (or uint64
+arrays), and bulk_generators adds PCG64's seeding.  These tests compare them
+with numpy itself over 10,000 context tuples and 10,000 seeds, so a numpy
+release that changed the hash or the seeding would fail here instead of
+silently moving every artifact.
 """
 
 import numpy as np
@@ -56,3 +58,58 @@ def test_short_context_is_padded_with_zero_words_as_numpy_pads_it():
 def test_rejects_more_than_four_parts():
     with pytest.raises(ValueError):
         seeding.derive_seed(1, 2, 3, 4, 5)
+
+
+def test_array_parts_give_the_scalar_seeds_element_by_element():
+    for length in (1, 2, 3, 4):
+        tuples = [t for t in TUPLES if len(t) == length]
+        columns = [np.array([t[j] & M32 for t in tuples], dtype=np.uint64) for j in range(length)]
+        seeds = seeding.derive_seed(*columns)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [seeding.derive_seed(*t) for t in tuples]
+
+
+def test_array_parts_broadcast_against_int_parts():
+    salts = np.array([seeding.SALT_VAL_SPLIT, seeding.SALT_CLIENT_INIT], dtype=np.uint64)
+    cids = np.arange(50, dtype=np.uint64)[:, None]
+    seeds = seeding.derive_seed(-7, salts, cids)
+    assert seeds.shape == (50, 2)
+    assert seeds.tolist() == [[seeding.derive_seed(-7, salt, cid) for salt in salts.tolist()]
+                              for cid in range(50)]
+
+
+def bulk_seeds(count=10_000):
+    """0, 2**32 - 1, 2**32, 2**64 - 1, then seeds below 2**32 (one entropy word) and at or
+    above it (two words), half each."""
+    rng = np.random.default_rng(20240608)
+    edges = np.array([0, M32, M32 + 1, 2 ** 64 - 1], dtype=np.uint64)
+    half = (count - edges.size) // 2
+    return np.concatenate([
+        edges, rng.integers(0, 2 ** 32, size=half, dtype=np.uint64),
+        rng.integers(2 ** 32, 2 ** 64 - 1, size=count - edges.size - half, dtype=np.uint64,
+                     endpoint=True),
+    ])
+
+
+def test_bulk_generators_are_default_rngs():
+    seeds = bulk_seeds()
+    drawn = 0
+    for seed, gen in zip(seeds.tolist(), seeding.bulk_generators(seeds)):
+        ref = np.random.default_rng(seed)
+        assert gen.uniform(-1.0, 1.0, size=3).tolist() == ref.uniform(-1.0, 1.0, size=3).tolist()
+        assert gen.permutation(11).tolist() == ref.permutation(11).tolist(), seed
+        drawn += 1
+    assert drawn == seeds.size
+
+
+def test_a_generator_drawn_after_another_yields_its_own_stream():
+    seeds = np.array([5, 2 ** 40 + 3, 5], dtype=np.uint64)
+    streams = seeding.bulk_generators(seeds)
+    first = next(streams)
+    first.random(3, dtype=np.float32)  # leaves half a 64-bit word buffered
+    first.integers(0, 7, size=5)
+    second = next(streams)
+    assert second.random(4, dtype=np.float32).tolist() == (
+        np.random.default_rng(2 ** 40 + 3).random(4, dtype=np.float32).tolist())
+    third = next(streams)
+    assert third.uniform(size=4).tolist() == np.random.default_rng(5).uniform(size=4).tolist()
