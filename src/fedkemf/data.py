@@ -134,7 +134,7 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
     holds at least min_per_client samples.  Each draw permutes every non-empty
     class's indices and cuts them at the draw's cumulative shares, so a client's
     shard is its piece of each class in class order.  Only an accepted draw's
-    shards are built, with one stable counting sort of its rows by owning client.
+    shards are built, with one stable sort of its rows by owning client.
     """
     if num_clients < 1:
         raise ValueError("need at least 1 client")
@@ -158,14 +158,10 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
         # Reject a draw on its per-client counts before building any index list.
         if counts.min() < min_per_client:
             continue
-        # The draw's rows stably sorted by owning client, as a counting sort: piece
-        # (class k, client j) moves from its class-major start to its client-major
-        # one.  (np.argsort of an owner column gives the same rows but raised the
-        # benchmark's peak RSS by ~0.15 MB.)  universe[:0] types a draw with no rows.
-        class_major, client_major = sizes.ravel(), sizes.T.ravel()
-        start = (np.cumsum(class_major) - class_major).reshape(sizes.shape).T.ravel()
-        shift = np.repeat(start - (np.cumsum(client_major) - client_major), client_major)
-        by_client = np.concatenate([universe[:0], *rows])[shift + np.arange(shift.size)]
+        # The draw's rows stably sorted by owning client: client j's shard is its
+        # piece of each class in class order.  universe[:0] types a draw with no rows.
+        owner = np.repeat(np.tile(np.arange(num_clients), sizes.shape[0]), sizes.ravel())
+        by_client = np.concatenate([universe[:0], *rows])[np.argsort(owner, kind="stable")]
         shards = [piece.tolist() for piece in np.split(by_client, np.cumsum(counts)[:-1])]
         return PartitionMap(shards, float(alpha), int(seed))
     raise InfeasiblePartitionError(

@@ -13,8 +13,8 @@ from .costs import MB, RoundRecord, WireAudit, emit_metrics
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .seeding import (
-    BULK_MIN_STREAMS, SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_PARTITION,
-    SALT_SERVER_SPLIT, SALT_TEST_DATA, SALT_VAL_SPLIT, bulk_generators, derive_seed,
+    SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_PARTITION, SALT_SERVER_SPLIT,
+    SALT_TEST_DATA, SALT_VAL_SPLIT, _bulk_generators, derive_seed,
 )
 from .server import ServerState, run_round
 
@@ -79,32 +79,18 @@ def _train_val_split(shard, val_fraction, seed):
     return shard[n_val:], shard[:n_val]
 
 
-def _client_streams(experiment_seed, num_clients):
-    """Each client's val-split then init stream, in client order.
-
-    Below BULK_MIN_STREAMS streams these are derive_seed ints; from there on,
-    the streams themselves from one bulk_generators pass, each valid until the
-    next is drawn.  Both give the same draws.
-    """
-    salts = (SALT_VAL_SPLIT, SALT_CLIENT_INIT)
-    if len(salts) * num_clients < BULK_MIN_STREAMS:
-        return (derive_seed(experiment_seed, salt, cid)
-                for cid in range(num_clients) for salt in salts)
-    cids = np.arange(num_clients, dtype=np.uint64)[:, None]
-    return bulk_generators(derive_seed(experiment_seed, np.array(salts, dtype=np.uint64), cids)
-                           .ravel())
-
-
 def build_states(config: ExperimentConfig, data: Dataset, server_indices, partition):
     """Instantiate client states (round-robin heterogeneous archs) and the server.
 
     Client cid's val split and init draw from the streams
-    derive_seed(experiment_seed, SALT_VAL_SPLIT or SALT_CLIENT_INIT, cid),
-    made by _client_streams.
+    default_rng(derive_seed(experiment_seed, SALT_VAL_SPLIT or SALT_CLIENT_INIT, cid)),
+    made in one _bulk_generators pass; each is used before the next is drawn.
     """
     knowledge_arch = nets.ArchSpec(data.dim, config.knowledge_arch, data.num_classes)
     archs = [nets.ArchSpec(data.dim, hidden, data.num_classes) for hidden in config.client_archs]
-    streams = _client_streams(config.experiment_seed, len(partition.client_indices))
+    salts = np.array([SALT_VAL_SPLIT, SALT_CLIENT_INIT], dtype=np.uint64)
+    cids = np.arange(len(partition.client_indices), dtype=np.uint64)[:, None]
+    streams = _bulk_generators(derive_seed(config.experiment_seed, salts, cids).ravel())
     clients = []
     for cid, shard in enumerate(partition.client_indices):
         train_idx, val_idx = _train_val_split(shard, config.val_fraction, next(streams))

@@ -7,7 +7,7 @@ regardless of scheduling order.
 derive_seed is np.random.SeedSequence's hash of the context, computed in
 Python integers with numpy's hash constants precomputed: building a
 SeedSequence for every epoch costs more than the hash.  The streams
-themselves are np.random.default_rng(seed)'s.  bulk_generators makes many of
+themselves are np.random.default_rng(seed)'s.  _bulk_generators makes many of
 those streams at once, for set-up's per-client streams: the same hash over
 uint64 arrays, then PCG64's seeding in Python integers.  tests/test_seeding.py
 pins both to numpy.
@@ -59,14 +59,6 @@ _STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
 
-# Streams from which bulk_generators pays.  Its two vector hashes cost a fixed
-# ~0.6 ms, then ~5 us a stream, against ~40 us a stream for the scalar
-# np.random.default_rng(derive_seed(...)).  Timing runner.build_states in fresh
-# processes (2 cores, SkylakeX, numpy 2.4), the two paths tie at 16 streams
-# (8 clients) and the bulk one is ~0.6 ms ahead at 32 (16 clients) and ~2.6 ms
-# at 64.  So 32: at the tie the scalar path stays, as it costs nothing to set up.
-BULK_MIN_STREAMS = 32
-
 
 def _pool(words):
     """SeedSequence's four-word entropy pool of one to four 32-bit words, each an int or
@@ -109,16 +101,17 @@ def derive_seed(*parts):
     return lo | hi << 32
 
 
-def bulk_generators(seeds):
+def _bulk_generators(seeds):
     """Yield np.random.default_rng(seed)'s generator for each seed of a uint64 array, in order.
 
-    One Generator is made per call and re-seeded for every seed, so each
-    yielded generator is valid until the next one is drawn.  The seeding is
+    One Generator is made per call and re-seeded for every seed: every yield
+    is the same object, valid only until the next one is drawn, so a caller
+    must use each before it draws the next (list() of this gives the last
+    seed's stream for every element).  The seeding is
     default_rng's: SeedSequence(seed)'s eight state words (a seed below 2**32
     is one entropy word, a larger one two, and the pool pads both with zero
     words), then PCG64's 128-bit set-up, state = ((inc + initstate) * MULT +
-    inc) mod 2**128 with inc = initseq << 1 | 1.  Its set-up cost pays from
-    BULK_MIN_STREAMS seeds on.
+    inc) mod 2**128 with inc = initseq << 1 | 1.
     """
     w = _state_words(_pool([seeds & _M32, seeds >> 32]), 8)
     # generate_state(4, np.uint64) is little-endian pairs of the eight 32-bit words;

@@ -11,7 +11,7 @@ from fedkemf.config import ExperimentConfig
 from fedkemf.data import PartitionMap
 from fedkemf.errors import InfeasiblePartitionError
 from fedkemf.runner import build_datasets, run_experiment
-from fedkemf.seeding import BULK_MIN_STREAMS, SALT_CLIENT_INIT, SALT_VAL_SPLIT, derive_seed
+from fedkemf.seeding import SALT_CLIENT_INIT, SALT_VAL_SPLIT, derive_seed
 
 
 def make_config(tmp_path, tag="run", **overrides):
@@ -149,14 +149,10 @@ def test_client_splits_are_int64_index_arrays(tmp_path):
         assert sorted(np.concatenate([st.val_indices, st.train_indices]).tolist()) == sorted(shard)
 
 
-@pytest.mark.parametrize("num_clients", [BULK_MIN_STREAMS // 2 - 1, BULK_MIN_STREAMS // 2])
-def test_build_states_equals_a_default_rng_per_client(tmp_path, num_clients):
-    # One client below the bulk constant runs the scalar path, at it the bulk one.
+def test_build_states_equals_a_default_rng_per_client(tmp_path):
+    num_clients = 16
     cfg = make_config(tmp_path, num_clients=num_clients, val_fraction=0.2, experiment_seed=-3,
                       synth_per_class=200, min_per_client=4)
-    bulk = all(isinstance(s, np.random.Generator)
-               for s in runner._client_streams(cfg.experiment_seed, num_clients))
-    assert bulk == (2 * num_clients >= BULK_MIN_STREAMS)
     data, _ = build_datasets(cfg)
     server_indices, partition = runner.build_partition(cfg, data)
     clients, _ = runner.build_states(cfg, data, server_indices, partition)

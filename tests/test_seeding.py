@@ -2,7 +2,7 @@
 every bulk stream is the one np.random.default_rng makes.
 
 derive_seed computes numpy's SeedSequence hash in Python integers (or uint64
-arrays), and bulk_generators adds PCG64's seeding.  These tests compare them
+arrays), and _bulk_generators adds PCG64's seeding.  These tests compare them
 with numpy itself over 10,000 context tuples and 10,000 seeds, so a numpy
 release that changed the hash or the seeding would fail here instead of
 silently moving every artifact.
@@ -94,7 +94,7 @@ def bulk_seeds(count=10_000):
 def test_bulk_generators_are_default_rngs():
     seeds = bulk_seeds()
     drawn = 0
-    for seed, gen in zip(seeds.tolist(), seeding.bulk_generators(seeds)):
+    for seed, gen in zip(seeds.tolist(), seeding._bulk_generators(seeds)):
         ref = np.random.default_rng(seed)
         assert gen.uniform(-1.0, 1.0, size=3).tolist() == ref.uniform(-1.0, 1.0, size=3).tolist()
         assert gen.permutation(11).tolist() == ref.permutation(11).tolist(), seed
@@ -104,11 +104,13 @@ def test_bulk_generators_are_default_rngs():
 
 def test_a_generator_drawn_after_another_yields_its_own_stream():
     seeds = np.array([5, 2 ** 40 + 3, 5], dtype=np.uint64)
-    streams = seeding.bulk_generators(seeds)
+    streams = seeding._bulk_generators(seeds)
     first = next(streams)
     first.random(3, dtype=np.float32)  # leaves half a 64-bit word buffered
     first.integers(0, 7, size=5)
     second = next(streams)
+    # One Generator, re-seeded: drawing the next stream ends the previous one.
+    assert first is second
     assert second.random(4, dtype=np.float32).tolist() == (
         np.random.default_rng(2 ** 40 + 3).random(4, dtype=np.float32).tolist())
     third = next(streams)
