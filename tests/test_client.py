@@ -106,9 +106,10 @@ class TestClientUpdate:
 
     def test_mutual_kl_helps_under_scarcity(self):
         # With a strong knowledge-net teacher and very little data, the local
-        # model should beat a same-budget run without the KL term on >= 4/5 seeds.
-        wins = 0
-        for seed in range(5):
+        # model should beat a same-budget run without the KL term on >= 80% of
+        # 20 seeds (a tie is no win), and gain accuracy on average.
+        gains = []
+        for seed in range(20):
             data = synth_blobs(2, 100, 2, 0.6, seed=seed)
             # strong teacher trained centrally
             teacher = nets.init_network(nets.ArchSpec(2, (8,), 2), seed)
@@ -128,8 +129,9 @@ class TestClientUpdate:
             state.local_model = baseline_init
             plain, _ = local_train([state], baseline_init, data, round_index=0, **recipe)[0]
             without_kl, _ = nets.evaluate(plain, data.features, data.labels)
-            wins += with_kl > without_kl
-        assert wins >= 4
+            gains.append(with_kl - without_kl)
+        assert sum(g > 0 for g in gains) >= 16, gains
+        assert np.mean(gains) > 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_error_carries_context(self):
