@@ -6,7 +6,7 @@ import numpy as np
 
 from . import nets
 from .data import Dataset
-from .seeding import derive_seed
+from .seeding import SALT_ORDERS, stream
 
 
 @dataclass
@@ -32,7 +32,9 @@ class ClientState:
 
 
 def batch_iterator(indices, batch_size, epoch_seed):
-    """Deterministically shuffled batches; the final partial batch is kept."""
+    """Deterministically shuffled batches; the final partial batch is kept.  `epoch_seed` is
+    an int or a np.random.Generator, which np.random.default_rng passes through, so
+    successive calls on one Generator draw successive orders."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("cannot batch an empty index list")
@@ -42,11 +44,12 @@ def batch_iterator(indices, batch_size, epoch_seed):
 
 
 def _shard(state: ClientState, data: Dataset, round_index, num_classes, epochs, batch_size, seed):
-    """(x, onehot, orders) of the train shard; orders yields each epoch's row order, from `seed`."""
+    """(x, onehot, orders) of the train shard; orders yields each epoch's row order, all drawn
+    from the client's stream of the round."""
     train = np.asarray(state.train_indices, dtype=np.int64)
     positions = np.arange(len(train))
-    seeds = (derive_seed(seed, state.client_id, round_index, epoch) for epoch in range(epochs))
-    orders = (np.concatenate(batch_iterator(positions, batch_size, s)) for s in seeds)
+    rng = stream(seed, SALT_ORDERS, state.client_id, round_index)
+    orders = (np.concatenate(batch_iterator(positions, batch_size, rng)) for _ in range(epochs))
     return data.features[train], nets.onehot(data.labels[train], num_classes), orders
 
 

@@ -170,10 +170,12 @@ def parse_config_text(text) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse an experiment config file; unknown keys are rejected."""
+    """Parse an experiment config file, UTF-8 text; unknown keys are rejected."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file is not UTF-8 text: {path} (byte {e.start})") from None
     return parse_config_text(text)

@@ -10,6 +10,7 @@ import numpy as np
 from .errors import (
     BadMagicError, CountMismatchError, DataError, InfeasiblePartitionError, TruncatedFileError,
 )
+from .seeding import SALT_PARTITION, stream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -38,7 +39,7 @@ class Dataset:
 
 @dataclass
 class PartitionMap:
-    client_indices: list  # per-client index lists into one Dataset
+    client_indices: list  # per-client lists of Python int indices into one Dataset
     alpha: float
     seed: int
 
@@ -47,7 +48,7 @@ class PartitionMap:
             {
                 "alpha": self.alpha,
                 "seed": self.seed,
-                "clients": [[int(i) for i in idx] for idx in self.client_indices],
+                "clients": self.client_indices,
             }
         )
 
@@ -130,10 +131,11 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
     """Label-skew partition: per class, split its indices by a Dirichlet(alpha) draw.
 
     Partitions `indices` (defaults to the whole dataset) disjointly and
-    completely across clients; redraws with seed+attempt until every client
-    holds at least min_per_client samples.  Each draw permutes every non-empty
-    class's indices and cuts them at the draw's cumulative shares, so a client's
-    shard is its piece of each class in class order.  Only an accepted draw's
+    completely across clients; redraws until every client holds at least
+    min_per_client samples, draw `attempt` from stream(seed, SALT_PARTITION, 0,
+    attempt).  Each draw permutes every non-empty class's indices and cuts them
+    at the draw's cumulative shares, so a client's shard is its piece of each
+    class in class order; its shards are lists of Python ints.  Only an accepted draw's
     shards are built, with one stable sort of its rows by owning client.
     """
     if num_clients < 1:
@@ -144,7 +146,7 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
     labels = dataset.labels[universe]
     class_indices = [universe[labels == k] for k in range(dataset.num_classes)]
     for attempt in range(max_attempts):
-        rng = np.random.default_rng(seed + attempt)
+        rng = stream(seed, SALT_PARTITION, 0, attempt)
         rows, pieces = [], []
         for class_idx in class_indices:
             if class_idx.size == 0:

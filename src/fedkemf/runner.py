@@ -13,8 +13,7 @@ from .costs import MB, RoundRecord, WireAudit, emit_metrics
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .seeding import (
-    SALT_CLIENT_INIT, SALT_DATA, SALT_GLOBAL_INIT, SALT_PARTITION, SALT_SERVER_SPLIT,
-    SALT_TEST_DATA, SALT_VAL_SPLIT, _bulk_generators, derive_seed,
+    SALT_CLIENT, SALT_DATA, SALT_GLOBAL_INIT, SALT_SERVER_SPLIT, SALT_TEST_DATA, stream,
 )
 from .server import ServerState, run_round
 
@@ -36,11 +35,11 @@ def build_datasets(config: ExperimentConfig):
     if config.dataset_kind == "synth":
         train = synth_blobs(
             config.synth_classes, config.synth_per_class, config.synth_dim,
-            config.synth_spread, derive_seed(config.experiment_seed, SALT_DATA),
+            config.synth_spread, stream(config.experiment_seed, SALT_DATA),
         )
         test = synth_blobs(
             config.synth_classes, config.synth_test_per_class, config.synth_dim,
-            config.synth_spread, derive_seed(config.experiment_seed, SALT_TEST_DATA),
+            config.synth_spread, stream(config.experiment_seed, SALT_TEST_DATA),
         )
         return train, test
     train = load_idx(config.idx_train_images, config.idx_train_labels, name="train")
@@ -57,52 +56,38 @@ def build_datasets(config: ExperimentConfig):
 
 def build_partition(config: ExperimentConfig, data: Dataset):
     """Reserve the server's distillation split, then Dirichlet-partition the rest."""
-    rng = np.random.default_rng(derive_seed(config.experiment_seed, SALT_SERVER_SPLIT))
-    order = rng.permutation(len(data))
+    order = stream(config.experiment_seed, SALT_SERVER_SPLIT).permutation(len(data))
     n_server = int(len(data) * config.server_fraction)
-    server_indices = sorted(int(i) for i in order[:n_server])
-    client_universe = order[n_server:]
+    server_indices = np.sort(order[:n_server]).tolist()
     partition = dirichlet_partition(
-        data, config.num_clients, config.alpha,
-        seed=derive_seed(config.experiment_seed, SALT_PARTITION),
-        min_per_client=config.min_per_client, indices=client_universe,
+        data, config.num_clients, config.alpha, seed=config.experiment_seed,
+        min_per_client=config.min_per_client, indices=order[n_server:],
     )
     return server_indices, partition
-
-
-def _train_val_split(shard, val_fraction, seed):
-    """(train, val) int64 index arrays of a shard permuted by `seed`, an int or a Generator
-    (np.random.default_rng passes a Generator through)."""
-    rng = np.random.default_rng(seed)
-    shard = rng.permutation(np.asarray(shard, dtype=np.int64))
-    n_val = int(len(shard) * val_fraction) if len(shard) >= 2 else 0
-    return shard[n_val:], shard[:n_val]
 
 
 def build_states(config: ExperimentConfig, data: Dataset, server_indices, partition):
     """Instantiate client states (round-robin heterogeneous archs) and the server.
 
-    Client cid's val split and init draw from the streams
-    default_rng(derive_seed(experiment_seed, SALT_VAL_SPLIT or SALT_CLIENT_INIT, cid)),
-    made in one _bulk_generators pass; each is used before the next is drawn.
+    Client cid permutes its shard into its val split and train split, then
+    draws its init, from stream(experiment_seed, SALT_CLIENT, cid).
     """
     knowledge_arch = nets.ArchSpec(data.dim, config.knowledge_arch, data.num_classes)
     archs = [nets.ArchSpec(data.dim, hidden, data.num_classes) for hidden in config.client_archs]
-    salts = np.array([SALT_VAL_SPLIT, SALT_CLIENT_INIT], dtype=np.uint64)
-    cids = np.arange(len(partition.client_indices), dtype=np.uint64)[:, None]
-    streams = _bulk_generators(derive_seed(config.experiment_seed, salts, cids).ravel())
     clients = []
     for cid, shard in enumerate(partition.client_indices):
-        train_idx, val_idx = _train_val_split(shard, config.val_fraction, next(streams))
+        rng = stream(config.experiment_seed, SALT_CLIENT, cid)
+        order = rng.permutation(np.asarray(shard, dtype=np.int64))
+        n_val = int(len(order) * config.val_fraction) if len(order) >= 2 else 0
         clients.append(ClientState(
             client_id=cid,
-            local_model=nets.init_network(archs[cid % len(archs)], next(streams)),
-            train_indices=train_idx,
-            val_indices=val_idx,
+            local_model=nets.init_network(archs[cid % len(archs)], rng),
+            train_indices=order[n_val:],
+            val_indices=order[:n_val],
         ))
     server = ServerState(
         global_knowledge=nets.init_network(
-            knowledge_arch, derive_seed(config.experiment_seed, SALT_GLOBAL_INIT)
+            knowledge_arch, stream(config.experiment_seed, SALT_GLOBAL_INIT)
         ),
         distill_indices=server_indices,
         local_epochs=config.local_epochs,
@@ -175,10 +160,10 @@ def partition_report(config: ExperimentConfig) -> dict:
     return {
         "alpha": partition.alpha,
         "seed": partition.seed,
-        "server_indices": [int(i) for i in server_indices],
-        "clients": [[int(i) for i in shard] for shard in partition.client_indices],
+        "server_indices": server_indices,
+        "clients": partition.client_indices,
         "histograms": [
-            [int(c) for c in label_histogram(data, shard)]
+            label_histogram(data, shard).tolist()
             for shard in partition.client_indices
         ],
     }

@@ -7,7 +7,7 @@ import numpy as np
 from . import nets
 from .client import batch_iterator, client_update, fit, local_train
 from .data import Dataset
-from .seeding import SALT_DISTILL, SALT_SAMPLING, derive_seed
+from .seeding import SALT_DISTILL, SALT_SAMPLING, stream
 
 STRATEGIES = ("max_logits", "avg_logits", "majority_vote")
 INIT_MODES = ("avg_members", "warm_start")
@@ -40,7 +40,7 @@ def sample_clients(num_clients, sample_ratio, round_index, experiment_seed):
     if not (0 < sample_ratio <= 1):
         raise ValueError("sample_ratio must be in (0, 1]")
     count = max(1, int(round(sample_ratio * num_clients)))
-    rng = np.random.default_rng(derive_seed(experiment_seed, SALT_SAMPLING, round_index))
+    rng = stream(experiment_seed, SALT_SAMPLING, 0, round_index)
     return sorted(int(c) for c in rng.choice(num_clients, size=count, replace=False))
 
 
@@ -141,9 +141,9 @@ def distill(server: ServerState, members, data: Dataset):
 
     def call(guarded):
         student = nets.Trainer([start], server.distill_lr, context if guarded else None)
-        seeds = (derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
-                 for epoch in range(server.distill_epochs))
-        epochs = (np.concatenate(batch_iterator(positions, server.batch_size, s)) for s in seeds)
+        rng = stream(server.rng_seed, SALT_DISTILL, 0, context["round_index"])
+        epochs = (np.concatenate(batch_iterator(positions, server.batch_size, rng))
+                  for _ in range(server.distill_epochs))
         (loss,) = fit(student, [(x_split, teacher, epochs)], server.batch_size, (last,),
                       what="distillation ")
         return student.trained()[0], loss

@@ -92,6 +92,16 @@ class TestRun:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["partition"], ["eval", "any.fkmf"]],
+                             ids=["run", "partition", "eval"])
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(b"\xff\xfe = 1\n" + cfg.read_bytes())
+        assert main(command + [str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert str(cfg) in err
+
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"\x00" * 32)
@@ -158,7 +168,7 @@ class TestRun:
     def test_divergence_on_final_step_is_typed_and_quiet(self, tmp_path, capsys):
         # One distillation step leaves finite but huge parameters; nothing in
         # the loops runs after it, so the overflow first shows in evaluation.
-        cfg = write_config(tmp_path, num_clients=12, alpha=0.05, min_per_client=1,
+        cfg = write_config(tmp_path, num_clients=12, alpha=1.0, min_per_client=1,
                            distill_lr="1e300", distill_epochs=1, experiment_seed=1,
                            **{"dataset.per_class": "20"})
         with warnings.catch_warnings(record=True) as caught:

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from fedkemf.data import (
 from fedkemf.errors import (
     BadMagicError, CountMismatchError, InfeasiblePartitionError, TruncatedFileError,
 )
+from fedkemf.seeding import SALT_PARTITION, stream
 
 
 def write_idx_pair(tmp_path, pixels, labels, rows, cols):
@@ -179,7 +181,7 @@ def split_per_class(dataset, num_clients, alpha, seed, min_per_client, indices, 
     universe = np.asarray(indices, dtype=np.int64)
     labels = dataset.labels[universe]
     for attempt in range(max_attempts):
-        rng = np.random.default_rng(seed + attempt)
+        rng = stream(seed, SALT_PARTITION, 0, attempt)
         shards = [[] for _ in range(num_clients)]
         for k in range(dataset.num_classes):
             class_idx = universe[labels == k]
@@ -231,3 +233,13 @@ def test_partition_map_json_round_trip():
     assert back.client_indices == [[0, 2], [1, 3]]
     assert back.alpha == 0.5
     assert back.seed == 7
+
+
+def test_partition_json_is_the_int_wrapped_text():
+    # dirichlet_partition's shards are lists of Python ints, so to_json dumps them as they
+    # are and writes the text an int() re-wrap of every index would.
+    ds = balanced_dataset()
+    pm = dirichlet_partition(ds, 5, 0.5, seed=3, min_per_client=1)
+    assert all(type(i) is int for shard in pm.client_indices for i in shard)
+    assert pm.to_json() == json.dumps({"alpha": 0.5, "seed": 3, "clients": [
+        [int(i) for i in shard] for shard in pm.client_indices]})

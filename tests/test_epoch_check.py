@@ -12,14 +12,16 @@ import warnings
 import numpy as np
 import pytest
 
-from fedkemf import nets
+from fedkemf import client, nets, seeding, server
 from fedkemf.client import ClientState, batch_iterator, local_train
 from fedkemf.data import Dataset
 from fedkemf.errors import DivergenceError
-from fedkemf.seeding import derive_seed
+from fedkemf.seeding import SALT_DISTILL, SALT_ORDERS, stream
 from fedkemf.server import distill
 
-from test_training_core import make_data, make_server, reference_local_train, trained_members
+from test_training_core import (
+    make_client, make_data, make_server, reference_local_train, trained_members,
+)
 
 ROUND, SEED, CLIENT = 2, 5, 4
 REAL_PER_EPOCH_CHECKED = nets.per_epoch_checked
@@ -76,8 +78,9 @@ def train(data, states, params, hidden=(), **recipe):
 
 def last_batch_row(n, batch_size, epoch=0):
     """The shard row that epoch `epoch` puts first in its last batch."""
-    seed = derive_seed(SEED, CLIENT, ROUND, epoch)
-    return int(batch_iterator(np.arange(n), batch_size, seed)[-1][0])
+    orders = stream(SEED, SALT_ORDERS, CLIENT, ROUND)
+    batches = [batch_iterator(np.arange(n), batch_size, orders) for _ in range(epoch + 1)]
+    return int(batches[-1][-1][0])
 
 
 def assert_same_as_strict(passes, fn):
@@ -168,3 +171,42 @@ def test_check_epoch_sees_each_kind_of_failure():
     trainer.params[0, 1] = np.inf
     with pytest.raises(nets.EpochCheckFailed):
         nets.check_epoch([np.full((2, 2), 0.5)], [trainer])
+
+
+def test_guarded_replay_draws_the_orders_of_the_unguarded_pass(monkeypatch):
+    # Both passes run to the end, the unguarded one first.  Per stream, the replay must draw
+    # the orders the unguarded pass drew, in the same sequence, although that pass trains the
+    # clients as one group, largest first, and the replay each client alone.
+    contexts, drawn = {}, []
+    real_batch_iterator = client.batch_iterator
+
+    def keyed(seed, salt, stream_id=0, word2=0):
+        gen = seeding.stream(seed, salt, stream_id, word2)
+        contexts[id(gen)] = (gen, (salt, stream_id, word2))  # gen kept alive: ids stay unique
+        return gen
+
+    def batches(indices, batch_size, epoch_seed):
+        out = real_batch_iterator(indices, batch_size, epoch_seed)
+        drawn[-1].setdefault(contexts[id(epoch_seed)][1], []).append(np.concatenate(out).tolist())
+        return out
+
+    def both_passes(call):
+        drawn.append({})
+        call(False)
+        drawn.append({})
+        return call(True)
+
+    for module in (client, server):
+        monkeypatch.setattr(module, "stream", keyed)
+        monkeypatch.setattr(module, "batch_iterator", batches)
+    monkeypatch.setattr(nets, "per_epoch_checked", both_passes)
+    data = make_data()
+    states = [make_client(data, cid, n_train=n)[0] for cid, n in enumerate((40, 90, 65))]
+    model = nets.init_network(states[0].local_model.arch, 3)
+    local_train(states, model, data, ROUND, lr=0.1, epochs=3, batch_size=7, seed=SEED)
+    distill(make_server(data), trained_members(data), data)  # make_server runs round 3
+    unguarded, guarded = drawn[0::2], drawn[1::2]
+    assert [sorted(d) for d in unguarded] == [[(SALT_ORDERS, cid, ROUND) for cid in range(3)],
+                                              [(SALT_DISTILL, 0, 3)]]
+    assert all(len(orders) == 3 for d in unguarded for orders in d.values())
+    assert guarded == unguarded

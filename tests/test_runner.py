@@ -11,7 +11,7 @@ from fedkemf.config import ExperimentConfig
 from fedkemf.data import PartitionMap
 from fedkemf.errors import InfeasiblePartitionError
 from fedkemf.runner import build_datasets, run_experiment
-from fedkemf.seeding import SALT_CLIENT_INIT, SALT_VAL_SPLIT, derive_seed
+from fedkemf.seeding import SALT_CLIENT, stream
 
 
 def make_config(tmp_path, tag="run", **overrides):
@@ -119,9 +119,9 @@ def test_fedavg_mode_runs(tmp_path):
 
 
 def test_partition_json_pinned_after_redraws(tmp_path, monkeypatch):
-    # 200 clients at alpha 0.3: seed 6 needs 14 Dirichlet draws before every
-    # client holds 10 samples.  The digest pins the map the simulator has
-    # always produced for it.
+    # 200 clients at alpha 0.3: seed 6 needs 7 Dirichlet draws before every
+    # client holds 10 samples.  The digest pins the map the keyed streams
+    # produce for it.
     cfg = make_config(tmp_path, tag="pinned", num_clients=200, sample_ratio=0.05, rounds=1,
                       alpha=0.3, local_epochs=1, distill_epochs=1, knowledge_arch=(4,),
                       client_archs=[(4,)], experiment_seed=6, synth_classes=10,
@@ -129,10 +129,10 @@ def test_partition_json_pinned_after_redraws(tmp_path, monkeypatch):
     run_experiment(cfg)
     pinned = (tmp_path / "pinned" / "partition.json").read_bytes()
     assert hashlib.sha256(pinned).hexdigest() == (
-        "01e3709c96c6ac49f33d1d7dbeadf0e9fa4c5bdd865f0eb237bdd458eea17e64")
+        "dae9af319762ce0cca621d8a05739dcfa0b62c6be625b361a1fc6d679ba44f39")
     data, _ = build_datasets(cfg)
     monkeypatch.setattr(runner, "dirichlet_partition",
-                        functools.partial(runner.dirichlet_partition, max_attempts=13))
+                        functools.partial(runner.dirichlet_partition, max_attempts=6))
     with pytest.raises(InfeasiblePartitionError):
         runner.build_partition(cfg, data)
 
@@ -149,7 +149,7 @@ def test_client_splits_are_int64_index_arrays(tmp_path):
         assert sorted(np.concatenate([st.val_indices, st.train_indices]).tolist()) == sorted(shard)
 
 
-def test_build_states_equals_a_default_rng_per_client(tmp_path):
+def test_build_states_draws_split_then_init_from_one_stream_per_client(tmp_path):
     num_clients = 16
     cfg = make_config(tmp_path, num_clients=num_clients, val_fraction=0.2, experiment_seed=-3,
                       synth_per_class=200, min_per_client=4)
@@ -158,12 +158,11 @@ def test_build_states_equals_a_default_rng_per_client(tmp_path):
     clients, _ = runner.build_states(cfg, data, server_indices, partition)
     assert len(clients) == num_clients
     for cid, (st, shard) in enumerate(zip(clients, partition.client_indices)):
-        rng = np.random.default_rng(derive_seed(cfg.experiment_seed, SALT_VAL_SPLIT, cid))
+        rng = stream(cfg.experiment_seed, SALT_CLIENT, cid)
         order = rng.permutation(np.asarray(shard, dtype=np.int64))
         n_val = int(len(order) * cfg.val_fraction)
         hidden = cfg.client_archs[cid % len(cfg.client_archs)]
-        model = nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes),
-                                  derive_seed(cfg.experiment_seed, SALT_CLIENT_INIT, cid))
+        model = nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes), rng)
         assert st.client_id == cid and st.local_model.arch == model.arch
         assert st.local_model.params.tobytes() == model.params.tobytes()
         assert st.val_indices.tolist() == order[:n_val].tolist()

@@ -1,117 +1,84 @@
-"""seeding against numpy: every derived seed is the one numpy's SeedSequence makes, and
-every bulk stream is the one np.random.default_rng makes.
+"""seeding.stream: one Philox stream per context, keyed by (seed, salt, stream id) and
+counted from word 2.
 
-derive_seed computes numpy's SeedSequence hash in Python integers (or uint64
-arrays), and _bulk_generators adds PCG64's seeding.  These tests compare them
-with numpy itself over 10,000 context tuples and 10,000 seeds, so a numpy
-release that changed the hash or the seeding would fail here instead of
-silently moving every artifact.
+The streams are disjoint by construction: a context's key and counter words 2
+and 3 are fixed for the life of its stream, and distinct contexts never share
+them.  The known-answer draws pin numpy's Philox, so a numpy release that
+changed it would fail here instead of silently moving every artifact.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedkemf import seeding
 
-M32 = 0xFFFFFFFF
+SALTS = [getattr(seeding, name) for name in dir(seeding) if name.startswith("SALT_")]
+CONTEXTS = st.tuples(st.sampled_from(SALTS), st.integers(0, 2 ** 32 - 1),
+                     st.integers(0, 2 ** 64 - 1))
 
 
-def numpy_derive_seed(*parts):
-    ss = np.random.SeedSequence([int(p) & M32 for p in parts])
-    return int(ss.generate_state(2, np.uint32).view(np.uint64)[0])
+def identity(gen):
+    """(key, counter words 2 and 3) of a stream: what no other context's stream shares."""
+    state = gen.bit_generator.state["state"]
+    return state["key"].tolist(), state["counter"][2:].tolist()
 
 
-def part_tuples(count=10_000):
-    """`count` tuples of 1-4 parts, each part drawn below 2**10, 2**31, 2**40 or 2**62 in
-    magnitude, negative about half the time."""
-    rng = np.random.default_rng(20240607)
-    scales = (2 ** 10, 2 ** 31, 2 ** 40, 2 ** 62)
-    return [tuple(int(rng.integers(-scales[j], scales[j]))
-                  for j in rng.integers(0, 4, size=i % 4 + 1))
-            for i in range(count)]
+def test_salts_are_distinct_and_fit_the_keys_high_half():
+    assert len(set(SALTS)) == len(SALTS) == 9
+    assert all(0 <= salt < 2 ** 32 for salt in SALTS)
 
 
-TUPLES = part_tuples()
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(-2 ** 70, 2 ** 70), a=CONTEXTS, b=CONTEXTS,
+       draws=st.integers(0, 40))
+def test_distinct_contexts_never_share_a_key_and_counter(seed, a, b, draws):
+    gen_a, gen_b = seeding.stream(seed, *a), seeding.stream(seed, *b)
+    before = identity(gen_a)
+    gen_a.random(draws)
+    gen_a.permutation(draws + 1)
+    assert identity(gen_a) == before == (
+        [seed % 2 ** 64, a[0] << 32 | a[1]], [a[2], 0])
+    assert (identity(gen_b) == before) == (a == b)
 
 
-def test_tuples_cover_every_kind_of_part():
-    flat = [p for t in TUPLES for p in t]
-    assert {len(t) for t in TUPLES} == {1, 2, 3, 4}
-    assert sum(p >= 2 ** 32 for p in flat) > 1000 and sum(p < 0 for p in flat) > 1000
-    assert sum(0 <= p < 2 ** 32 for p in flat) > 1000
+def test_stream_is_philox_at_its_key_and_counter():
+    gen = seeding.stream(1, seeding.SALT_DATA)
+    ref = np.random.Generator(np.random.Philox(key=seeding.SALT_DATA << 96 | 1))
+    assert gen.integers(0, 2 ** 63, size=3).tolist() == [
+        3900232658760440714, 3175096443521105430, 8976611716246052861]
+    assert ref.integers(0, 2 ** 63, size=3).tolist() == [
+        3900232658760440714, 3175096443521105430, 8976611716246052861]
+    top = seeding.stream(2 ** 64 - 1, seeding.SALT_ORDERS, 2 ** 32 - 1, 2 ** 64 - 1)
+    assert identity(top) == ([2 ** 64 - 1, seeding.SALT_ORDERS << 32 | 2 ** 32 - 1],
+                             [2 ** 64 - 1, 0])
+    assert top.integers(0, 2 ** 63, size=3).tolist() == [
+        6110049213944022769, 8889118279635807545, 5865796203663877354]
 
 
-def test_derive_seed_is_numpys_seed_sequence():
-    for parts in TUPLES:
-        assert seeding.derive_seed(*parts) == numpy_derive_seed(*parts), parts
+def test_stream_masks_the_seed_to_64_bits():
+    for seed, masked in [(-1, 2 ** 64 - 1), (2 ** 64 + 5, 5), (-2 ** 64, 0),
+                         (np.int64(-3), 2 ** 64 - 3)]:
+        gen, ref = seeding.stream(seed, seeding.SALT_CLIENT, 7), seeding.stream(
+            masked, seeding.SALT_CLIENT, 7)
+        assert identity(gen) == identity(ref)
+        assert gen.random(4).tolist() == ref.random(4).tolist()
 
 
-def test_derive_seed_masks_parts_to_32_bits():
-    assert seeding.derive_seed(-1, 2 ** 32 + 5) == seeding.derive_seed(M32, 5)
-    assert seeding.derive_seed(np.int64(-1), np.uint64(7)) == numpy_derive_seed(-1, 7)
-
-
-def test_short_context_is_padded_with_zero_words_as_numpy_pads_it():
-    assert seeding.derive_seed(1, 101, 5) == seeding.derive_seed(1, 101, 5, 0)
-
-
-def test_rejects_more_than_four_parts():
-    with pytest.raises(ValueError):
-        seeding.derive_seed(1, 2, 3, 4, 5)
-
-
-def test_array_parts_give_the_scalar_seeds_element_by_element():
-    for length in (1, 2, 3, 4):
-        tuples = [t for t in TUPLES if len(t) == length]
-        columns = [np.array([t[j] & M32 for t in tuples], dtype=np.uint64) for j in range(length)]
-        seeds = seeding.derive_seed(*columns)
-        assert seeds.dtype == np.uint64
-        assert seeds.tolist() == [seeding.derive_seed(*t) for t in tuples]
-
-
-def test_array_parts_broadcast_against_int_parts():
-    salts = np.array([seeding.SALT_VAL_SPLIT, seeding.SALT_CLIENT_INIT], dtype=np.uint64)
-    cids = np.arange(50, dtype=np.uint64)[:, None]
-    seeds = seeding.derive_seed(-7, salts, cids)
-    assert seeds.shape == (50, 2)
-    assert seeds.tolist() == [[seeding.derive_seed(-7, salt, cid) for salt in salts.tolist()]
-                              for cid in range(50)]
-
-
-def bulk_seeds(count=10_000):
-    """0, 2**32 - 1, 2**32, 2**64 - 1, then seeds below 2**32 (one entropy word) and at or
-    above it (two words), half each."""
-    rng = np.random.default_rng(20240608)
-    edges = np.array([0, M32, M32 + 1, 2 ** 64 - 1], dtype=np.uint64)
-    half = (count - edges.size) // 2
-    return np.concatenate([
-        edges, rng.integers(0, 2 ** 32, size=half, dtype=np.uint64),
-        rng.integers(2 ** 32, 2 ** 64 - 1, size=count - edges.size - half, dtype=np.uint64,
-                     endpoint=True),
-    ])
-
-
-def test_bulk_generators_are_default_rngs():
-    seeds = bulk_seeds()
-    drawn = 0
-    for seed, gen in zip(seeds.tolist(), seeding._bulk_generators(seeds)):
-        ref = np.random.default_rng(seed)
-        assert gen.uniform(-1.0, 1.0, size=3).tolist() == ref.uniform(-1.0, 1.0, size=3).tolist()
-        assert gen.permutation(11).tolist() == ref.permutation(11).tolist(), seed
-        drawn += 1
-    assert drawn == seeds.size
+def test_rejects_stream_ids_outside_32_bits():
+    for stream_id in (-1, 2 ** 32, 2 ** 40):
+        with pytest.raises(ValueError, match="stream id"):
+            seeding.stream(1, seeding.SALT_ORDERS, stream_id)
 
 
 def test_a_generator_drawn_after_another_yields_its_own_stream():
-    seeds = np.array([5, 2 ** 40 + 3, 5], dtype=np.uint64)
-    streams = seeding._bulk_generators(seeds)
-    first = next(streams)
+    # Every call makes its own Generator: making and drawing a second stream neither ends
+    # nor moves the first.
+    first = seeding.stream(5, seeding.SALT_CLIENT, 3)
     first.random(3, dtype=np.float32)  # leaves half a 64-bit word buffered
-    first.integers(0, 7, size=5)
-    second = next(streams)
-    # One Generator, re-seeded: drawing the next stream ends the previous one.
-    assert first is second
-    assert second.random(4, dtype=np.float32).tolist() == (
-        np.random.default_rng(2 ** 40 + 3).random(4, dtype=np.float32).tolist())
-    third = next(streams)
-    assert third.uniform(size=4).tolist() == np.random.default_rng(5).uniform(size=4).tolist()
+    second = seeding.stream(5, seeding.SALT_CLIENT, 4)
+    second.integers(0, 7, size=5)
+    ref = seeding.stream(5, seeding.SALT_CLIENT, 3)
+    ref.random(3, dtype=np.float32)
+    assert first is not second
+    assert first.random(4, dtype=np.float32).tolist() == ref.random(4, dtype=np.float32).tolist()

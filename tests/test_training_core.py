@@ -16,7 +16,7 @@ from fedkemf import client
 from fedkemf.client import ClientState, batch_iterator, client_update, local_train, step_plan
 from fedkemf.data import synth_blobs
 from fedkemf.errors import DivergenceError
-from fedkemf.seeding import SALT_DISTILL, derive_seed
+from fedkemf.seeding import SALT_DISTILL, SALT_ORDERS, stream
 from fedkemf.server import (
     ServerState, distill, fedavg_aggregate, run_round, teacher_distributions,
 )
@@ -28,9 +28,9 @@ def reference_client_update(state, knowledge_net, data, round_index=0, *, lr, ep
     kn = knowledge_net.copy()
     theta = state.local_model
     losses = []
-    for epoch in range(epochs):
-        epoch_seed = derive_seed(seed, state.client_id, round_index, epoch)
-        for batch_idx in batch_iterator(state.train_indices, batch_size, epoch_seed):
+    orders = stream(seed, SALT_ORDERS, state.client_id, round_index)  # every epoch's order
+    for _ in range(epochs):
+        for batch_idx in batch_iterator(state.train_indices, batch_size, orders):
             x, y = data.features[batch_idx], data.labels[batch_idx]
             g_logits = nets.forward(kn, x)
             t_logits = nets.forward(theta, x)
@@ -49,9 +49,9 @@ def reference_client_update(state, knowledge_net, data, round_index=0, *, lr, ep
 def reference_local_train(state, model, data, round_index=0, *, lr, epochs, batch_size, seed):
     net = model.copy()
     losses = []
-    for epoch in range(epochs):
-        epoch_seed = derive_seed(seed, state.client_id, round_index, epoch)
-        for batch_idx in batch_iterator(state.train_indices, batch_size, epoch_seed):
+    orders = stream(seed, SALT_ORDERS, state.client_id, round_index)
+    for _ in range(epochs):
+        for batch_idx in batch_iterator(state.train_indices, batch_size, orders):
             x, y = data.features[batch_idx], data.labels[batch_idx]
             losses.append(nets.cross_entropy(nets.forward(net, x), y))
             net = nets.sgd_step(net, nets.loss_gradient(net, x, y), lr)
@@ -65,10 +65,10 @@ def reference_distill(server, members, data):
     else:
         student = nets.Network(members[0].arch, np.mean([m.params for m in members], axis=0))
     last_loss = 0.0
-    for epoch in range(server.distill_epochs):
-        seed = derive_seed(server.rng_seed, SALT_DISTILL, server.round, epoch)
+    orders = stream(server.rng_seed, SALT_DISTILL, 0, server.round + 1)  # the round being run
+    for _ in range(server.distill_epochs):
         epoch_losses = []
-        for batch_idx in batch_iterator(server.distill_indices, server.batch_size, seed):
+        for batch_idx in batch_iterator(server.distill_indices, server.batch_size, orders):
             x = data.features[batch_idx]
             teacher = teacher_distributions([nets.forward(m, x) for m in members],
                                             server.strategy)
