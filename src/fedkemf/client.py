@@ -108,17 +108,24 @@ def _lockstep_epochs(members, batch_size, setup, trainers, scored):
     members[k] = (x, target, epochs), largest x first; `epochs` yields each
     epoch's row order (batches of batch_size joined), gathered into padded
     (K, pad, .) row and target blocks; no step or score uses their unused rows.
-    setup(x_rows, t_rows, step_plan) returns (run, score, probs): run(epoch)
-    steps one epoch, score(rows) returns its loss terms on the given rows of
-    the flattened blocks, and `probs` are the softmax blocks run writes,
-    whose unused rows stay 1 so that the check passes on them.  Unless the
-    trainers are guarded, every epoch ends with nets.check_epoch.  Only the
-    epochs in `scored` are scored, and only on real rows.
+    setup(x_rows, t_rows) returns (step, score, probs): `probs` are the
+    softmax blocks the steps write, whose unused rows stay 1 so that the
+    check passes on them; step(epoch, b, views, x, t, *probs) runs batch b
+    of a step_plan slice on every block's rows of it, `views` being each
+    trainer's views of the slice; score(take) returns an epoch's loss terms,
+    take(block) being a block's real rows, flattened.  Unless the trainers
+    are guarded, every epoch ends with nets.check_epoch.  Only the epochs in
+    `scored` are scored.
     """
     sizes = [len(m[0]) for m in members]
     x_rows = np.empty((len(sizes), sizes[0], members[0][0].shape[1]))
     t_rows = np.empty((len(sizes), sizes[0], members[0][1].shape[1]))
-    run, score, probs = setup(x_rows, t_rows, step_plan(sizes, batch_size))
+    step, score, probs = setup(x_rows, t_rows)
+    blocks = (x_rows, t_rows, *probs)
+    # (views, [(b, every block's rows of batch b)]) per step_plan slice
+    steps = [([trainer.views(rows) for trainer in trainers],
+              [(b, [block[rows, start:stop] for block in blocks]) for start, stop, b in batches])
+             for rows, batches in step_plan(sizes, batch_size)]
     rows, full, partials, batches = _scoring_layout(sizes, batch_size)
     check = all(t.guard is None for t in trainers)
     losses = [[] for _ in members]
@@ -127,11 +134,14 @@ def _lockstep_epochs(members, batch_size, setup, trainers, scored):
             # mode="clip" only skips the buffering that mode="raise" needs; every index is valid
             np.take(x, order, axis=0, out=x_rows[k, :sizes[k]], mode="clip")
             np.take(target, order, axis=0, out=t_rows[k, :sizes[k]], mode="clip")
-        run(epoch)
+        for views, sliced in steps:
+            for b, block_rows in sliced:
+                step(epoch, b, views, *block_rows)
         if check:
             nets.check_epoch(probs, trainers)
         if epoch in scored:
-            means = nets.batch_means(score(rows), batch_size, full, partials)
+            terms = score(lambda block: np.take(block.reshape(-1, block.shape[2]), rows, axis=0))
+            means = nets.batch_means(terms, batch_size, full, partials)
             for member_losses, own in zip(losses, batches):
                 member_losses.append(means[own])
     return [float(np.mean(np.concatenate(m))) if m else 0.0 for m in losses]
@@ -145,96 +155,51 @@ def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what="
     one-hot `target`'s labels if `labels`, else KL from `target`; `what`
     prefixes the names in errors.
     """
-    def setup(x_rows, t_rows, plan):
+    logits = what + "logits"
+
+    def step(epoch, b, views, x, t, q_out):
+        q, inputs, pre = trainer.probs(x, q_out, logits, epoch, b, views=views[0])
+        trainer.step(inputs, pre, nets.logit_delta(q, t), epoch, b, views=views[0])
+
+    def setup(x_rows, t_rows):
         q_rows = np.ones(t_rows.shape)
-        flat_q, flat_t = (block.reshape(-1, block.shape[2]) for block in (q_rows, t_rows))
-        # (views, [(b, x, target and q blocks of batch b)]) per step_plan slice
-        steps = [(trainer.views(rows),
-                  [(b, *(block[rows, start:stop] for block in (x_rows, t_rows, q_rows)))
-                   for start, stop, b in batches])
-                 for rows, batches in plan]
-        logits = what + "logits"
 
-        def run(epoch):
-            for views, batches in steps:
-                for b, x, t, q_out in batches:
-                    q, inputs, pre = trainer.probs(x, q_out, logits, epoch, b, views=views)
-                    trainer.step(inputs, pre, nets.logit_delta(q, t), epoch, b, views=views)
-
-        def score(rows):
-            q, t = np.take(flat_q, rows, axis=0), np.take(flat_t, rows, axis=0)
+        def score(take):
+            q, t = take(q_rows), take(t_rows)
             if labels:
                 return nets.row_terms(q, t.argmax(axis=1))
             return nets.row_terms(q, teacher_probs=t)
-        return run, score, [q_rows]
+        return step, score, [q_rows]
     return _lockstep_epochs(members, batch_size, setup, [trainer], scored)
 
 
-def _mutual_learning(kn, thetas, members, batch_size, scored):
-    """Lockstep deep mutual learning; returns _lockstep_epochs' mean losses.
+def _mutual_learning(kn, theta, members, batch_size, scored):
+    """Lockstep deep mutual learning of one architecture's members; returns _lockstep_epochs'
+    mean losses.
 
-    `kn` stacks the members' knowledge copies; thetas = [(Trainer, its
-    members, ascending)] stacks their local models, one per architecture, so
-    each step_plan slice of the members is a slice of every stack.  A step
-    forwards the knowledge stack; each local stack takes its members'
-    knowledge rows, forwards, steps on CE plus KL toward them and forwards
-    again, and its stepped rows are scattered back; then the knowledge stack
-    steps on CE plus KL toward those.  The local losses are scored.
+    `kn` stacks the members' knowledge copies and `theta` their local
+    models, row for row, so each step_plan slice is a slice of both.  A step
+    forwards the knowledge stack; the local stack forwards, steps on CE plus
+    KL toward the knowledge rows and forwards again; then the knowledge stack
+    steps on CE plus KL toward those stepped rows.  The local losses are
+    scored.
     """
-    def setup(x_rows, y_rows, plan):
-        # knowledge rows, local rows before and after the local step; unused rows stay 1
+    def step(epoch, b, views, x, y, g_out, q_out, p):
+        k_views, own = views
+        g, g_inputs, g_pre = kn.probs(x, g_out, "logits", epoch, b, views=k_views)
+        q, inputs, pre = theta.probs(x, q_out, "logits", epoch, b, views=own)
+        theta.step(inputs, pre, nets.logit_delta(q, y, g), epoch, b, views=own)
+        theta.probs(x, p, "logits", epoch, b, views=own)
+        kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), epoch, b, views=k_views)
+
+    def setup(x_rows, y_rows):
+        # knowledge rows, local rows before and after the local step
         g_rows, q_rows, p_rows = (np.ones(y_rows.shape) for _ in range(3))
-        # (Trainer, members, x, one-hot and q blocks padded to its own largest member)
-        stacks = [(theta, np.array(rows),
-                   *(np.ones((len(rows), len(members[rows[0]][0]), block.shape[2]))
-                     for block in (x_rows, y_rows, y_rows)))
-                  for theta, rows in thetas]
-        steps = []
-        for rows, batches in plan:
-            stepping = range(len(members))[rows]
-            local = []  # (Trainer, views, sel, own rows, blocks) of each stack with stepping members
-            for theta, member_rows, *blocks in stacks:
-                mine = [r for r, k in enumerate(member_rows) if k in stepping]
-                if mine:
-                    own = slice(mine[0], mine[-1] + 1)
-                    # sel picks the stack's rows out of a prefix step's knowledge rows; None: all
-                    # of them, as for any lone member
-                    sel = None if len(mine) == len(stepping) else member_rows[own]
-                    local.append((theta, theta.views(own), sel, own, blocks))
-            views = kn.views(rows)
-            for start, stop, b in batches:
-                own_steps = [(theta, own_views, sel, *(block[own, start:stop] for block in blocks))
-                             for theta, own_views, sel, own, blocks in local]
-                steps.append((views, b, own_steps, *(block[rows, start:stop]
-                                                     for block in (x_rows, y_rows, g_rows, p_rows))))
-        flat_y, flat_g, flat_q = (block.reshape(-1, block.shape[2])
-                                  for block in (y_rows, g_rows, q_rows))
-        probs = [g_rows, p_rows] + [q_a for *_, q_a in stacks]
 
-        def run(epoch):
-            for _, member_rows, x_a, y_a, _ in stacks:
-                x_a[:] = x_rows[member_rows, :len(x_a[0])]
-                y_a[:] = y_rows[member_rows, :len(y_a[0])]
-            for views, b, local, x, y, g_out, p in steps:
-                g, g_inputs, g_pre = kn.probs(x, g_out, "logits", epoch, b, views=views)
-                for theta, own, sel, x_a, y_a, q_out in local:
-                    q, inputs, pre = theta.probs(x_a, q_out, "logits", epoch, b, views=own)
-                    theta.step(inputs, pre, nets.logit_delta(q, y_a, g if sel is None else g[sel]),
-                               epoch, b, views=own)
-                    stepped = theta.probs(x_a, p if sel is None else None, "logits", epoch, b,
-                                          views=own)[0]
-                    if sel is not None:
-                        p[sel] = stepped
-                kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), epoch, b, views=views)
-
-        def score(rows):
-            for _, member_rows, _, _, q_a in stacks:
-                q_rows[member_rows, :len(q_a[0])] = q_a
-            q, y, g = (np.take(block, rows, axis=0) for block in (flat_q, flat_y, flat_g))
-            return nets.row_terms(q, y.argmax(axis=1), g)
-        return run, score, probs
-    return _lockstep_epochs(members, batch_size, setup, [kn] + [theta for theta, _ in thetas],
-                            scored)
+        def score(take):
+            return nets.row_terms(take(q_rows), take(y_rows).argmax(axis=1), take(g_rows))
+        return step, score, [g_rows, q_rows, p_rows]
+    return _lockstep_epochs(members, batch_size, setup, [kn, theta], scored)
 
 
 def _lockstep(states, num_classes, data: Dataset, round_index, train, *, epochs, batch_size,
@@ -275,13 +240,14 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
     local model: three forwards, one per net per use.  Losses are scored
     from the kept softmax rows once per epoch.  Every client trains with the
     one recipe (lr, epochs, batch_size, and the experiment seed its batch
-    orders derive from).  Largest shard first, ties by client id, the
-    clients' knowledge copies are one stack and their local models one stack
-    per architecture (_mutual_learning).  Each result equals the client's run
-    alone.  The states change only once every stack has trained and the
-    local models are scored; the local model and its val accuracy persist in
-    the state.  A failed per-epoch check, or any divergence, replays the
-    clients alone and guarded, in the given order (_lockstep).
+    orders derive from).  The clients of each architecture, largest shard
+    first, ties by client id, train as one pair of stacks: their knowledge
+    copies and their local models, row for row (_mutual_learning), the
+    architecture of the largest shard first.  Each result equals the
+    client's run alone.  The states change only once every pair has trained
+    and the local models are scored; the local model and its val accuracy
+    persist in the state.  A failed per-epoch check, or any divergence,
+    replays the clients alone and guarded, in the given order (_lockstep).
     """
     num_classes = knowledge_net.arch.num_classes
     if any(st.local_model.arch.num_classes != num_classes for st in states):
@@ -291,19 +257,23 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
         by_arch = {}
         for r, st in enumerate(group):
             by_arch.setdefault(st.local_model.arch, []).append(r)
-        thetas = [(nets.Trainer([group[r].local_model for r in rows], lr, guard), rows)
-                  for rows in by_arch.values()]
-        kn = nets.Trainer([knowledge_net] * len(group), lr, guard)
-        means = _mutual_learning(kn, thetas, shards, batch_size, range(epochs))
+        pairs = []  # (rows, knowledge stack, local stack, mean losses) per architecture
+        for rows in by_arch.values():
+            kn = nets.Trainer([knowledge_net] * len(rows), lr, guard)
+            theta = nets.Trainer([group[r].local_model for r in rows], lr, guard)
+            means = _mutual_learning(kn, theta, [shards[r] for r in rows], batch_size,
+                                     range(epochs))
+            pairs.append((rows, kn, theta, means))
         # Checked and scored before any state changes: local models, val accuracies, knowledge.
         # Each local model is a copy, as a row view would keep its whole stack alive.
-        local = {r: model.copy() for theta, rows in thetas
+        local = {r: model.copy() for rows, _, theta, _ in pairs
                  for r, model in zip(rows, theta.trained())}
         accs = [st.accuracy(local[r], data, round_index=round_index) for r, st in enumerate(group)]
-        results = list(zip(kn.trained(), means, accs))
+        results = {r: (knowledge, mean, accs[r]) for rows, kn, _, means in pairs
+                   for r, knowledge, mean in zip(rows, kn.trained(), means)}
         for r, st in enumerate(group):
             st.local_model, st.val_accuracy = local[r], accs[r]
-        return results
+        return [results[r] for r in range(len(group))]
     return _lockstep(states, num_classes, data, round_index, train,
                      epochs=epochs, batch_size=batch_size, seed=seed)
 

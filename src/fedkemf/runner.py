@@ -1,5 +1,6 @@
 """Experiment driver: builds data, clients and server, runs the round loop."""
 
+import glob
 import os
 import time
 from dataclasses import dataclass
@@ -104,7 +105,7 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run all rounds, writing metrics, checkpoints, and the partition map; `jobs` has no
-    effect."""
+    effect.  The round_*.fkmf files already in out_dir are removed first."""
     data, test = build_datasets(config)
     server_indices, partition = build_partition(config, data)
     if config.mode == "fedkemf" and config.distill_epochs and not server_indices:
@@ -114,6 +115,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     clients, server = build_states(config, data, server_indices, partition)
 
     os.makedirs(config.out_dir, exist_ok=True)
+    # out_dir's checkpoints are this run's own, also after a crash: drop any earlier run's first
+    for stale in glob.glob(os.path.join(glob.escape(config.out_dir), "round_*.fkmf")):
+        os.remove(stale)
     with open(os.path.join(config.out_dir, "partition.json"), "w") as f:
         f.write(partition.to_json())
         f.write("\n")

@@ -1,0 +1,44 @@
+"""The lockstep-equals-serial premise under a forced OpenBLAS kernel.
+
+Stacked training equals serial training only if np.matmul runs each slice of
+a stack as a 2-D call would.  Tier-1 otherwise checks that on the host's
+default kernel only; here a child process forces OPENBLAS_CORETYPE=Nehalem
+(SSE4.2, which every x86-64 host can run) and repeats the checks there.
+"""
+
+import importlib.util
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("identity_tool", ROOT / "tools" / "identity.py")
+identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(identity)
+
+# argv: the src, tests and tools directories; prints the kernel the checks ran on
+CHILD = """
+import sys
+sys.path[:0] = sys.argv[1:]
+from identity import blas_core_name
+from test_training_core import TestLockstep, TestMutualLockstep
+TestMutualLockstep().test_each_client_equals_its_serial_reference()
+TestLockstep().test_each_client_equals_its_serial_reference()
+print(blas_core_name())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or identity.blas_core_name() == "unknown",
+                    reason="needs x86-64 and numpy's OpenBLAS")
+def test_lockstep_equals_serial_on_nehalem():
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem"}
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, *(str(ROOT / d) for d in ("src", "tests", "tools"))],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["Nehalem"]

@@ -355,7 +355,7 @@ class TestStackedProductsPremise:
     @pytest.mark.parametrize("n", [1, 7, 13, 32])
     @pytest.mark.parametrize("fan_in, fan_out", SHIPPED_LAYERS)
     def test_per_slice_identical_ten_wide(self, fan_in, fan_out, n):
-        # kemf-many's knowledge stack holds all 10 sampled clients
+        # kemf-many samples 10 clients a round; none of its stacks is higher
         self.check_stack(fan_in, fan_out, n, k=10)
 
     @pytest.mark.parametrize("n", [1, 7, 13, 32])

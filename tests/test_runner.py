@@ -92,6 +92,15 @@ def test_checkpoints_reload(tmp_path):
     assert np.array_equal(net.params, result.server.global_knowledge.params)
 
 
+def test_reused_out_dir_keeps_only_this_runs_checkpoints(tmp_path):
+    run_experiment(make_config(tmp_path, tag="reused", rounds=30, local_epochs=1))
+    result = run_experiment(make_config(tmp_path, tag="reused", rounds=3))
+    assert sorted(p.name for p in (tmp_path / "reused").glob("round_*.fkmf")) == [
+        "round_1.fkmf", "round_2.fkmf", "round_3.fkmf"]
+    net = checkpoint.load(tmp_path / "reused" / "round_3.fkmf")
+    assert np.array_equal(net.params, result.server.global_knowledge.params)
+
+
 def test_summary_contents(tmp_path):
     cfg = make_config(tmp_path, tag="summary", target_accuracy=0.5)
     result = run_experiment(cfg)

@@ -282,11 +282,11 @@ class TestLockstep:
 
 
 class TestMutualLockstep:
-    """Sampled fedkemf clients train as one knowledge stack plus one local-model
-    stack per architecture; each must equal its own serial run."""
+    """Sampled fedkemf clients train as one knowledge/local pair of stacks per
+    architecture; each must equal its own serial run."""
 
     # batch_size 8, as in TestLockstep; the shipped kemf archs, round-robin, so
-    # every step prefix mixes them and most stacks take scattered knowledge rows.
+    # every pair holds clients of interleaved shard sizes.
     SIZES = TestLockstep.SIZES
     ARCHS = ((32,), (64,), (64, 32))
 
@@ -369,14 +369,15 @@ class TestMutualLockstep:
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
-        # the unguarded lockstep pass, then the serial replay: client 0 alone diverges, and
+        # the unguarded pass diverges in the first pair (client 1's architecture), so the
+        # other pair never trains; then the serial replay: client 0 alone diverges, and
         # client 1 never trains again
-        assert training_passes == [(2, None), (1, {"client_id": 0, "round_index": 1})]
+        assert training_passes == [(1, None), (1, {"client_id": 0, "round_index": 1})]
         # the serial loop failed on client 0, before any state changed
         assert all(st.local_model is model for st, model in zip(states, before))
 
     def test_states_change_only_after_every_check(self, monkeypatch, training_passes):
-        # Client 1's val evaluation diverges after every stack has trained.  The
+        # Client 1's val evaluation diverges after every pair has trained.  The
         # replay must start from the states as sampled, so client 0 ends exactly
         # one serial round on, and client 1 keeps its model.
         data = self.data()
@@ -394,8 +395,8 @@ class TestMutualLockstep:
         with pytest.raises(DivergenceError) as err:
             client_update(states, knowledge, data, round_index=2, **recipe)
         assert err.value.client_id == 1
-        # three passes for two clients: the unguarded lockstep pass, then each client alone
-        assert training_passes == [(2, None), (1, {"client_id": 0, "round_index": 2}),
+        # the unguarded pass trains one pair per architecture, then each client alone
+        assert training_passes == [(1, None), (1, None), (1, {"client_id": 0, "round_index": 2}),
                                    (1, {"client_id": 1, "round_index": 2})]
         ref_theta = reference_client_update(twins[0], knowledge, data, 2, **recipe)[1]
         assert np.array_equal(states[0].local_model.params, ref_theta.params)
@@ -441,6 +442,29 @@ class TestForwardCounts:
         client_update([state], nets.init_network(
             nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, **recipe)
         assert len(forwards) == 3 * self.batches(state, recipe) + 1  # + the val evaluation
+
+    def test_client_update_mixed_architectures(self, forwards, monkeypatch):
+        # per step of each architecture's pair of stacks: three forwards and two SGD steps
+        steps = []
+        stepped = nets.Trainer.step
+
+        def counting(self, *args, **kwargs):
+            steps.append(1)
+            return stepped(self, *args, **kwargs)
+
+        monkeypatch.setattr(nets.Trainer, "step", counting)
+        data = TestMutualLockstep.data()
+        states, recipe = TestMutualLockstep.clients(data, TestMutualLockstep.SIZES)
+        by_arch = {}
+        for st in states:
+            by_arch.setdefault(st.local_model.arch, []).append(len(st.train_indices))
+        assert all(len(sizes) >= 2 for sizes in by_arch.values())
+        pair_steps = recipe["epochs"] * sum(
+            len(batches) for sizes in by_arch.values()
+            for _, batches in step_plan(sorted(sizes, reverse=True), recipe["batch_size"]))
+        client_update(states, TestMutualLockstep.knowledge(data), data, **recipe)
+        assert len(forwards) == 3 * pair_steps + len(states)  # + one val evaluation each
+        assert len(steps) == 2 * pair_steps
 
     def test_local_train_one_per_batch(self, forwards):
         data = make_data()
