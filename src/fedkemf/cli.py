@@ -108,6 +108,11 @@ def main(argv=None):
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as e:
+        # Every large array is sized by config keys (IDX headers are checked against the
+        # file size), so an array that does not fit is a config error.
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

@@ -72,63 +72,38 @@ def step_plan(sizes, batch_size):
                    for j, n in enumerate(sizes) if n % batch_size]
 
 
-def _scoring_layout(sizes, batch_size):
-    """How an epoch is scored on real rows only, in few numpy calls: (rows, full, partials,
-    batches).
-
-    `rows` picks out of the flattened (K, sizes[0]) blocks every member's
-    whole batches, member by member, then each member's partial last batch;
-    `full` counts the whole batches and `partials` are the partial batches'
-    (start, stop) in `rows`, as nets.batch_means takes them.  batches[k]
-    picks member k's losses, in batch order, out of batch_means' result.
-    """
-    pad = sizes[0]
-    whole = [n // batch_size * batch_size for n in sizes]
-    rows = np.concatenate([k * pad + np.arange(w) for k, w in enumerate(whole)]
-                          + [k * pad + np.arange(w, n)
-                             for k, (w, n) in enumerate(zip(whole, sizes))])
-    full = sum(whole) // batch_size
-    partials, batches = [], []
-    start, first = sum(whole), 0
-    for w, n in zip(whole, sizes):
-        own = list(range(first, first + w // batch_size))
-        first += w // batch_size
-        if n > w:
-            own.append(full + len(partials))
-            partials.append((start, start + n - w))
-            start += n - w
-        batches.append(np.array(own, dtype=np.int64))
-    return rows, full, partials, batches
-
-
-def _lockstep_epochs(members, batch_size, setup, trainers, scored):
+def _lockstep_epochs(members, batch_size, step, score, n_probs, trainers, scored):
     """The epoch loop of both lockstep trainers: per member, its mean batch loss over the
     scored epochs (0.0 if none).
 
     members[k] = (x, target, epochs), largest x first; `epochs` yields each
     epoch's row order (batches of batch_size joined), gathered into padded
     (K, pad, .) row and target blocks; no step or score uses their unused rows.
-    setup(x_rows, t_rows) returns (step, score, probs): `probs` are the
-    softmax blocks the steps write, whose unused rows stay 1 so that the
-    check passes on them; step(epoch, b, views, x, t, *probs) runs batch b
-    of a step_plan slice on every block's rows of it, `views` being each
-    trainer's views of the slice; score(take) returns an epoch's loss terms,
-    take(block) being a block's real rows, flattened.  Unless the trainers
-    are guarded, every epoch ends with nets.check_epoch.  Only the epochs in
-    `scored` are scored.
+    The n_probs softmax blocks the steps write are made here, shaped like the
+    target block; their unused rows stay 1 so that the check passes on them.
+    step(epoch, b, views, x, t, *probs) runs batch b of a step_plan slice on
+    every block's rows of it, `views` being each trainer's views of the
+    slice.  Unless the trainers are guarded, every epoch ends with
+    nets.check_epoch.  Each epoch in `scored` keeps score(take, t, *probs),
+    its per-row loss terms, take(block) being a block's real rows, member by
+    member; after the last epoch each member's terms go to nets.batch_means.
     """
     sizes = [len(m[0]) for m in members]
     x_rows = np.empty((len(sizes), sizes[0], members[0][0].shape[1]))
     t_rows = np.empty((len(sizes), sizes[0], members[0][1].shape[1]))
-    step, score, probs = setup(x_rows, t_rows)
+    probs = [np.ones(t_rows.shape) for _ in range(n_probs)]
     blocks = (x_rows, t_rows, *probs)
     # (views, [(b, every block's rows of batch b)]) per step_plan slice
     steps = [([trainer.views(rows) for trainer in trainers],
               [(b, [block[rows, start:stop] for block in blocks]) for start, stop, b in batches])
              for rows, batches in step_plan(sizes, batch_size)]
-    rows, full, partials, batches = _scoring_layout(sizes, batch_size)
+    # the real rows of the flattened (K, pad, .) blocks, member by member
+    rows = np.flatnonzero(np.arange(sizes[0]) < np.array(sizes)[:, None])
+
+    def take(block):
+        return np.take(block.reshape(-1, block.shape[2]), rows, axis=0)
     check = all(t.guard is None for t in trainers)
-    losses = [[] for _ in members]
+    terms = []  # per scored epoch, its per-row loss terms
     for epoch, orders in enumerate(zip(*(m[2] for m in members))):
         for k, ((x, target, _), order) in enumerate(zip(members, orders)):
             # mode="clip" only skips the buffering that mode="raise" needs; every index is valid
@@ -140,19 +115,20 @@ def _lockstep_epochs(members, batch_size, setup, trainers, scored):
         if check:
             nets.check_epoch(probs, trainers)
         if epoch in scored:
-            terms = score(lambda block: np.take(block.reshape(-1, block.shape[2]), rows, axis=0))
-            means = nets.batch_means(terms, batch_size, full, partials)
-            for member_losses, own in zip(losses, batches):
-                member_losses.append(means[own])
-    return [float(np.mean(np.concatenate(m))) if m else 0.0 for m in losses]
+            terms.append(score(take, t_rows, *probs))
+    if not terms:
+        return [0.0] * len(sizes)
+    terms = [np.stack(term) for term in zip(*terms)]  # each (scored epochs, rows)
+    return [float(np.mean(nets.batch_means([t[:, end - n:end] for t in terms], batch_size).ravel()))
+            for n, end in zip(sizes, np.cumsum(sizes))]
 
 
 def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what=""):
     """Lockstep single-student SGD: each trainer member steps toward its own fixed target block.
 
     `members`, `scored` and the result are _lockstep_epochs'; the steps
-    follow step_plan.  Losses are scored per scored epoch: CE toward a
-    one-hot `target`'s labels if `labels`, else KL from `target`; `what`
+    follow step_plan.  A scored epoch keeps each row's CE toward a one-hot
+    `target`'s labels if `labels`, else its KL from `target`; `what`
     prefixes the names in errors.
     """
     logits = what + "logits"
@@ -161,16 +137,11 @@ def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what="
         q, inputs, pre = trainer.probs(x, q_out, logits, epoch, b, views=views[0])
         trainer.step(inputs, pre, nets.logit_delta(q, t), epoch, b, views=views[0])
 
-    def setup(x_rows, t_rows):
-        q_rows = np.ones(t_rows.shape)
-
-        def score(take):
-            q, t = take(q_rows), take(t_rows)
-            if labels:
-                return nets.row_terms(q, t.argmax(axis=1))
-            return nets.row_terms(q, teacher_probs=t)
-        return step, score, [q_rows]
-    return _lockstep_epochs(members, batch_size, setup, [trainer], scored)
+    def score(take, t, q):
+        if labels:
+            return nets.row_terms(take(q), take(t).argmax(axis=1))
+        return nets.row_terms(take(q), teacher_probs=take(t))
+    return _lockstep_epochs(members, batch_size, step, score, 1, [trainer], scored)
 
 
 def _mutual_learning(kn, theta, members, batch_size, scored):
@@ -179,10 +150,10 @@ def _mutual_learning(kn, theta, members, batch_size, scored):
 
     `kn` stacks the members' knowledge copies and `theta` their local
     models, row for row, so each step_plan slice is a slice of both.  A step
-    forwards the knowledge stack; the local stack forwards, steps on CE plus
-    KL toward the knowledge rows and forwards again; then the knowledge stack
-    steps on CE plus KL toward those stepped rows.  The local losses are
-    scored.
+    forwards the knowledge stack (g); the local stack forwards (q), steps on
+    CE plus KL toward the knowledge rows and forwards again (p); then the
+    knowledge stack steps on CE plus KL toward those stepped rows.  A scored
+    epoch keeps the local rows' CE and KL from the knowledge rows.
     """
     def step(epoch, b, views, x, y, g_out, q_out, p):
         k_views, own = views
@@ -192,14 +163,9 @@ def _mutual_learning(kn, theta, members, batch_size, scored):
         theta.probs(x, p, "logits", epoch, b, views=own)
         kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), epoch, b, views=k_views)
 
-    def setup(x_rows, y_rows):
-        # knowledge rows, local rows before and after the local step
-        g_rows, q_rows, p_rows = (np.ones(y_rows.shape) for _ in range(3))
-
-        def score(take):
-            return nets.row_terms(take(q_rows), take(y_rows).argmax(axis=1), take(g_rows))
-        return step, score, [g_rows, q_rows, p_rows]
-    return _lockstep_epochs(members, batch_size, setup, [kn, theta], scored)
+    def score(take, y, g, q, p):
+        return nets.row_terms(take(q), take(y).argmax(axis=1), take(g))
+    return _lockstep_epochs(members, batch_size, step, score, 3, [kn, theta], scored)
 
 
 def _lockstep(states, num_classes, data: Dataset, round_index, train, *, epochs, batch_size,

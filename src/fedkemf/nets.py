@@ -273,21 +273,21 @@ def row_terms(q, labels=None, teacher_probs=None):
     return terms
 
 
-def batch_means(terms, batch_size, full, partials):
-    """Batch losses from per-row terms: each batch's mean of each term, summed in order.
+def batch_means(terms, batch_size):
+    """Every epoch's batch losses from one member's per-row terms: (epochs, batches), each
+    batch's mean of each term, summed in term order.
 
-    The terms' rows hold `full` whole batches of batch_size rows, then the
-    partial batches at `partials`, (start, stop) pairs.  Returns one array:
-    the whole batches' losses, then the partial batches'.  The whole batches
-    are summed as one (full, batch_size) reshape along its rows, each partial
-    batch as one slice; a contiguous sum divided by its length is the same
-    arithmetic as .mean() of that batch alone, so the losses equal those
-    scored batch by batch.
+    Each term is an (epochs, n) block, n >= 1, of the member's rows in batch
+    order.  The whole batches are one (epochs, n // batch_size, batch_size)
+    reshape, the partial last batch one (epochs, 1, n % batch_size) reshape,
+    each summed along its last axis; a contiguous sum divided by its length
+    is the same arithmetic as .mean() of that batch alone.
     """
-    n = full * batch_size
-    means = [np.concatenate([np.add.reduce(t[:n].reshape(full, batch_size), axis=1) / batch_size,
-                             [np.add.reduce(t[a:b]) / (b - a) for a, b in partials]])
-             for t in terms]
+    epochs, n = terms[0].shape
+    whole = n - n % batch_size
+    parts = [(a, b, w) for a, b, w in ((0, whole, batch_size), (whole, n, n - whole)) if b > a]
+    means = [np.concatenate([np.add.reduce(t[:, a:b].reshape(epochs, -1, w), axis=2) / w
+                             for a, b, w in parts], axis=1) for t in terms]
     return sum(means[1:], means[0])
 
 

@@ -1,7 +1,11 @@
 import json
 import os
+import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,10 @@ import pytest
 from fedkemf import checkpoint, nets
 from fedkemf.cli import main
 from fedkemf.data import Dataset, save_idx, synth_blobs
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from fedkemf.cli import main; "
+       "sys.exit(main(['run', sys.argv[2]]))")
 
 
 def write_config(tmp_path, **overrides):
@@ -230,6 +238,27 @@ class TestRun:
             }
         )
         assert main(["run", str(cfg)]) == 5
+
+    # The child's address space is capped, so each array is refused at once; uncapped, the
+    # first would ask for ~24 GiB.
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps the child with RLIMIT_AS")
+    @pytest.mark.parametrize("key, value", [("knowledge_arch", "200000000"),
+                                            ("dataset.dim", "50000000")])
+    def test_an_array_that_does_not_fit_is_one_error_line(self, tmp_path, key, value):
+        def cap():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+        text = (ROOT / "configs" / "blobs_fedkemf.cfg").read_text()
+        for k, v in ((key, value), ("out_dir", tmp_path / "out")):
+            text = re.sub(rf"(?m)^{re.escape(k)} = .*$", f"{k} = {v}", text)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        child = subprocess.run(
+            [sys.executable, "-c", RUN, str(ROOT / "src"), str(cfg)],
+            preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: out of memory: ")
+        assert child.stderr.count("\n") == 1
 
 
 class TestPartition:

@@ -57,7 +57,7 @@ EDGES = {
     "rounds": [-1, 0],
     "alpha": [-1.0, 0.0, 1e-300, 1e300, NAN, INF],
     "local_epochs": [-1, 0],
-    "batch_size": [-1, 0, 1, 10 ** 9],
+    "batch_size": [-1, 0, 1, 10 ** 9, 2 ** 60],
     "lr": [-0.1, 0.0, 1e-300, 1e300, NAN, INF],
     "distill_epochs": [-1],
     "distill_lr": [-0.1, 0.0, 1e-300, 1e300, NAN, INF],

@@ -395,6 +395,30 @@ class TestStackedProductsPremise:
             assert np.array_equal(back[j], dj @ wj.T)
 
 
+@pytest.mark.parametrize("shape", ["partial_only", "whole_only", "whole_and_partial"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(batch_size=st.integers(2, 300), whole=st.integers(1, 6), epochs=st.integers(2, 4),
+       n_terms=st.integers(1, 2), offset=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_means_equal_per_batch_means(shape, batch_size, whole, epochs, n_terms, offset,
+                                           seed):
+    """Each batch's loss is the sum over terms of its .mean(), bit for bit, whatever mix of
+    whole and partial batches a member has; the terms are column slices of wider blocks, as
+    _lockstep_epochs passes them."""
+    rng = np.random.default_rng(seed)
+    partial = int(rng.integers(1, batch_size))
+    n = {"partial_only": partial, "whole_only": whole * batch_size,
+         "whole_and_partial": whole * batch_size + partial}[shape]
+    wide = rng.standard_exponential((n_terms, epochs, offset + n + 3)) * 10.0 ** rng.integers(
+        -3, 4, size=(n_terms, epochs, offset + n + 3))
+    terms = [w[:, offset:offset + n] for w in wide]
+    expected = np.array([[sum((t[e, s:s + batch_size].mean() for t in terms[1:]),
+                              terms[0][e, s:s + batch_size].mean())
+                          for s in range(0, n, batch_size)] for e in range(epochs)])
+    got = nets.batch_means(terms, batch_size)
+    assert got.shape == expected.shape == (epochs, -(-n // batch_size))
+    assert got.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 40), st.integers(1, 80), st.integers(1, 80), st.integers(1, 12))
 def test_stacked_products_premise_at_any_shape(n, fan_in, fan_out, k):

@@ -123,9 +123,9 @@ def training_passes(monkeypatch):
     seen = []
     epochs = client._lockstep_epochs
 
-    def recorded(members, batch_size, setup, trainers, scored):
+    def recorded(members, batch_size, step, score, n_probs, trainers, scored):
         seen.append((len(members), trainers[0].guard))
-        return epochs(members, batch_size, setup, trainers, scored)
+        return epochs(members, batch_size, step, score, n_probs, trainers, scored)
     monkeypatch.setattr(client, "_lockstep_epochs", recorded)
     return seen
 
@@ -142,12 +142,17 @@ def trained_members(data, count=3):
 
 
 class TestReferenceEquivalence:
-    @pytest.mark.parametrize("hidden", [(), (8,), (8, 4)])
-    def test_client_update(self, hidden):
+    @pytest.mark.parametrize("hidden, batch_size", [
+        pytest.param((), 7, id="hidden0"),
+        pytest.param((8,), 7, id="hidden1"),
+        pytest.param((8, 4), 7, id="hidden2"),
+        pytest.param((8, 4), 2 ** 60, id="batch_above_every_shard"),  # one partial batch
+    ])
+    def test_client_update(self, hidden, batch_size):
         data = make_data()
         knowledge = nets.init_network(nets.ArchSpec(data.dim, (6,), data.num_classes), 7)
-        state, recipe = make_client(data, hidden=hidden)
-        twin, _ = make_client(data, hidden=hidden)
+        state, recipe = make_client(data, hidden=hidden, batch_size=batch_size)
+        twin, _ = make_client(data, hidden=hidden, batch_size=batch_size)
         kn, loss, acc = client_update([state], knowledge, data, round_index=4, **recipe)[0]
         ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, knowledge, data, 4,
                                                                        **recipe)

@@ -9,8 +9,9 @@ blobs_fedkemf with `strategy = avg_logits`, with `strategy = majority_vote` and
 with `server.init = warm_start`, the ensemble and init paths no other case takes;
 blobs_fedkemf with `directions = up_and_down` and with `payload_mb = 2.1`, the
 byte-ledger paths no other case takes; blobs_fedkemf with `local_epochs = 0`,
-where the clients draw no batch orders but distillation does; both shipped
-configs with `lr = 1e12`,
+where the clients draw no batch orders but distillation does; blobs_fedkemf
+with `batch_size = 100000`, where every client and the distillation split
+score only a partial batch; both shipped configs with `lr = 1e12`,
 which diverge (exit 4); and the benchmark workloads kemf-many and avg-small at
 seeds 1-3, whose configs are generated from bench/workloads.py (read, never
 edited).  Both trees run on the same config text, taken from this tree.  The
@@ -49,6 +50,7 @@ VARIANTS = (("configs/blobs_fedkemf.cfg", "strategy", "avg_logits"),
             ("configs/blobs_fedkemf.cfg", "directions", "up_and_down"),
             ("configs/blobs_fedkemf.cfg", "payload_mb", "2.1"),
             ("configs/blobs_fedkemf.cfg", "local_epochs", "0"),
+            ("configs/blobs_fedkemf.cfg", "batch_size", "100000"),
             ("configs/blobs_fedkemf.cfg", "lr", "1e12"),
             ("configs/blobs_fedavg.cfg", "lr", "1e12"))
 WORKLOADS = ("kemf-many", "avg-small")
