@@ -15,8 +15,7 @@ class ClientState:
     local_model: nets.Network
     train_indices: np.ndarray  # int64 dataset rows; any 1-d integer sequence works
     val_indices: np.ndarray
-    # accuracy of local_model on eval_indices, set whenever client_update
-    # replaces the model; None until the model has been scored
+    # accuracy of local_model on eval_indices; None until run_round scores the model
     val_accuracy: float = None
 
     @property
@@ -176,8 +175,8 @@ def _lockstep(states, num_classes, data: Dataset, round_index, train, *, epochs,
     The unguarded pass trains every state as one group, largest shard first,
     ties by client id.  Its replay is the serial loop: each state alone, in
     the given order, guarded with the context that names its client and the
-    round.  That loop raises the serial loop's DivergenceError and leaves the
-    states as the serial loop does.  Results come in the given order.
+    round, so it raises the serial loop's DivergenceError.  Results come in
+    the given order.
     """
     def shards(group):
         return [_shard(st, data, round_index, num_classes, epochs, batch_size, seed)
@@ -198,8 +197,8 @@ def _lockstep(states, num_classes, data: Dataset, round_index, train, *, epochs,
 
 def client_update(states, knowledge_net: nets.Network, data: Dataset, round_index: int = 0, *,
                   lr, epochs, batch_size, seed):
-    """[(updated_knowledge, mean_train_loss, local_val_accuracy)] of each state's round of
-    deep mutual learning, in lockstep.
+    """[(updated_knowledge, mean_train_loss, local_model)] of each state's round of deep
+    mutual learning, in lockstep; no state changes.
 
     Per batch, the local model steps on CE plus KL toward the knowledge net's
     distribution, then the knowledge net on CE plus KL toward the stepped
@@ -210,9 +209,8 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
     first, ties by client id, train as one pair of stacks: their knowledge
     copies and their local models, row for row (_mutual_learning), the
     architecture of the largest shard first.  Each result equals the
-    client's run alone.  The states change only once every pair has trained
-    and the local models are scored; the local model and its val accuracy
-    persist in the state.  A failed per-epoch check, or any divergence,
+    client's run alone; its local model is a copy, as a row view would keep
+    its whole stack alive.  A failed per-epoch check, or any divergence,
     replays the clients alone and guarded, in the given order (_lockstep).
     """
     num_classes = knowledge_net.arch.num_classes
@@ -223,22 +221,14 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
         by_arch = {}
         for r, st in enumerate(group):
             by_arch.setdefault(st.local_model.arch, []).append(r)
-        pairs = []  # (rows, knowledge stack, local stack, mean losses) per architecture
+        results = {}
         for rows in by_arch.values():
             kn = nets.Trainer([knowledge_net] * len(rows), lr, guard)
             theta = nets.Trainer([group[r].local_model for r in rows], lr, guard)
             means = _mutual_learning(kn, theta, [shards[r] for r in rows], batch_size,
                                      range(epochs))
-            pairs.append((rows, kn, theta, means))
-        # Checked and scored before any state changes: local models, val accuracies, knowledge.
-        # Each local model is a copy, as a row view would keep its whole stack alive.
-        local = {r: model.copy() for rows, _, theta, _ in pairs
-                 for r, model in zip(rows, theta.trained())}
-        accs = [st.accuracy(local[r], data, round_index=round_index) for r, st in enumerate(group)]
-        results = {r: (knowledge, mean, accs[r]) for rows, kn, _, means in pairs
-                   for r, knowledge, mean in zip(rows, kn.trained(), means)}
-        for r, st in enumerate(group):
-            st.local_model, st.val_accuracy = local[r], accs[r]
+            results.update((r, (knowledge, mean, local.copy())) for r, local, knowledge, mean
+                           in zip(rows, theta.trained(), kn.trained(), means))
         return [results[r] for r in range(len(group))]
     return _lockstep(states, num_classes, data, round_index, train,
                      epochs=epochs, batch_size=batch_size, seed=seed)

@@ -128,7 +128,7 @@ def distill(server: ServerState, members, data: Dataset):
     else:
         start = average_init(members)
     if server.distill_epochs == 0:
-        return nets.Trainer([start], server.distill_lr).nets[0], 0.0
+        return start.copy(), 0.0
     context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
     member_logits = [nets.forward(m, x_split) for m in members]
@@ -154,14 +154,15 @@ def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, a
     """Execute one communication round; mutates server and client states.
 
     fedkemf: sample, broadcast the global knowledge network, mutual-train the
-    sampled clients in lockstep, ensemble-distill the returned knowledge copies.
+    sampled clients in lockstep, commit their new local models,
+    ensemble-distill the returned knowledge copies.
     fedavg: sample, broadcast, plain-CE local training of the shared-arch
     model (all sampled clients in lockstep), shard-size weighted averaging.
     Every sampled client trains with the server's recipe.
     Returns per-round stats: sampled ids, mean train loss over sampled
     clients, mean val accuracy over ALL clients' deployed models (in fedkemf
-    mode as stored when each model last changed, or scored here if never
-    scored), and the distillation loss (0.0 in fedavg mode).
+    mode each client's cached val_accuracy, scored here whenever its model
+    changed), and the distillation loss (0.0 in fedavg mode).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -179,6 +180,8 @@ def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, a
 
     distill_loss = 0.0
     if mode == "fedkemf":
+        for cid, (_, _, local) in zip(sampled, results):
+            clients[cid].local_model, clients[cid].val_accuracy = local, None
         server.global_knowledge, distill_loss = distill(server, members, data)
         for st in clients:
             if st.val_accuracy is None:

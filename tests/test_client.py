@@ -53,9 +53,9 @@ class TestClientUpdate:
         data, state, recipe = make_state(epochs=0)
         theta_before = state.local_model.params.copy()
         kn = knowledge_net(data)
-        out, loss, _ = client_update([state], kn, data, **recipe)[0]
+        out, loss, local = client_update([state], kn, data, **recipe)[0]
         assert np.array_equal(out.params, kn.params)
-        assert np.array_equal(state.local_model.params, theta_before)
+        assert np.array_equal(local.params, theta_before)
         assert loss == 0.0
 
     def test_input_knowledge_net_unmodified(self):
@@ -84,7 +84,10 @@ class TestClientUpdate:
         untrained_acc, _ = nets.evaluate(
             state.local_model, data.features[state.val_indices], data.labels[state.val_indices]
         )
-        _, _, val_acc = client_update([state], kn, data, **recipe)[0]
+        _, _, local = client_update([state], kn, data, **recipe)[0]
+        val_acc, _ = nets.evaluate(
+            local, data.features[state.val_indices], data.labels[state.val_indices]
+        )
         assert val_acc >= 0.9
         assert val_acc > untrained_acc
 
@@ -123,11 +126,9 @@ class TestClientUpdate:
                                   batch_size=5)
             state.train_indices = list(shard)
             state.val_indices = []
-            baseline_init = state.local_model.copy()
-            client_update([state], teacher, data, round_index=0, **recipe)
-            with_kl, _ = nets.evaluate(state.local_model, data.features, data.labels)
-            state.local_model = baseline_init
-            plain, _ = local_train([state], baseline_init, data, round_index=0, **recipe)[0]
+            _, _, local = client_update([state], teacher, data, round_index=0, **recipe)[0]
+            with_kl, _ = nets.evaluate(local, data.features, data.labels)
+            plain, _ = local_train([state], state.local_model, data, round_index=0, **recipe)[0]
             without_kl, _ = nets.evaluate(plain, data.features, data.labels)
             gains.append(with_kl - without_kl)
         assert sum(g > 0 for g in gains) >= 16, gains
@@ -145,13 +146,13 @@ class TestClientUpdate:
     def test_deterministic_given_same_inputs(self):
         def run():
             data, state, recipe = make_state(epochs=3)
-            out, loss, acc = client_update([state], knowledge_net(data), data, round_index=2,
-                                           **recipe)[0]
-            return out.params, loss, acc
+            out, loss, local = client_update([state], knowledge_net(data), data, round_index=2,
+                                             **recipe)[0]
+            return out.params, loss, local.params
 
         a, b = run(), run()
-        assert np.array_equal(a[0], b[0])
-        assert a[1] == b[1] and a[2] == b[2]
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[2], b[2])
+        assert a[1] == b[1]
 
 
 class TestLocalTrain:

@@ -64,13 +64,11 @@ def test_mutual_lockstep_equals_serial_reference(group):
     net = knowledge(data)
     (states, recipe), (twins, _) = clients(data, group), clients(data, group)
     results = client_update(states, net, data, round_index=ROUND, **recipe)
-    for st_, twin, (kn, loss, acc) in zip(states, twins, results):
-        ref_kn, ref_theta, ref_loss, ref_acc = reference_client_update(twin, net, data, ROUND,
-                                                                       **recipe)
+    for twin, (kn, loss, local) in zip(twins, results):
+        ref_kn, ref_theta, ref_loss, _ = reference_client_update(twin, net, data, ROUND, **recipe)
         assert np.array_equal(kn.params, ref_kn.params)
-        assert np.array_equal(st_.local_model.params, ref_theta.params)
+        assert np.array_equal(local.params, ref_theta.params)
         assert loss == ref_loss
-        assert acc == ref_acc == st_.val_accuracy
 
 
 @BOUNDED
@@ -118,6 +116,7 @@ def test_divergence_names_the_serial_loops_client(mode, group, poison):
         train, model = client_update, knowledge(data)
     else:
         train, model = local_train, shared_model(data, group)
+    before = [st_.local_model for st_ in states]
     with np.errstate(all="ignore"):
         want, want_err = serial(train, twins, model, data, recipe)
         try:
@@ -127,10 +126,11 @@ def test_divergence_names_the_serial_loops_client(mode, group, poison):
     assert poison is None or recipe["epochs"] == 0 or want_err is not None
     if want_err is None:
         assert got_err is None
-        for (net, *rest), (want_net, *want_rest) in zip(got, want):
-            assert np.array_equal(net.params, want_net.params) and rest == want_rest
+        # (knowledge, loss, local) or (net, loss)
+        for (net, loss, *local), (want_net, want_loss, *want_local) in zip(got, want):
+            assert np.array_equal(net.params, want_net.params) and loss == want_loss
+            assert all(np.array_equal(a.params, b.params) for a, b in zip(local, want_local))
     else:
         assert got_err is not None and outcome(got_err) == outcome(want_err)
-    for st_, twin in zip(states, twins):  # the replay leaves each state as the serial loop does
-        assert np.array_equal(st_.local_model.params, twin.local_model.params, equal_nan=True)
-        assert st_.val_accuracy == twin.val_accuracy
+    for st_, model in zip(states, before):  # training changes no state, whatever it raised
+        assert st_.local_model is model and st_.val_accuracy is None
