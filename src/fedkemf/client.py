@@ -167,30 +167,33 @@ def _mutual_learning(kn, theta, members, batch_size, scored):
     return _lockstep_epochs(members, batch_size, step, score, 3, [kn, theta], scored)
 
 
-def _lockstep(states, num_classes, data: Dataset, round_index, train, *, epochs, batch_size,
-              seed):
-    """The driver of both entry points, under nets.per_epoch_checked: train(group, shards,
-    guard) trains a group of states on their shards and returns their results in group order.
+def _lockstep(states, num_classes, data: Dataset, round_index, train, stack_key, *, epochs,
+              batch_size, seed):
+    """The driver of both entry points, under nets.per_epoch_checked: train(stack, shards,
+    guard) trains a stack of states on their shards and returns their results in stack order.
 
-    The unguarded pass trains every state as one group, largest shard first,
-    ties by client id.  Its replay is the serial loop: each state alone, in
-    the given order, guarded with the context that names its client and the
-    round, so it raises the serial loop's DivergenceError.  Results come in
-    the given order.
+    The states of each stack_key(state) are one stack, largest shard first,
+    ties by client id, and the stack of the largest shard trains first; the
+    unguarded pass trains each stack once.  Its replay is the serial loop:
+    each state alone, in the given order, guarded with the context that names
+    its client and the round, so it raises the serial loop's DivergenceError.
+    Results come in the given order.
     """
-    def shards(group):
-        return [_shard(st, data, round_index, num_classes, epochs, batch_size, seed)
-                for st in group]
+    order = sorted(range(len(states)),
+                   key=lambda k: (-len(states[k].train_indices), states[k].client_id))
+    stacks = {}
+    for k in order:
+        stacks.setdefault(stack_key(states[k]), []).append(k)
 
     def call(guarded):
-        if guarded:
-            return [train([st], shards([st]), {"client_id": st.client_id,
-                                               "round_index": round_index})[0]
-                    for st in states]
-        order = sorted(range(len(states)),
-                       key=lambda k: (-len(states[k].train_indices), states[k].client_id))
-        group = [states[k] for k in order]
-        results = dict(zip(order, train(group, shards(group), None)))
+        results = {}
+        for ks in [[k] for k in range(len(states))] if guarded else stacks.values():
+            stack = [states[k] for k in ks]
+            guard = ({"client_id": stack[0].client_id, "round_index": round_index}
+                     if guarded else None)
+            shards = [_shard(st, data, round_index, num_classes, epochs, batch_size, seed)
+                      for st in stack]
+            results.update(zip(ks, train(stack, shards, guard)))
         return [results[k] for k in range(len(states))]
     return nets.per_epoch_checked(call)
 
@@ -205,32 +208,25 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
     local model: three forwards, one per net per use.  Losses are scored
     from the kept softmax rows once per epoch.  Every client trains with the
     one recipe (lr, epochs, batch_size, and the experiment seed its batch
-    orders derive from).  The clients of each architecture, largest shard
-    first, ties by client id, train as one pair of stacks: their knowledge
-    copies and their local models, row for row (_mutual_learning), the
-    architecture of the largest shard first.  Each result equals the
-    client's run alone; its local model is a copy, as a row view would keep
-    its whole stack alive.  A failed per-epoch check, or any divergence,
-    replays the clients alone and guarded, in the given order (_lockstep).
+    orders derive from).  _lockstep stacks the clients by local
+    architecture; each stack trains as one pair of stacks, their knowledge
+    copies and their local models, row for row (_mutual_learning).  Each
+    result equals the client's run alone; its local model is a copy, as a
+    row view would keep its whole stack alive.  A failed per-epoch check, or
+    any divergence, replays the clients alone and guarded (_lockstep).
     """
     num_classes = knowledge_net.arch.num_classes
     if any(st.local_model.arch.num_classes != num_classes for st in states):
         raise ValueError("knowledge and local networks disagree on num_classes")
 
-    def train(group, shards, guard):
-        by_arch = {}
-        for r, st in enumerate(group):
-            by_arch.setdefault(st.local_model.arch, []).append(r)
-        results = {}
-        for rows in by_arch.values():
-            kn = nets.Trainer([knowledge_net] * len(rows), lr, guard)
-            theta = nets.Trainer([group[r].local_model for r in rows], lr, guard)
-            means = _mutual_learning(kn, theta, [shards[r] for r in rows], batch_size,
-                                     range(epochs))
-            results.update((r, (knowledge, mean, local.copy())) for r, local, knowledge, mean
-                           in zip(rows, theta.trained(), kn.trained(), means))
-        return [results[r] for r in range(len(group))]
+    def train(stack, shards, guard):
+        kn = nets.Trainer([knowledge_net] * len(stack), lr, guard)
+        theta = nets.Trainer([st.local_model for st in stack], lr, guard)
+        means = _mutual_learning(kn, theta, shards, batch_size, range(epochs))
+        return [(knowledge, mean, local.copy())
+                for local, knowledge, mean in zip(theta.trained(), kn.trained(), means)]
     return _lockstep(states, num_classes, data, round_index, train,
+                     lambda st: st.local_model.arch,
                      epochs=epochs, batch_size=batch_size, seed=seed)
 
 
@@ -239,14 +235,13 @@ def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0
     """[(trained_model, mean_train_loss)] of each state's plain-CE local training (the
     weighted-averaging baseline) from the shared-architecture `model`, in lockstep.
 
-    The clients are one fit stack, largest shard first, ties by client id;
-    each result equals the client's run alone, and `model` is not changed.
-    A failed per-epoch check, or any divergence, replays the clients alone
-    and guarded, in the given order (_lockstep).
+    The clients are one fit stack (_lockstep); each result equals the
+    client's run alone, and `model` is not changed.  A failed per-epoch
+    check, or any divergence, replays the clients alone and guarded.
     """
-    def train(group, shards, guard):
-        trainer = nets.Trainer([model] * len(group), lr, guard)
+    def train(stack, shards, guard):
+        trainer = nets.Trainer([model] * len(stack), lr, guard)
         means = fit(trainer, shards, batch_size, range(epochs), labels=True)
         return list(zip(trainer.trained(), means))
     return _lockstep(states, model.arch.num_classes, data, round_index, train,
-                     epochs=epochs, batch_size=batch_size, seed=seed)
+                     lambda st: None, epochs=epochs, batch_size=batch_size, seed=seed)

@@ -87,7 +87,8 @@ def load_idx(images_path, labels_path, name="idx") -> Dataset:
         raise DataError(f"{images_path} and {labels_path} hold no items")
     if rows * cols == 0:
         raise DataError(f"{images_path}: images of {rows}x{cols} pixels hold no features")
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
     return Dataset(features, labels.astype(np.int64), int(labels.max()) + 1, name)
 
 
@@ -119,11 +120,12 @@ def synth_blobs(num_classes, per_class, dim, spread, seed, name="blobs") -> Data
         raise ValueError("invalid blob parameters")
     rng = np.random.default_rng(seed)
     centers = _blob_centers(num_classes, dim, spread)
-    features = np.concatenate(
-        [centers[k] + spread * rng.standard_normal((per_class, dim)) for k in range(num_classes)]
-    )
+    # block k is centers[k] + spread * normals, the classes drawn in order, built in place
+    features = rng.standard_normal((num_classes, per_class, dim))
+    features *= spread
+    features += centers[:, None]
     labels = np.repeat(np.arange(num_classes), per_class)
-    return Dataset(features, labels, num_classes, name)
+    return Dataset(features.reshape(-1, dim), labels, num_classes, name)
 
 
 def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,

@@ -132,7 +132,8 @@ def distill(server: ServerState, members, data: Dataset):
     context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
     member_logits = [nets.forward(m, x_split) for m in members]
-    nets.check_finite(member_logits, "teacher logits", context)
+    for logits in member_logits:
+        nets.check_finite(logits, "teacher logits", context)
     teacher = teacher_distributions(member_logits, server.strategy, **context)
     if teacher.shape != (len(x_split), start.arch.num_classes):
         raise ValueError("teacher distribution shape mismatch")

@@ -1,9 +1,12 @@
-"""The lockstep-equals-serial premise under a forced OpenBLAS kernel.
+"""The identity premises under a forced OpenBLAS kernel.
 
 Stacked training equals serial training only if np.matmul runs each slice of
-a stack as a 2-D call would.  Tier-1 otherwise checks that on the host's
-default kernel only; here a child process forces OPENBLAS_CORETYPE=Nehalem
-(SSE4.2, which every x86-64 host can run) and repeats the checks there.
+a stack as a 2-D call would, and distillation equals its serial reference
+only if both build the one teacher.  Tier-1 otherwise checks these on the
+host's default kernel only; here a child process forces
+OPENBLAS_CORETYPE=Nehalem (SSE4.2, which every x86-64 host can run) and
+repeats there the lockstep-equals-serial checks, the distillation
+equivalence and the stacked-products premise at every shipped layer shape.
 """
 
 import importlib.util
@@ -25,9 +28,17 @@ CHILD = """
 import sys
 sys.path[:0] = sys.argv[1:]
 from identity import blas_core_name
-from test_training_core import TestLockstep, TestMutualLockstep
+from test_nets import SHIPPED_LAYERS, TestStackedProductsPremise
+from test_training_core import TestLockstep, TestMutualLockstep, TestReferenceEquivalence
 TestMutualLockstep().test_each_client_equals_its_serial_reference()
 TestLockstep().test_each_client_equals_its_serial_reference()
+for strategy in ("max_logits", "majority_vote"):
+    for init_mode in ("avg_members", "warm_start"):
+        TestReferenceEquivalence().test_distill(strategy, init_mode)
+for fan_in, fan_out in SHIPPED_LAYERS:
+    for n in (1, 7, 13, 32):
+        for k in (1, 4, 10):
+            TestStackedProductsPremise.check_stack(fan_in, fan_out, n, k)
 print(blas_core_name())
 """
 

@@ -176,7 +176,7 @@ def test_check_epoch_sees_each_kind_of_failure():
 def test_guarded_replay_draws_the_orders_of_the_unguarded_pass(monkeypatch):
     # Both passes run to the end, the unguarded one first.  Per stream, the replay must draw
     # the orders the unguarded pass drew, in the same sequence, although that pass trains the
-    # clients as one group, largest first, and the replay each client alone.
+    # clients in stacks, largest shard first, and the replay each client alone.
     contexts, drawn = {}, []
     real_batch_iterator = client.batch_iterator
 

@@ -1,9 +1,10 @@
 """The lean training loops against the straightforward loops they replaced.
 
 The reference loops below are built only from the public, pure primitives
-(`forward`, `loss_gradient`, `sgd_step`, and a per-batch
-`teacher_distributions`), one fresh forward per use.  The fused loops must
-reproduce them bit for bit.
+(`forward`, `loss_gradient`, `sgd_step` and `teacher_distributions`), one
+fresh forward per use; only the distillation teacher is built once per call,
+over the whole split, as distill defines it.  The fused loops must reproduce
+them bit for bit.
 """
 
 import math
@@ -59,22 +60,26 @@ def reference_local_train(state, model, data, round_index=0, *, lr, epochs, batc
 
 
 def reference_distill(server, members, data):
-    """Ensemble distillation re-running every member on every batch."""
+    """Ensemble distillation as serial SGD on per-batch KL.  The teacher is the one
+    distill defines: one forward per member over the whole split, each batch
+    taking its rows of it (under some BLAS kernels a row of X @ W depends on
+    X's height, so a teacher forwarded batch by batch is a different one)."""
     if server.init_mode == "warm_start":
         student = server.global_knowledge.copy()
     else:
         student = nets.Network(members[0].arch, np.mean([m.params for m in members], axis=0))
+    split = np.asarray(server.distill_indices, dtype=np.int64)
+    teacher = teacher_distributions([nets.forward(m, data.features[split]) for m in members],
+                                    server.strategy)
     last_loss = 0.0
     orders = stream(server.rng_seed, SALT_DISTILL, 0, server.round + 1)  # the round being run
     for _ in range(server.distill_epochs):
         epoch_losses = []
-        for batch_idx in batch_iterator(server.distill_indices, server.batch_size, orders):
-            x = data.features[batch_idx]
-            teacher = teacher_distributions([nets.forward(m, x) for m in members],
-                                            server.strategy)
-            epoch_losses.append(nets.kl_from_probs(teacher, nets.softmax(nets.forward(student, x))))
+        for batch in batch_iterator(np.arange(len(split)), server.batch_size, orders):
+            x, t = data.features[split[batch]], teacher[batch]
+            epoch_losses.append(nets.kl_from_probs(t, nets.softmax(nets.forward(student, x))))
             student = nets.sgd_step(
-                student, nets.loss_gradient(student, x, teacher_probs=teacher), server.distill_lr)
+                student, nets.loss_gradient(student, x, teacher_probs=t), server.distill_lr)
         last_loss = float(np.mean(epoch_losses))
     return student, last_loss
 
