@@ -53,7 +53,7 @@ def _cmd_run(args):
     print(f"initial_acc: {result.initial_accuracy:.4f}")
     print(f"final_acc: {result.summary['final_acc']:.4f}")
     print(f"total_bytes: {result.summary['total_bytes']}")
-    print(f"artifacts: {result.out_dir}")
+    print(f"artifacts: {config.out_dir}")
     return 0
 
 

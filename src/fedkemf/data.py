@@ -21,7 +21,6 @@ class Dataset:
     features: np.ndarray  # M x D float64
     labels: np.ndarray    # M int64 in [0, num_classes)
     num_classes: int
-    name: str = "dataset"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -67,7 +66,7 @@ def _read_exact(f, n, path):
     return f.read(n)
 
 
-def load_idx(images_path, labels_path, name="idx") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair; pixels scaled to [0, 1], images flattened."""
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, images_path))
@@ -89,7 +88,7 @@ def load_idx(images_path, labels_path, name="idx") -> Dataset:
         raise DataError(f"{images_path}: images of {rows}x{cols} pixels hold no features")
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     features /= 255.0
-    return Dataset(features, labels.astype(np.int64), int(labels.max()) + 1, name)
+    return Dataset(features, labels.astype(np.int64), int(labels.max()) + 1)
 
 
 def save_idx(dataset: Dataset, images_path, labels_path):
@@ -114,7 +113,7 @@ def _blob_centers(num_classes, dim, spread):
     return centers
 
 
-def synth_blobs(num_classes, per_class, dim, spread, seed, name="blobs") -> Dataset:
+def synth_blobs(num_classes, per_class, dim, spread, seed) -> Dataset:
     """Seeded Gaussian clusters, one per class, linearly separable by construction."""
     if num_classes < 2 or per_class < 1 or dim < 1 or spread <= 0:
         raise ValueError("invalid blob parameters")
@@ -125,7 +124,7 @@ def synth_blobs(num_classes, per_class, dim, spread, seed, name="blobs") -> Data
     features *= spread
     features += centers[:, None]
     labels = np.repeat(np.arange(num_classes), per_class)
-    return Dataset(features.reshape(-1, dim), labels, num_classes, name)
+    return Dataset(features.reshape(-1, dim), labels, num_classes)
 
 
 def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,

@@ -27,8 +27,6 @@ class RunResult:
     server: ServerState
     clients: list
     audit: WireAudit
-    partition: object
-    out_dir: str
 
 
 def build_datasets(config: ExperimentConfig):
@@ -43,8 +41,8 @@ def build_datasets(config: ExperimentConfig):
             config.synth_spread, stream(config.experiment_seed, SALT_TEST_DATA),
         )
         return train, test
-    train = load_idx(config.idx_train_images, config.idx_train_labels, name="train")
-    test = load_idx(config.idx_test_images, config.idx_test_labels, name="test")
+    train = load_idx(config.idx_train_images, config.idx_train_labels)
+    test = load_idx(config.idx_test_images, config.idx_test_labels)
     if train.num_classes < 2:
         raise DataError(f"{config.idx_train_labels}: labels name 1 class, need at least 2")
     if test.num_classes > train.num_classes:
@@ -91,14 +89,7 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
             knowledge_arch, stream(config.experiment_seed, SALT_GLOBAL_INIT)
         ),
         distill_indices=server_indices,
-        local_epochs=config.local_epochs,
-        lr=config.lr,
-        distill_epochs=config.distill_epochs,
-        distill_lr=config.distill_lr,
-        strategy=config.strategy,
-        init_mode=config.server_init,
-        batch_size=config.batch_size,
-        rng_seed=config.experiment_seed,
+        config=config,
     )
     return clients, server
 
@@ -130,8 +121,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     records = []
     for _ in range(config.rounds):
         t0 = time.perf_counter()
-        stats = run_round(server, clients, data, config.mode,
-                          config.sample_ratio, audit=audit)
+        stats = run_round(server, clients, data, audit=audit)
         wall = time.perf_counter() - t0
         acc = nets.accuracy(server.global_knowledge, test.features, test.labels,
                             round_index=server.round)
@@ -153,8 +143,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         target_accuracy=config.target_accuracy,
         extra_summary={"initial_acc": initial_accuracy},
     )
-    return RunResult(records, summary, initial_accuracy, server, clients,
-                     audit, partition, config.out_dir)
+    return RunResult(records, summary, initial_accuracy, server, clients, audit)
 
 
 def partition_report(config: ExperimentConfig) -> dict:

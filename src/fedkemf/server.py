@@ -1,6 +1,8 @@
 """Server side: client sampling, ensembling, ensemble distillation, FedAvg."""
 
+import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -9,36 +11,24 @@ from .client import batch_iterator, client_update, fit, local_train
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, stream
 
+if TYPE_CHECKING:  # config.py imports the enums below
+    from .config import ExperimentConfig
+
 STRATEGIES = ("max_logits", "avg_logits", "majority_vote")
 INIT_MODES = ("avg_members", "warm_start")
-MODES = ("fedkemf", "fedavg")  # run_round's mode
+MODES = ("fedkemf", "fedavg")
 
 
 @dataclass
 class ServerState:
     global_knowledge: nets.Network
     distill_indices: list
-    local_epochs: int  # with lr, batch_size and rng_seed: every sampled client's recipe
-    lr: float
-    distill_epochs: int
-    distill_lr: float
-    strategy: str = "max_logits"
-    init_mode: str = "avg_members"
-    batch_size: int = 32
-    rng_seed: int = 0
+    config: "ExperimentConfig"  # the run's settings, validated once when parsed
     round: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown ensemble strategy {self.strategy!r}")
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"unknown server init mode {self.init_mode!r}")
 
 
 def sample_clients(num_clients, sample_ratio, round_index, experiment_seed):
     """Uniform without-replacement client sample, deterministic in (round, seed)."""
-    if not (0 < sample_ratio <= 1):
-        raise ValueError("sample_ratio must be in (0, 1]")
     count = max(1, int(round(sample_ratio * num_clients)))
     rng = stream(experiment_seed, SALT_SAMPLING, 0, round_index)
     return sorted(int(c) for c in rng.choice(num_clients, size=count, replace=False))
@@ -59,9 +49,8 @@ def ensemble_logits(member_logits, strategy):
     shape = members[0].shape
     if any(m.shape != shape for m in members):
         raise ValueError("member logits must share one shape")
-    stacked = np.stack(members)
     if strategy == "max_logits":
-        return stacked.max(axis=0)
+        return functools.reduce(np.maximum, members[1:], members[0].copy())
     if strategy == "avg_logits":
         # Sum in a canonical member order so the result is bit-identical under
         # member permutation (float addition is not associative).
@@ -70,11 +59,10 @@ def ensemble_logits(member_logits, strategy):
         for i in order:
             total += members[i]
         return total / len(members)
-    votes = np.argmax(stacked, axis=2)  # K x N
-    n, c = shape
+    rows = np.arange(shape[0])
     fractions = np.zeros(shape)
-    for k in range(len(members)):
-        fractions[np.arange(n), votes[k]] += 1.0
+    for m in members:
+        fractions[rows, np.argmax(m, axis=1)] += 1.0
     return fractions / len(members)
 
 
@@ -123,35 +111,36 @@ def distill(server: ServerState, members, data: Dataset):
     """
     if not members:
         raise ValueError("need at least one member to distill")
-    if server.init_mode == "warm_start":
+    config = server.config
+    if config.server_init == "warm_start":
         start = server.global_knowledge
     else:
         start = average_init(members)
-    if server.distill_epochs == 0:
+    if config.distill_epochs == 0:
         return start.copy(), 0.0
     context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
     x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
     member_logits = [nets.forward(m, x_split) for m in members]
     for logits in member_logits:
         nets.check_finite(logits, "teacher logits", context)
-    teacher = teacher_distributions(member_logits, server.strategy, **context)
+    teacher = teacher_distributions(member_logits, config.strategy, **context)
     if teacher.shape != (len(x_split), start.arch.num_classes):
         raise ValueError("teacher distribution shape mismatch")
     positions = np.arange(len(x_split))
-    last = server.distill_epochs - 1
+    last = config.distill_epochs - 1
 
     def call(guarded):
-        student = nets.Trainer([start], server.distill_lr, context if guarded else None)
-        rng = stream(server.rng_seed, SALT_DISTILL, 0, context["round_index"])
-        epochs = (np.concatenate(batch_iterator(positions, server.batch_size, rng))
-                  for _ in range(server.distill_epochs))
-        (loss,) = fit(student, [(x_split, teacher, epochs)], server.batch_size, (last,),
+        student = nets.Trainer([start], config.distill_lr, context if guarded else None)
+        rng = stream(config.experiment_seed, SALT_DISTILL, 0, context["round_index"])
+        epochs = (np.concatenate(batch_iterator(positions, config.batch_size, rng))
+                  for _ in range(config.distill_epochs))
+        (loss,) = fit(student, [(x_split, teacher, epochs)], config.batch_size, (last,),
                       what="distillation ")
         return student.trained()[0], loss
     return nets.per_epoch_checked(call)
 
 
-def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, audit=None):
+def run_round(server: ServerState, clients, data: Dataset, audit=None):
     """Execute one communication round; mutates server and client states.
 
     fedkemf: sample, broadcast the global knowledge network, mutual-train the
@@ -159,20 +148,21 @@ def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, a
     ensemble-distill the returned knowledge copies.
     fedavg: sample, broadcast, plain-CE local training of the shared-arch
     model (all sampled clients in lockstep), shard-size weighted averaging.
-    Every sampled client trains with the server's recipe.
+    The mode and every sampled client's recipe are the server's config.
     Returns per-round stats: sampled ids, mean train loss over sampled
     clients, mean val accuracy over ALL clients' deployed models (in fedkemf
     mode each client's cached val_accuracy, scored here whenever its model
     changed), and the distillation loss (0.0 in fedavg mode).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    config = server.config
     round_index = server.round + 1
-    sampled = sample_clients(len(clients), sample_ratio, round_index, server.rng_seed)
+    sampled = sample_clients(len(clients), config.sample_ratio, round_index,
+                             config.experiment_seed)
     broadcast = server.global_knowledge
-    train = client_update if mode == "fedkemf" else local_train
-    results = train([clients[cid] for cid in sampled], broadcast, data, round_index, lr=server.lr,
-                    epochs=server.local_epochs, batch_size=server.batch_size, seed=server.rng_seed)
+    train = client_update if config.mode == "fedkemf" else local_train
+    results = train([clients[cid] for cid in sampled], broadcast, data, round_index, lr=config.lr,
+                    epochs=config.local_epochs, batch_size=config.batch_size,
+                    seed=config.experiment_seed)
     members = [r[0] for r in results]  # in sampled, id-sorted, order
     train_losses = [r[1] for r in results]
     if audit is not None:
@@ -180,7 +170,7 @@ def run_round(server: ServerState, clients, data: Dataset, mode, sample_ratio, a
             audit.record(round_index, cid, broadcast.arch, member.arch)
 
     distill_loss = 0.0
-    if mode == "fedkemf":
+    if config.mode == "fedkemf":
         for cid, (_, _, local) in zip(sampled, results):
             clients[cid].local_model, clients[cid].val_accuracy = local, None
         server.global_knowledge, distill_loss = distill(server, members, data)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fedkemf.config import parse_config, parse_config_text
@@ -123,3 +125,12 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(GOOD)
     assert parse_config(path).num_clients == 30
+
+
+@pytest.mark.parametrize("key", ["mode", "strategy", "server.init", "directions", "dataset.kind"])
+def test_unknown_enum_value_names_its_key(key):
+    # The config is the one place these rules are checked; the server and runner trust it.
+    text = "".join(f"{line}\n" for line in GOOD.splitlines() if not line.startswith(f"{key} ="))
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        parse_config_text(f"{text}{key} = bogus\n")
+    assert "'bogus'" in str(err.value)

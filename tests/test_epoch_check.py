@@ -150,7 +150,7 @@ def test_diverging_call_warns_as_the_strict_path(passes):
     # A huge distillation lr overflows the student; both paths warn the same, in order.
     data = make_data()
     server = make_server(data)
-    server.distill_lr = 1e300
+    server.config.distill_lr = 1e300
     members = trained_members(data)
 
     def fn():

@@ -11,6 +11,8 @@ from fedkemf.server import (
     run_round, sample_clients, teacher_distributions,
 )
 
+from test_training_core import server_config
+
 
 def brute_force_max(member_logits):
     """Independent element-wise maximum oracle: explicit triple loop."""
@@ -158,19 +160,16 @@ class TestAggregation:
 
 
 def make_server(data, hidden=(8,), distill_epochs=3, distill_lr=0.05, strategy="max_logits",
-                init_mode="avg_members", seed=0, distill_count=100, local_epochs=2, lr=0.1):
+                init_mode="avg_members", seed=0, distill_count=100, local_epochs=2, lr=0.1,
+                mode="fedkemf", sample_ratio=1.0):
     arch = nets.ArchSpec(data.dim, hidden, data.num_classes)
     return ServerState(
         global_knowledge=nets.init_network(arch, seed),
         distill_indices=list(range(distill_count)),
-        local_epochs=local_epochs,
-        lr=lr,
-        distill_epochs=distill_epochs,
-        distill_lr=distill_lr,
-        strategy=strategy,
-        init_mode=init_mode,
-        batch_size=16,
-        rng_seed=seed,
+        config=server_config(
+            mode=mode, sample_ratio=sample_ratio, local_epochs=local_epochs, lr=lr,
+            distill_epochs=distill_epochs, distill_lr=distill_lr, strategy=strategy,
+            server_init=init_mode, batch_size=16, experiment_seed=seed),
     )
 
 
@@ -254,7 +253,7 @@ class TestRunRound:
         (twin,), _ = make_clients(data, [100], epochs=1)
         expected, _, _ = client_update([twin], server.global_knowledge, data, round_index=1,
                                        **recipe)[0]
-        stats = run_round(server, clients, data, "fedkemf", sample_ratio=1.0)
+        stats = run_round(server, clients, data)
         assert stats["sampled"] == [0]
         assert np.array_equal(server.global_knowledge.params, expected.params)
         assert server.round == 1
@@ -262,19 +261,12 @@ class TestRunRound:
     def test_fedavg_identical_members_aggregate_identically(self):
         data = synth_blobs(2, 60, 2, 0.5, seed=4)
         clients, _ = make_clients(data, [50, 50])
-        server = make_server(data, distill_count=20, local_epochs=0)
+        server = make_server(data, distill_count=20, local_epochs=0, mode="fedavg")
         server.distill_indices = list(range(100, 120))
         before = server.global_knowledge.params.copy()
-        run_round(server, clients, data, "fedavg", sample_ratio=1.0)
+        run_round(server, clients, data)
         # zero epochs: every member equals the broadcast model
         assert np.array_equal(server.global_knowledge.params, before)
-
-    def test_unknown_mode_rejected(self):
-        data = synth_blobs(2, 30, 2, 0.5, seed=4)
-        clients, _ = make_clients(data, [60])
-        server = make_server(data, distill_count=10)
-        with pytest.raises(ValueError):
-            run_round(server, clients, data, "fedsgd", sample_ratio=1.0)
 
     @pytest.mark.parametrize("mode, entry", [("fedkemf", "client_update"),
                                              ("fedavg", "local_train")])
@@ -283,7 +275,8 @@ class TestRunRound:
         # server module; a round that trained through any other name would read 0.
         data = synth_blobs(2, 60, 2, 0.5, seed=4)
         clients, _ = make_clients(data, [20] * 6, epochs=1)
-        server = make_server(data, distill_epochs=1, distill_count=20, local_epochs=1)
+        server = make_server(data, distill_epochs=1, distill_count=20, local_epochs=1, mode=mode,
+                             sample_ratio=0.5)
         calls = {"client_update": [], "local_train": []}
         for name in calls:
             def recording(states, *args, _name=name, _train=getattr(server_module, name),
@@ -291,8 +284,7 @@ class TestRunRound:
                 calls[_name].append([id(st) for st in states])
                 return _train(states, *args, **kwargs)
             monkeypatch.setattr(server_module, name, recording)
-        sampled = [run_round(server, clients, data, mode, sample_ratio=0.5)["sampled"]
-                   for _ in range(2)]
+        sampled = [run_round(server, clients, data)["sampled"] for _ in range(2)]
         other = "local_train" if entry == "client_update" else "client_update"
         assert calls[other] == []
         assert calls[entry] == [[id(clients[cid]) for cid in ids] for ids in sampled]

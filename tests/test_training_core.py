@@ -14,6 +14,7 @@ import pytest
 
 from fedkemf import nets
 from fedkemf import client
+from fedkemf.config import ExperimentConfig
 from fedkemf.client import ClientState, batch_iterator, client_update, local_train, step_plan
 from fedkemf.data import synth_blobs
 from fedkemf.errors import DivergenceError
@@ -64,22 +65,24 @@ def reference_distill(server, members, data):
     distill defines: one forward per member over the whole split, each batch
     taking its rows of it (under some BLAS kernels a row of X @ W depends on
     X's height, so a teacher forwarded batch by batch is a different one)."""
-    if server.init_mode == "warm_start":
+    config = server.config
+    if config.server_init == "warm_start":
         student = server.global_knowledge.copy()
     else:
         student = nets.Network(members[0].arch, np.mean([m.params for m in members], axis=0))
     split = np.asarray(server.distill_indices, dtype=np.int64)
     teacher = teacher_distributions([nets.forward(m, data.features[split]) for m in members],
-                                    server.strategy)
+                                    config.strategy)
     last_loss = 0.0
-    orders = stream(server.rng_seed, SALT_DISTILL, 0, server.round + 1)  # the round being run
-    for _ in range(server.distill_epochs):
+    # the round being run
+    orders = stream(config.experiment_seed, SALT_DISTILL, 0, server.round + 1)
+    for _ in range(config.distill_epochs):
         epoch_losses = []
-        for batch in batch_iterator(np.arange(len(split)), server.batch_size, orders):
+        for batch in batch_iterator(np.arange(len(split)), config.batch_size, orders):
             x, t = data.features[split[batch]], teacher[batch]
             epoch_losses.append(nets.kl_from_probs(t, nets.softmax(nets.forward(student, x))))
             student = nets.sgd_step(
-                student, nets.loss_gradient(student, x, teacher_probs=t), server.distill_lr)
+                student, nets.loss_gradient(student, x, teacher_probs=t), config.distill_lr)
         last_loss = float(np.mean(epoch_losses))
     return student, last_loss
 
@@ -100,23 +103,30 @@ def make_client(data, cid=0, hidden=(8, 4), n_train=90, n_val=20, epochs=3, batc
     ), {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": 5}
 
 
+def server_config(**keys):
+    """The ExperimentConfig a test server reads: `keys` over the required keys.  The
+    required keys the server never reads (the data and partition keys) are placeholders."""
+    return ExperimentConfig(**{
+        "mode": "fedkemf", "num_clients": 1, "sample_ratio": 1.0, "rounds": 1, "alpha": 1.0,
+        "batch_size": 16, "lr": 0.1, "knowledge_arch": (), "experiment_seed": 0, "out_dir": "",
+        "dataset_kind": "synth", **keys})
+
+
 def make_server(data, strategy="max_logits", init_mode="avg_members", count=75, epochs=3,
-                recipe=None):
-    """A server distilling for `epochs`, whose rounds train the clients with `recipe` (the
-    entry points' keywords, over lr 0.1, 3 epochs, batch_size 16 and seed 9)."""
+                recipe=None, mode="fedkemf", sample_ratio=1.0):
+    """A `mode` server distilling for `epochs`, whose rounds sample `sample_ratio` of the
+    clients and train them with `recipe` (the entry points' keywords, over lr 0.1,
+    3 epochs, batch_size 16 and seed 9)."""
     recipe = {"lr": 0.1, "epochs": 3, "batch_size": 16, "seed": 9, **(recipe or {})}
     arch = nets.ArchSpec(data.dim, (6,), data.num_classes)
     return ServerState(
         global_knowledge=nets.init_network(arch, 3),
         distill_indices=list(range(len(data) - count, len(data))),
-        local_epochs=recipe["epochs"],
-        lr=recipe["lr"],
-        distill_epochs=epochs,
-        distill_lr=0.1,
-        strategy=strategy,
-        init_mode=init_mode,
-        batch_size=recipe["batch_size"],
-        rng_seed=recipe["seed"],
+        config=server_config(
+            mode=mode, sample_ratio=sample_ratio, local_epochs=recipe["epochs"],
+            lr=recipe["lr"], distill_epochs=epochs, distill_lr=0.1, strategy=strategy,
+            server_init=init_mode, batch_size=recipe["batch_size"],
+            experiment_seed=recipe["seed"]),
         round=2,
     )
 
@@ -206,10 +216,10 @@ class TestReferenceEquivalence:
         clients = [make_client(data, cid=c, hidden=(8,) if c % 2 else (4,), n_train=40,
                                n_val=8 if c != 3 else 0)[0]
                    for c in range(6)]
-        server = make_server(data, count=40, epochs=1, recipe={"epochs": 1})
+        server = make_server(data, count=40, epochs=1, recipe={"epochs": 1}, sample_ratio=0.5)
         server.round = 0
         for _ in range(3):
-            stats = run_round(server, clients, data, "fedkemf", sample_ratio=0.5)
+            stats = run_round(server, clients, data)
             assert len(stats["sampled"]) < len(clients)
             full = [st.accuracy(st.local_model, data) for st in clients]
             assert stats["mean_client_val_accuracy"] == float(np.mean(full))
@@ -247,7 +257,7 @@ class TestLockstep:
     def test_fedavg_round_equals_serial_reference(self, sizes, monkeypatch):
         data = make_data()
         states, recipe = self.clients(data, sizes)
-        server = make_server(data, epochs=0, recipe=recipe)
+        server = make_server(data, epochs=0, recipe=recipe, mode="fedavg")
         server.global_knowledge = broadcast = self.model(data)
         aggregated = []
 
@@ -256,7 +266,7 @@ class TestLockstep:
             return fedavg_aggregate(members, weights)
 
         monkeypatch.setattr("fedkemf.server.fedavg_aggregate", spy)
-        stats = run_round(server, states, data, "fedavg", sample_ratio=1.0)
+        stats = run_round(server, states, data)
         refs = [reference_local_train(st, broadcast, data, server.round, **recipe)
                 for st in states]
         assert stats["sampled"] == list(range(len(sizes)))
@@ -280,11 +290,11 @@ class TestLockstep:
                 alone[st.client_id] = err.value
         assert alone[1].epoch < alone[0].epoch
         del training_passes[:]
-        server = make_server(data, epochs=0, recipe=recipe)
+        server = make_server(data, epochs=0, recipe=recipe, mode="fedavg")
         server.global_knowledge, server.round = model, 0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_round(server, states, data, "fedavg", sample_ratio=1.0)
+                run_round(server, states, data)
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
@@ -345,7 +355,7 @@ class TestMutualLockstep:
             return distill(server, members, data)
 
         monkeypatch.setattr("fedkemf.server.distill", spy)
-        stats = run_round(server, states, data, "fedkemf", sample_ratio=1.0)
+        stats = run_round(server, states, data)
         refs = [reference_client_update(twin, broadcast, data, server.round, **recipe)
                 for twin in twins]
         assert stats["sampled"] == list(range(len(sizes)))
@@ -376,7 +386,7 @@ class TestMutualLockstep:
         before = [st.local_model for st in states]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_round(server, states, data, "fedkemf", sample_ratio=1.0)
+                run_round(server, states, data)
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
@@ -404,7 +414,7 @@ class TestMutualLockstep:
 
         monkeypatch.setattr(ClientState, "accuracy", accuracy)
         with pytest.raises(DivergenceError) as err:
-            run_round(server, states, data, "fedkemf", sample_ratio=1.0)
+            run_round(server, states, data)
         assert (err.value.client_id, err.value.round_index) == (1, 2)
         # one unguarded pass per architecture, and no guarded replay
         assert training_passes == [(1, None), (1, None)]
@@ -486,17 +496,18 @@ class TestForwardCounts:
         server = make_server(data)
         forwards.clear()
         distill(server, members, data)
-        batches = server.distill_epochs * math.ceil(len(server.distill_indices) / server.batch_size)
+        config = server.config
+        batches = config.distill_epochs * math.ceil(len(server.distill_indices) / config.batch_size)
         assert len(forwards) == len(members) + batches
 
     def test_round_scores_only_unscored_clients(self, forwards):
         data = synth_blobs(3, 80, 4, 0.8, seed=5)
         clients = [make_client(data, cid=c, hidden=(4,), n_train=40)[0] for c in range(6)]
-        server = make_server(data, count=40, epochs=0, recipe={"epochs": 0})
-        run_round(server, clients, data, "fedkemf", sample_ratio=0.5)
+        server = make_server(data, count=40, epochs=0, recipe={"epochs": 0}, sample_ratio=0.5)
+        run_round(server, clients, data)
         assert len(forwards) == len(clients)  # all 6 in run_round
         forwards.clear()
-        run_round(server, clients, data, "fedkemf", sample_ratio=0.5)
+        run_round(server, clients, data)
         assert len(forwards) == 3  # the sampled clients' own evaluations
 
 
@@ -537,11 +548,11 @@ class TestLossTermCounts:
         data = make_data()
         members = trained_members(data)
         server = make_server(data)
-        server.batch_size = batch_size
+        server.config.batch_size = batch_size
         terms.update(_ce_terms=0, _kl_terms=0)
         distill(server, members, data)
         # distill reads only its last epoch's loss, so only that epoch is scored
-        assert server.distill_epochs > 1
+        assert server.config.distill_epochs > 1
         assert terms == {"_ce_terms": 0, "_kl_terms": 1}
 
 
@@ -561,7 +572,7 @@ def test_trained_rejects_overflowed_parameters():
 def test_distill_divergence_is_typed():
     data = make_data()
     server = make_server(data)
-    server.distill_lr = 1e300
+    server.config.distill_lr = 1e300
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
             distill(server, trained_members(data), data)
