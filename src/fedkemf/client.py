@@ -31,12 +31,10 @@ class ClientState:
 
 
 def batch_iterator(indices, batch_size, epoch_seed):
-    """Deterministically shuffled batches; the final partial batch is kept.  `epoch_seed` is
-    an int or a np.random.Generator, which np.random.default_rng passes through, so
-    successive calls on one Generator draw successive orders."""
+    """Deterministically shuffled batches of the non-empty `indices`; the final partial batch
+    is kept.  `epoch_seed` is an int or a np.random.Generator, which np.random.default_rng
+    passes through, so successive calls on one Generator draw successive orders."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("cannot batch an empty index list")
     rng = np.random.default_rng(epoch_seed)
     idx = rng.permutation(idx)
     return [idx[i:i + batch_size] for i in range(0, idx.size, batch_size)]
@@ -45,7 +43,7 @@ def batch_iterator(indices, batch_size, epoch_seed):
 def _shard(state: ClientState, data: Dataset, round_index, num_classes, epochs, batch_size, seed):
     """(x, onehot, orders) of the train shard; orders yields each epoch's row order, all drawn
     from the client's stream of the round."""
-    train = np.asarray(state.train_indices, dtype=np.int64)
+    train = state.train_indices
     positions = np.arange(len(train))
     rng = stream(seed, SALT_ORDERS, state.client_id, round_index)
     orders = (np.concatenate(batch_iterator(positions, batch_size, rng)) for _ in range(epochs))
@@ -201,7 +199,8 @@ def _lockstep(states, num_classes, data: Dataset, round_index, train, stack_key,
 def client_update(states, knowledge_net: nets.Network, data: Dataset, round_index: int = 0, *,
                   lr, epochs, batch_size, seed):
     """[(updated_knowledge, mean_train_loss, local_model)] of each state's round of deep
-    mutual learning, in lockstep; no state changes.
+    mutual learning, in lockstep; no state changes.  Every local model has the knowledge
+    net's num_classes.
 
     Per batch, the local model steps on CE plus KL toward the knowledge net's
     distribution, then the knowledge net on CE plus KL toward the stepped
@@ -215,17 +214,13 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
     row view would keep its whole stack alive.  A failed per-epoch check, or
     any divergence, replays the clients alone and guarded (_lockstep).
     """
-    num_classes = knowledge_net.arch.num_classes
-    if any(st.local_model.arch.num_classes != num_classes for st in states):
-        raise ValueError("knowledge and local networks disagree on num_classes")
-
     def train(stack, shards, guard):
         kn = nets.Trainer([knowledge_net] * len(stack), lr, guard)
         theta = nets.Trainer([st.local_model for st in stack], lr, guard)
         means = _mutual_learning(kn, theta, shards, batch_size, range(epochs))
         return [(knowledge, mean, local.copy())
                 for local, knowledge, mean in zip(theta.trained(), kn.trained(), means)]
-    return _lockstep(states, num_classes, data, round_index, train,
+    return _lockstep(states, knowledge_net.arch.num_classes, data, round_index, train,
                      lambda st: st.local_model.arch,
                      epochs=epochs, batch_size=batch_size, seed=seed)
 

@@ -155,12 +155,8 @@ def softmax_finite(z, out=None):
 
 
 def onehot(labels, num_classes):
-    """One-hot rows of 1-d integer labels; rejects labels out of range."""
+    """One-hot rows of 1-d integer labels in range(num_classes)."""
     labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-d integer array")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError("label out of range")
     y = np.zeros((labels.size, num_classes))
     y[np.arange(labels.size), labels] = 1.0
     return y
@@ -373,9 +369,8 @@ class Trainer:
     """
 
     def __init__(self, members, lr: float, guard=None):
-        """`members`: same-architecture Networks, one member each; [net] * k holds k copies."""
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        """`members`: same-architecture Networks, one member each; [net] * k holds k copies.
+        `lr` is positive and finite, as the config requires."""
         self.lr = lr
         self.guard = guard
         self.arch = members[0].arch

@@ -88,7 +88,7 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
         global_knowledge=nets.init_network(
             knowledge_arch, stream(config.experiment_seed, SALT_GLOBAL_INIT)
         ),
-        distill_indices=server_indices,
+        distill_indices=np.asarray(server_indices, dtype=np.int64),
         config=config,
     )
     return clients, server

@@ -9,6 +9,7 @@ of output, with no hash in between: counter-based streams (Salmon et al.,
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Stream salts, one per kind of draw; below 2**32, as the key's high half.
 SALT_SAMPLING = 101      # word 2: the round
@@ -22,6 +23,17 @@ SALT_ORDERS = 808        # stream id: the client, word 2: the round; every epoch
 SALT_PARTITION = 909     # word 2: the redraw attempt
 
 
+class _Key(ISeedSequence):
+    """A Philox key handed over as its seed sequence, so that no OS entropy is drawn: given
+    key=..., Philox would first build and then discard an entropy-seeded SeedSequence."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key  # Philox asks for its two uint64 key words
+
+
 def stream(seed, salt, stream_id=0, word2=0):
     """The np.random.Generator of context (seed, salt, stream_id, word2)."""
     if not 0 <= stream_id < 2 ** 32:
@@ -29,4 +41,4 @@ def stream(seed, salt, stream_id=0, word2=0):
     # uint64 arrays: numpy would convert a Python-list word >= 2**63 through float64.
     key = np.array([int(seed) % 2 ** 64, salt << 32 | int(stream_id)], dtype=np.uint64)
     counter = np.array([0, 0, word2, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(_Key(key), counter=counter))

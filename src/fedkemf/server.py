@@ -22,7 +22,7 @@ MODES = ("fedkemf", "fedavg")
 @dataclass
 class ServerState:
     global_knowledge: nets.Network
-    distill_indices: list
+    distill_indices: np.ndarray  # sorted int64 rows of the distillation split
     config: "ExperimentConfig"  # the run's settings, validated once when parsed
     round: int = 0
 
@@ -76,32 +76,21 @@ def teacher_distributions(member_logits, strategy, **context):
 
 
 def average_init(members):
-    """Parameter-wise mean of same-architecture networks."""
-    if not members:
-        raise ValueError("need at least one member")
-    arch = members[0].arch
-    if any(m.arch != arch for m in members):
-        raise ValueError("members must share one architecture")
-    return nets.Network(arch, np.mean([m.params for m in members], axis=0))
+    """Parameter-wise mean of one or more same-architecture networks."""
+    return nets.Network(members[0].arch, np.mean([m.params for m in members], axis=0))
 
 
 def fedavg_aggregate(members, weights):
-    """Parameter-wise weighted mean; weights normalized to sum 1."""
-    if len(members) != len(weights):
-        raise ValueError("one weight per member required")
+    """Parameter-wise weighted mean of same-architecture networks; weights normalized to sum 1."""
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
-    arch = members[0].arch
-    if any(m.arch != arch for m in members):
-        raise ValueError("members must share one architecture")
     w = w / w.sum()
     params = sum(wi * m.params for wi, m in zip(w, members))
-    return nets.Network(arch, params)
+    return nets.Network(members[0].arch, params)
 
 
 def distill(server: ServerState, members, data: Dataset):
-    """Distill the member ensemble into a student on the server's unlabeled split.
+    """Distill the member ensemble, one or more networks of the global knowledge network's
+    architecture, into a student on the server's unlabeled split.
 
     The student starts from the members' parameter average (or the previous
     global network under warm_start); client.fit steps it on batch-mean KL
@@ -109,8 +98,6 @@ def distill(server: ServerState, members, data: Dataset):
     under nets.per_epoch_checked.  Returns (student, last_mean_kl), the mean
     over the last epoch's batches, the only epoch scored.
     """
-    if not members:
-        raise ValueError("need at least one member to distill")
     config = server.config
     if config.server_init == "warm_start":
         start = server.global_knowledge
@@ -119,13 +106,11 @@ def distill(server: ServerState, members, data: Dataset):
     if config.distill_epochs == 0:
         return start.copy(), 0.0
     context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
-    x_split = data.features[np.asarray(server.distill_indices, dtype=np.int64)]
+    x_split = data.features[server.distill_indices]
     member_logits = [nets.forward(m, x_split) for m in members]
     for logits in member_logits:
         nets.check_finite(logits, "teacher logits", context)
     teacher = teacher_distributions(member_logits, config.strategy, **context)
-    if teacher.shape != (len(x_split), start.arch.num_classes):
-        raise ValueError("teacher distribution shape mismatch")
     positions = np.arange(len(x_split))
     last = config.distill_epochs - 1
 

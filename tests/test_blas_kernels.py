@@ -11,7 +11,6 @@ equivalence and the stacked-products premise at every shipped layer shape.
 
 import importlib.util
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -43,11 +42,9 @@ print(blas_core_name())
 """
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
-                    or identity.blas_core_name() == "unknown",
-                    reason="needs x86-64 and numpy's OpenBLAS")
+@pytest.mark.skipif(not identity.nehalem_runs(), reason="needs x86-64 and numpy's OpenBLAS")
 def test_lockstep_equals_serial_on_nehalem():
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem"}
+    env = {**os.environ, "OPENBLAS_CORETYPE": identity.NEHALEM}
     child = subprocess.run(
         [sys.executable, "-c", CHILD, *(str(ROOT / d) for d in ("src", "tests", "tools"))],
         env=env, capture_output=True, text=True, timeout=60)

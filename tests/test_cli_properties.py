@@ -5,6 +5,11 @@ keys to one of their edge values (zero, negative, just inside or past a
 bound, non-finite, huge), so each validation rule and each typed failure is
 reachable while many runs still train.  Sizes stay tiny, so a run takes
 milliseconds.
+
+The round's internal functions do not re-check what set-up validated (one
+weight of at least 1 per member, one architecture, a non-empty index list,
+labels in range, a positive learning rate).  Spies at those functions assert
+these premises on every call that such runs make.
 """
 
 import contextlib
@@ -13,9 +18,12 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from fedkemf import client, nets, server
 from fedkemf.cli import main
 
 NAN, INF = math.nan, math.inf
@@ -98,11 +106,109 @@ def run_config(values):
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(configs())
-def test_run_exits_with_a_documented_code(values):
-    code, err, caught = run_config(values)
+def assert_documented(code, err, caught):
     assert code in (0, 2, 3, 4)
     assert caught == []
     if code:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(configs())
+def test_run_exits_with_a_documented_code(values):
+    assert_documented(*run_config(values))
+
+
+def premise_spies(reached):
+    """Patches, at the names their callers look up, of the round's functions that leave their
+    arguments unchecked: each spy asserts, whenever it is reached, the premise the run's
+    set-up guarantees, adds its name to `reached` and calls through."""
+    teacher_shape = []  # (split rows, classes) of the distillation under way
+
+    def fedavg_aggregate(members, weights):
+        assert len(members) == len(weights) >= 1
+        assert all(isinstance(w, int) and w >= 1 for w in weights)
+        assert len({m.arch for m in members}) == 1
+
+    def average_init(members):
+        assert len(members) >= 1 and len({m.arch for m in members}) == 1
+
+    def distill(srv, members, data):
+        arch = srv.global_knowledge.arch
+        assert len(members) >= 1 and all(m.arch == arch for m in members)
+        assert arch.num_classes == data.num_classes
+        rows = srv.distill_indices
+        assert rows.dtype == np.int64 and rows.ndim == 1 and np.all(rows[1:] > rows[:-1])
+        teacher_shape[:] = [(len(rows), data.num_classes)]
+
+    def teacher_distributions(teacher):
+        assert teacher.shape == teacher_shape[0]
+
+    def client_update(states, knowledge_net, data, *args, **kwargs):
+        assert knowledge_net.arch.num_classes == data.num_classes
+        assert all(st.local_model.arch.num_classes == data.num_classes for st in states)
+
+    def batch_iterator(indices, batch_size, epoch_seed):
+        assert len(indices) >= 1
+
+    def onehot(labels, num_classes):
+        assert labels.ndim == 1 and labels.size >= 1
+        assert np.issubdtype(labels.dtype, np.integer)
+        assert labels.min() >= 0 and labels.max() < num_classes
+
+    def trainer_init(trainer, members, lr, guard=None):
+        assert 0 < lr < math.inf
+
+    def spy(owner, name, before=None, after=None):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            reached.add(f"{owner.__name__}.{name}")
+            if before:
+                before(*args, **kwargs)
+            result = real(*args, **kwargs)
+            if after:
+                after(result)
+            return result
+        return mock.patch.object(owner, name, wrapper)
+    return [spy(server, "fedavg_aggregate", fedavg_aggregate),
+            spy(server, "average_init", average_init),
+            spy(server, "distill", distill),
+            spy(server, "teacher_distributions", after=teacher_distributions),
+            spy(server, "client_update", client_update),
+            spy(client, "batch_iterator", batch_iterator),
+            spy(server, "batch_iterator", batch_iterator),
+            spy(nets, "onehot", onehot),
+            spy(nets.Trainer, "__init__", trainer_init)]
+
+
+def run_spied(values, reached):
+    with contextlib.ExitStack() as stack:
+        for patch in premise_spies(reached):
+            stack.enter_context(patch)
+        return run_config(values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(configs())
+def test_round_arguments_keep_the_premises_of_the_unchecked_functions(values):
+    assert_documented(*run_spied(values, set()))
+
+
+def test_every_single_edge_keeps_the_premises():
+    # Each edge value alone in a working config of either mode, under the spies; the random
+    # configs above rarely reach training with an edge value that the config should refuse.
+    reached = set()
+    base = {key: choices[-1] for key, choices in VALID.items()}
+    for values in ({**base, "mode": "fedkemf", "server.init": "avg_members"},
+                   {**base, "mode": "fedavg", "client_archs": None}):
+        assert run_spied(values, reached)[0] == 0
+        for key, edges in EDGES.items():
+            for edge in edges:
+                assert_documented(*run_spied({**values, key: edge}, reached))
+    assert reached == {f"{owner}.{name}" for owner, name in [
+        ("fedkemf.server", "fedavg_aggregate"), ("fedkemf.server", "average_init"),
+        ("fedkemf.server", "distill"), ("fedkemf.server", "teacher_distributions"),
+        ("fedkemf.server", "client_update"), ("fedkemf.client", "batch_iterator"),
+        ("fedkemf.server", "batch_iterator"), ("fedkemf.nets", "onehot"),
+        ("Trainer", "__init__")]}

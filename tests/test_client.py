@@ -43,10 +43,6 @@ class TestBatchIterator:
         batches = batch_iterator(idx, 5, epoch_seed=3)
         assert sorted(i for b in batches for i in b) == idx
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            batch_iterator([], 4, epoch_seed=0)
-
 
 class TestClientUpdate:
     def test_zero_epochs_is_identity(self):

@@ -1,6 +1,7 @@
 """tools/identity.py's artifact comparison, on hand-made run directories."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -123,3 +124,48 @@ def test_blas_core_name_without_a_library_is_unknown(tmp_path):
     assert identity.blas_core_name(tmp_path) == "unknown"
     (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
     assert identity.blas_core_name(tmp_path) == "unknown"
+
+
+# A stand-in for the package: each run marks its start, waits for the other tree's run to
+# start, then reports the forced OpenBLAS core and FEDKEMF_SEED on stderr.
+STUB_CLI = """import os, sys, time
+from pathlib import Path
+
+def main(argv):
+    cfg = Path(argv[1])
+    cfg.with_suffix(".started").touch()
+    deadline = time.monotonic() + 30
+    while len(list(cfg.parent.glob("*.started"))) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    print("together" if len(list(cfg.parent.glob("*.started"))) == 2 else "alone",
+          os.environ.get("OPENBLAS_CORETYPE", "default"), os.environ.get("FEDKEMF_SEED"),
+          file=sys.stderr)
+    return 3
+"""
+
+
+def test_run_starts_both_trees_at_once_under_the_forced_core(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    monkeypatch.setenv("FEDKEMF_SEED", "5")
+    trees = {}
+    for tree in ("this", "against"):
+        (tmp_path / tree / "fedkemf").mkdir(parents=True)
+        (tmp_path / tree / "fedkemf" / "__init__.py").write_text("")
+        (tmp_path / tree / "fedkemf" / "cli.py").write_text(STUB_CLI)
+        trees[tree] = tmp_path / tree
+    for coretype, shown in [(None, "default"), (identity.NEHALEM, "Nehalem")]:
+        runs = tmp_path / "runs" / shown
+        results = identity.run(trees, lambda out_dir: f"out_dir = {out_dir}\n", runs, coretype)
+        assert results == {tree: (3, f"together {shown} None") for tree in trees}
+        for tree in trees:
+            assert (runs / f"{tree}.cfg").read_text() == f"out_dir = {runs / tree}\n"
+            assert (runs / tree).is_dir()
+
+
+def test_child_core_reads_the_forced_core():
+    default = identity.child_core()
+    assert default
+    if "OPENBLAS_CORETYPE" not in os.environ:  # else this process runs on the forced core
+        assert default == identity.blas_core_name()
+    if identity.nehalem_runs():
+        assert identity.child_core(identity.NEHALEM) == identity.NEHALEM

@@ -56,6 +56,28 @@ def test_stream_is_philox_at_its_key_and_counter():
         6110049213944022769, 8889118279635807545, 5865796203663877354]
 
 
+def plain(state):
+    """A bit generator's state dict with its arrays as lists, comparable with ==."""
+    return {k: plain(v) if isinstance(v, dict) else getattr(v, "tolist", lambda: v)()
+            for k, v in state.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.sampled_from([-1, 2 ** 63, 2 ** 64]), salt=st.sampled_from(SALTS),
+       stream_id=st.integers(0, 2 ** 32 - 1),
+       word2=st.sampled_from([0, 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]))
+def test_stream_equals_philox_built_from_its_key(seed, salt, stream_id, word2):
+    # stream hands Philox its key through a seed sequence of its own instead of key=...
+    gen = seeding.stream(seed, salt, stream_id, word2)
+    ref = np.random.Generator(np.random.Philox(
+        key=np.array([seed % 2 ** 64, salt << 32 | stream_id], dtype=np.uint64),
+        counter=np.array([0, 0, word2, 0], dtype=np.uint64)))
+    assert plain(gen.bit_generator.state) == plain(ref.bit_generator.state)
+    assert gen.integers(0, 2 ** 63, size=4).tolist() == ref.integers(0, 2 ** 63, size=4).tolist()
+    assert gen.random(3).tolist() == ref.random(3).tolist()
+    assert plain(gen.bit_generator.state) == plain(ref.bit_generator.state)
+
+
 def test_stream_masks_the_seed_to_64_bits():
     for seed, masked in [(-1, 2 ** 64 - 1), (2 ** 64 + 5, 5), (-2 ** 64, 0),
                          (np.int64(-3), 2 ** 64 - 3)]:

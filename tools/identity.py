@@ -20,12 +20,18 @@ revision is exported with `git archive` into a temporary directory under DIR
 runs from its working files, uncommitted changes included.  Each run is a fresh
 `fedkemf run` process with FEDKEMF_SEED unset.
 
+Every case runs in two passes, since checkpoints differ between OpenBLAS cores:
+first on the host's default core (OPENBLAS_CORETYPE unset), then with
+OPENBLAS_CORETYPE=Nehalem, an SSE4.2 kernel every x86-64 host can run; the
+Nehalem pass is skipped, and the summary says so, off x86-64 or without numpy's
+OpenBLAS.  The two trees' runs of a case start together.
+
 Compared per case: the exit status and, when a run fails, its last stderr line;
 then metrics.csv without its wall_seconds column, metrics.json, partition.json
 and every round_*.fkmf checkpoint the runs wrote.  A case fails when either run
 fails and the two failures differ.  One line per case names the first differing
-file.  The summary line names the OpenBLAS core numpy runs on, since checkpoints
-differ between cores.  Exit status 0 when every case is identical, 1 otherwise.
+file.  The summary names, per pass, the OpenBLAS core a child process reports.
+Exit status 0 when every case is identical under every pass, 1 otherwise.
 """
 
 import argparse
@@ -34,6 +40,7 @@ import ctypes
 import importlib.util
 import io
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -58,6 +65,9 @@ SEEDS = (1, 2, 3)
 TIMING_COLUMN = "wall_seconds"
 RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from fedkemf.cli import main; "
        "sys.exit(main(['run', sys.argv[2]]))")
+CORE = ("import sys; sys.path.insert(0, sys.argv[1]); from identity import blas_core_name; "
+        "print(blas_core_name())")
+NEHALEM = "Nehalem"
 
 
 def _workloads():
@@ -161,6 +171,27 @@ def blas_core_name(libs=None):
     return "unknown"
 
 
+def nehalem_runs():
+    """Whether OPENBLAS_CORETYPE=Nehalem can be forced here: x86-64 with numpy's OpenBLAS."""
+    return platform.machine().lower() in ("x86_64", "amd64") and blas_core_name() != "unknown"
+
+
+def _env(coretype):
+    """The environment of a child: FEDKEMF_SEED unset, and OPENBLAS_CORETYPE set to
+    `coretype`, or unset for the host's default core when it is None."""
+    env = {k: v for k, v in os.environ.items() if k not in ("FEDKEMF_SEED", "OPENBLAS_CORETYPE")}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    return env
+
+
+def child_core(coretype=None):
+    """The OpenBLAS core a child process runs on under `coretype` (None: the default)."""
+    child = subprocess.run([sys.executable, "-c", CORE, str(Path(__file__).resolve().parent)],
+                           env=_env(coretype), check=True, capture_output=True, text=True)
+    return child.stdout.strip()
+
+
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True).stdout
 
@@ -173,15 +204,23 @@ def export(rev, dest: Path):
     return commit[:12]
 
 
-def run(src: Path, config_text, out_dir: Path):
-    """Run one config on the package under src; returns (exit status, last stderr line)."""
-    out_dir.mkdir(parents=True)
-    cfg = out_dir.with_suffix(".cfg")
-    cfg.write_text(config_text(out_dir))
-    env = {k: v for k, v in os.environ.items() if k != "FEDKEMF_SEED"}
-    proc = subprocess.run([sys.executable, "-c", RUN, str(src), str(cfg)], env=env,
-                          cwd=out_dir.parent, capture_output=True, text=True)
-    return proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]
+def run(trees, config_text, runs: Path, coretype=None):
+    """Run one config on each tree's package at once, tree t writing to runs/t, under the
+    OpenBLAS `coretype` (None: the default); returns {tree: (exit status, last stderr line)}."""
+    procs = {}
+    for tree, src in trees.items():
+        out_dir = runs / tree
+        out_dir.mkdir(parents=True)
+        cfg = out_dir.with_suffix(".cfg")
+        cfg.write_text(config_text(out_dir))
+        procs[tree] = subprocess.Popen(
+            [sys.executable, "-c", RUN, str(src), str(cfg)], env=_env(coretype), cwd=runs,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    results = {}
+    for tree, proc in procs.items():
+        err = proc.communicate()[1]
+        results[tree] = proc.returncode, (err.strip().splitlines() or [""])[-1]
+    return results
 
 
 def main(argv=None):
@@ -196,17 +235,24 @@ def main(argv=None):
         commit = export(args.against, tmp / "against")
         trees = {"this": ROOT / "src", "against": tmp / "against" / "src"}
         print(f"working tree against {args.against} ({commit})")
-        differing = 0
-        for name, config_text in cases():
-            results = {tree: run(src, config_text, tmp / "runs" / tree / name)
-                       for tree, src in trees.items()}
-            found = verdict(results, tmp / "runs" / "this" / name,
-                            tmp / "runs" / "against" / name)
-            differing += found != "identical"
-            print(f"{name:<27} {found}", flush=True)
-        total = len(cases())
-        print(f"{total - differing} of {total} cases byte-identical "
-              f"(OpenBLAS core {blas_core_name()})")
+        summary, differing, forced = [], 0, nehalem_runs()
+        for coretype in (None, NEHALEM) if forced else (None,):
+            named = "default core" if coretype is None else f"OPENBLAS_CORETYPE={coretype}"
+            core = child_core(coretype)
+            print(f"-- {named}, OpenBLAS core {core}")
+            same, total = 0, len(cases())
+            for name, config_text in cases():
+                runs = tmp / "runs" / (coretype or "default") / name
+                found = verdict(run(trees, config_text, runs, coretype),
+                                runs / "this", runs / "against")
+                same += found == "identical"
+                print(f"{name:<27} {found}", flush=True)
+            differing += total - same
+            summary.append(f"{same} of {total} cases byte-identical under {named} "
+                           f"(OpenBLAS core {core})")
+        if not forced:
+            summary.append(f"{NEHALEM} pass skipped: needs x86-64 and numpy's OpenBLAS")
+        print("\n".join(summary))
     return 1 if differing else 0
 
 
