@@ -215,28 +215,24 @@ def loss_value(net: Network, features, labels=None, teacher_probs=None) -> float
 
 
 def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np.ndarray:
-    """Flat gradient of loss_value w.r.t. net.params.
-
-    At the logits layer the per-row gradient is (q - onehot) + (q - teacher),
-    averaged over the batch, then backpropagated through the ReLU stack.
-    """
+    """Flat gradient of loss_value w.r.t. net.params: a guarded one-member Trainer's gradient,
+    by the training step's own path (probs, logit_delta toward a one-hot block for the labels,
+    then the teacher rows, _backward_into).  Non-finite logits raise DivergenceError."""
     if labels is None and teacher_probs is None:
         raise ValueError("need labels, teacher_probs, or both")
-    logits, layer_inputs, pre_acts = _forward_cached(net, features)
-    n, c = logits.shape
-    q = softmax(logits)
-    delta = np.zeros_like(q)
-    if labels is not None:
-        delta += q - onehot(labels, c)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
+        raise ValueError(f"features must be N x {net.arch.input_dim}, got {x.shape}")
+    targets = [] if labels is None else [onehot(labels, net.arch.num_classes)]
     if teacher_probs is not None:
-        p = np.asarray(teacher_probs, dtype=np.float64)
-        if p.shape != q.shape:
+        targets.append(np.asarray(teacher_probs, dtype=np.float64))
+        if targets[-1].shape != (len(x), net.arch.num_classes):
             raise ValueError("teacher_probs shape mismatch")
-        delta += q - p
-    delta /= n
-    grad = np.empty_like(net.params)
-    _backward_into(_layer_views(net.arch, grad), net.layers(), layer_inputs, pre_acts, delta)
-    return grad
+    trainer = Trainer([net], 1.0, guard={})
+    layers, grad_layers, _, grad = views = trainer.views(slice(1))
+    q, layer_inputs, pre_acts = trainer.probs(x[None], None, "logits", views=views)
+    _backward_into(grad_layers, layers, layer_inputs, pre_acts, logit_delta(q, *targets))
+    return grad[0]
 
 
 def logit_delta(q, *targets):
@@ -357,8 +353,8 @@ class Trainer:
 
     Steps use (W, b) views into the block (views()) and one reused gradient
     block, so a step allocates no Network.  A stacked step is, member by
-    member, the arithmetic of sgd_step(net, loss_gradient(...), lr):
-    np.matmul runs each slice as a 2-D call would.
+    member, a one-member trainer's step (np.matmul runs each slice as a 2-D
+    call would), and loss_gradient is a one-member trainer's gradient.
 
     A guarded trainer checks every step's logits and gradient (check_finite),
     and its errors carry `guard`, the context dict that names the client and

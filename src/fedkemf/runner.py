@@ -95,8 +95,9 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """Run all rounds, writing metrics, checkpoints, and the partition map; `jobs` has no
-    effect.  The round_*.fkmf files already in out_dir are removed first."""
+    """Run all rounds, writing metrics, checkpoints, and the partition map.  The round_*.fkmf
+    files already in out_dir are removed first.  `jobs` has no effect; it stays in this public
+    signature because acceptance criterion 8 calls run_experiment(cfg, jobs=4)."""
     data, test = build_datasets(config)
     server_indices, partition = build_partition(config, data)
     if config.mode == "fedkemf" and config.distill_epochs and not server_indices:

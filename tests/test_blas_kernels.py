@@ -6,7 +6,8 @@ only if both build the one teacher.  Tier-1 otherwise checks these on the
 host's default kernel only; here a child process forces
 OPENBLAS_CORETYPE=Nehalem (SSE4.2, which every x86-64 host can run) and
 repeats there the lockstep-equals-serial checks, the distillation
-equivalence and the stacked-products premise at every shipped layer shape.
+equivalence, the stacked-products premise at every shipped layer shape and
+loss_gradient's equality with the scalar gradient it replaced.
 """
 
 import importlib.util
@@ -27,7 +28,8 @@ CHILD = """
 import sys
 sys.path[:0] = sys.argv[1:]
 from identity import blas_core_name
-from test_nets import SHIPPED_LAYERS, TestStackedProductsPremise
+from test_nets import (
+    SHIPPED_LAYERS, TestStackedProductsPremise, test_loss_gradient_equals_the_scalar_gradient)
 from test_training_core import TestLockstep, TestMutualLockstep, TestReferenceEquivalence
 TestMutualLockstep().test_each_client_equals_its_serial_reference()
 TestLockstep().test_each_client_equals_its_serial_reference()
@@ -38,6 +40,7 @@ for fan_in, fan_out in SHIPPED_LAYERS:
     for n in (1, 7, 13, 32):
         for k in (1, 4, 10):
             TestStackedProductsPremise.check_stack(fan_in, fan_out, n, k)
+test_loss_gradient_equals_the_scalar_gradient()
 print(blas_core_name())
 """
 

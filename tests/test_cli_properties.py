@@ -4,7 +4,8 @@ A config draws every key from small working values, then sets up to two
 keys to one of their edge values (zero, negative, just inside or past a
 bound, non-finite, huge), so each validation rule and each typed failure is
 reachable while many runs still train.  Sizes stay tiny, so a run takes
-milliseconds.
+milliseconds.  Only fedkemf configs draw `client_archs`, since fedavg refuses
+any client arch but `knowledge_arch`; that refusal is an example of its own.
 
 The round's internal functions do not re-check what set-up validated (one
 weight of at least 1 per member, one architecture, a non-empty index list,
@@ -21,7 +22,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedkemf import client, nets, server
 from fedkemf.cli import main
@@ -85,10 +86,19 @@ EDGES = {
 
 @st.composite
 def configs(draw):
-    values = {key: draw(st.sampled_from(choices)) for key, choices in VALID.items()}
+    values = {key: draw(st.sampled_from(choices)) for key, choices in VALID.items()
+              if key != "client_archs"}
+    # fedavg refuses any client arch but knowledge_arch; FEDAVG_ARCH_REFUSAL keeps that path
+    if values["mode"] == "fedkemf":
+        values["client_archs"] = draw(st.sampled_from(VALID["client_archs"]))
     for key in draw(st.lists(st.sampled_from(sorted(EDGES)), max_size=2, unique=True)):
         values[key] = draw(st.sampled_from(EDGES[key]))
     return values
+
+
+# a working fedavg config but for one client arch that differs from knowledge_arch
+FEDAVG_ARCH_REFUSAL = {**{key: choices[-1] for key, choices in VALID.items()},
+                       "mode": "fedavg", "knowledge_arch": "4", "client_archs": "4 | 3,2"}
 
 
 def run_config(values):
@@ -115,8 +125,12 @@ def assert_documented(code, err, caught):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(configs())
+@example(FEDAVG_ARCH_REFUSAL)
 def test_run_exits_with_a_documented_code(values):
-    assert_documented(*run_config(values))
+    code, err, caught = run_config(values)
+    assert_documented(code, err, caught)
+    if values == FEDAVG_ARCH_REFUSAL:
+        assert code == 2 and err.startswith("error: fedavg mode requires every client arch")
 
 
 def premise_spies(reached):
@@ -191,6 +205,7 @@ def run_spied(values, reached):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(configs())
+@example(FEDAVG_ARCH_REFUSAL)
 def test_round_arguments_keep_the_premises_of_the_unchecked_functions(values):
     assert_documented(*run_spied(values, set()))
 

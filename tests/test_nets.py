@@ -248,6 +248,58 @@ class TestLossGradient:
                 numeric = finite_difference_gradient(net, x, y, t)
                 assert max_relative_error(analytic, numeric) < 1e-4
 
+    def test_rejects_bad_arguments(self):
+        net = nets.init_network(nets.ArchSpec(2, (3,), 4), 0)
+        x = np.zeros((5, 2))
+        for args in ((x,), (np.zeros((5, 3)), [0] * 5), (np.zeros((1, 5, 2)), [0] * 5),
+                     (x, None, np.full((5, 3), 1 / 3)), (x, [0] * 5, np.full((4, 4), 0.25))):
+            with pytest.raises(ValueError):
+                nets.loss_gradient(net, *args)
+
+    def test_non_finite_logits_raise_divergence(self):
+        net = nets.init_network(nets.ArchSpec(2, (3,), 2), 0)
+        x = np.array([[1.0, 2.0], [np.inf, 0.0]])
+        half = np.full((2, 2), 0.5)
+        for labels, teacher in (([0, 1], None), (None, half), ([0, 1], half)):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(DivergenceError, match=r"^non-finite logits$"):
+                nets.loss_gradient(net, x, labels, teacher)
+
+
+def scalar_loss_gradient(net, features, labels=None, teacher_probs=None):
+    """The scalar gradient loss_gradient computed before it became a one-member Trainer's:
+    its own delta from zeros, += and /= n, backpropagated into a fresh flat vector."""
+    logits, layer_inputs, pre_acts = nets._forward_cached(net, features)
+    n, c = logits.shape
+    q = nets.softmax(logits)
+    delta = np.zeros_like(q)
+    if labels is not None:
+        delta += q - nets.onehot(labels, c)
+    if teacher_probs is not None:
+        delta += q - np.asarray(teacher_probs, dtype=np.float64)
+    delta /= n
+    grad = np.empty_like(net.params)
+    nets._backward_into(nets._layer_views(net.arch, grad), net.layers(), layer_inputs, pre_acts,
+                        delta)
+    return grad
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hidden=st.lists(st.integers(1, 16), max_size=2), input_dim=st.integers(1, 16),
+       n=st.integers(1, 40), classes=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_loss_gradient_equals_the_scalar_gradient(hidden, input_dim, n, classes, seed):
+    """The one-member Trainer's gradient is the scalar one byte for byte: labels only, teacher
+    only, and both."""
+    rng = np.random.default_rng(seed)
+    net = nets.init_network(nets.ArchSpec(input_dim, hidden, classes), rng)
+    x = rng.standard_normal((n, input_dim)) * 3.0
+    y = rng.integers(0, classes, n)
+    teacher = nets.softmax(rng.standard_normal((n, classes)) * 3.0)
+    for labels, t in ((y, None), (None, teacher), (y, teacher)):
+        got = nets.loss_gradient(net, x, labels, t)
+        assert got.shape == net.params.shape
+        assert got.tobytes() == scalar_loss_gradient(net, x, labels, t).tobytes()
+
 
 class TestSgdStep:
     def test_zero_grad_fixed_point(self):

@@ -4,7 +4,10 @@ The reference loops below are built only from the public, pure primitives
 (`forward`, `loss_gradient`, `sgd_step` and `teacher_distributions`), one
 fresh forward per use; only the distillation teacher is built once per call,
 over the whole split, as distill defines it.  The fused loops must reproduce
-them bit for bit.
+them bit for bit.  `loss_gradient` is itself a one-member Trainer's gradient,
+so these serial references check the stacking and the lockstep order against
+one-member steps; test_nets pins that gradient to the scalar one it replaced,
+and acceptance criterion 1 to finite differences.
 """
 
 import math
