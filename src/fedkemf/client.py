@@ -120,13 +120,13 @@ def _lockstep_epochs(members, batch_size, step, score, n_probs, trainers, scored
             for n, end in zip(sizes, np.cumsum(sizes))]
 
 
-def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what=""):
+def fit(trainer: nets.Trainer, members, batch_size, scored, what=""):
     """Lockstep single-student SGD: each trainer member steps toward its own fixed target block.
 
     `members`, `scored` and the result are _lockstep_epochs'; the steps
-    follow step_plan.  A scored epoch keeps each row's CE toward a one-hot
-    `target`'s labels if `labels`, else its KL from `target`; `what`
-    prefixes the names in errors.
+    follow step_plan.  A scored epoch keeps each row's KL from its target
+    row (nets.row_terms), which toward a one-hot block is the CE toward its
+    labels; `what` prefixes the names in errors.
     """
     logits = what + "logits"
 
@@ -135,9 +135,7 @@ def fit(trainer: nets.Trainer, members, batch_size, scored, labels=False, what="
         trainer.step(inputs, pre, nets.logit_delta(q, t), epoch, b, views=views[0])
 
     def score(take, t, q):
-        if labels:
-            return nets.row_terms(take(q), take(t).argmax(axis=1))
-        return nets.row_terms(take(q), teacher_probs=take(t))
+        return nets.row_terms(take(q), take(t))
     return _lockstep_epochs(members, batch_size, step, score, 1, [trainer], scored)
 
 
@@ -161,7 +159,7 @@ def _mutual_learning(kn, theta, members, batch_size, scored):
         kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), epoch, b, views=k_views)
 
     def score(take, y, g, q, p):
-        return nets.row_terms(take(q), take(y).argmax(axis=1), take(g))
+        return nets.row_terms(take(q), take(y), take(g))
     return _lockstep_epochs(members, batch_size, step, score, 3, [kn, theta], scored)
 
 
@@ -236,7 +234,7 @@ def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0
     """
     def train(stack, shards, guard):
         trainer = nets.Trainer([model] * len(stack), lr, guard)
-        means = fit(trainer, shards, batch_size, range(epochs), labels=True)
+        means = fit(trainer, shards, batch_size, range(epochs))
         return list(zip(trainer.trained(), means))
     return _lockstep(states, model.arch.num_classes, data, round_index, train,
                      lambda st: None, epochs=epochs, batch_size=batch_size, seed=seed)

@@ -85,11 +85,13 @@ CSV_HEADER = [
 ]
 
 
-def emit_metrics(records, csv_path, target_accuracy=None, extra_summary=None):
-    """Write the per-round CSV and a sibling JSON summary; returns the summary dict."""
-    with open(csv_path, "w", newline="") as f:
+def write_metrics_rows(csv_path, records, first):
+    """Write `records` as per-round CSV rows, flushed and closed when this returns; the `first`
+    write starts the file with the header, a later one appends."""
+    with open(csv_path, "w" if first else "a", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
+        if first:
+            writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow([
                 r.round, r.sampled_clients,
@@ -97,6 +99,11 @@ def emit_metrics(records, csv_path, target_accuracy=None, extra_summary=None):
                 f"{r.mean_train_loss:.6f}", f"{r.distill_loss:.6f}",
                 r.cumulative_bytes, f"{r.wall_seconds:.3f}",
             ])
+
+
+def emit_metrics(records, csv_path, target_accuracy=None, extra_summary=None):
+    """Write the per-round CSV, whole, and a sibling JSON summary; returns the summary dict."""
+    write_metrics_rows(csv_path, records, first=True)
 
     rounds_to_target = None
     if target_accuracy is not None:

@@ -135,10 +135,10 @@ def forward(net: Network, features: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction; accepts a vector or a matrix."""
+    """Row-wise softmax with max-subtraction; accepts a vector or a matrix.  Non-finite logits
+    raise DivergenceError (check_finite)."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input must be finite")
+    check_finite(z, "logits")
     return softmax_finite(z)
 
 
@@ -162,21 +162,33 @@ def onehot(labels, num_classes):
     return y
 
 
+def _targets(shape, labels=None, teacher_probs=None):
+    """The loss's checked target blocks for an (n, num_classes) `shape` of rows, in loss order:
+    a one-hot block of `labels` (n integers in range(num_classes)), then `teacher_probs`
+    (n x num_classes).  At least one target is required."""
+    if len(shape) != 2:
+        raise ValueError(f"logits must be n x num_classes, got shape {shape}")
+    n, num_classes = shape
+    targets = []
+    if labels is not None:
+        labels = np.asarray(labels)
+        if (labels.shape != (n,) or labels.dtype.kind not in "iu"
+                or np.any(labels < 0) or np.any(labels >= num_classes)):
+            raise ValueError(f"labels must be {n} integers in range({num_classes})")
+        targets.append(onehot(labels, num_classes))
+    if teacher_probs is not None:
+        targets.append(np.asarray(teacher_probs, dtype=np.float64))
+        if targets[-1].shape != shape:
+            raise ValueError("teacher_probs shape mismatch")
+    if not targets:
+        raise ValueError("need labels, teacher_probs, or both")
+    return targets
+
+
 def cross_entropy(logits: np.ndarray, labels) -> float:
     """Mean over the batch of -log softmax probability of the true class."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.shape[0] != labels.shape[0]:
-        raise ValueError("logits and labels disagree on batch size")
-    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
-        raise ValueError("label out of range")
-    return float(_ce_terms(softmax(logits), labels).mean())
-
-
-def _ce_terms(q, labels):
-    """Per-row -log of the true class's probability (floored at LOG_FLOOR)."""
-    picked = q[np.arange(len(labels)), labels]
-    return -np.log(np.maximum(picked, LOG_FLOOR))
+    return float(row_terms(softmax(logits), *_targets(logits.shape, labels))[0].mean())
 
 
 def kl_divergence(teacher_logits: np.ndarray, student_logits: np.ndarray) -> float:
@@ -204,30 +216,21 @@ def _kl_terms(p, q):
 
 
 def loss_value(net: Network, features, labels=None, teacher_probs=None) -> float:
-    """Scalar training loss: CE (if labels given) + KL from teacher (if given)."""
+    """Scalar training loss: the sum of each target's batch-mean row term, CE toward `labels`
+    and KL from `teacher_probs`, over one softmax; at least one target is required."""
     logits = forward(net, features)
-    total = 0.0
-    if labels is not None:
-        total += cross_entropy(logits, labels)
-    if teacher_probs is not None:
-        total += kl_from_probs(teacher_probs, softmax(logits))
-    return total
+    targets = _targets(logits.shape, labels, teacher_probs)
+    return sum(float(t.mean()) for t in row_terms(softmax(logits), *targets))
 
 
 def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np.ndarray:
     """Flat gradient of loss_value w.r.t. net.params: a guarded one-member Trainer's gradient,
-    by the training step's own path (probs, logit_delta toward a one-hot block for the labels,
-    then the teacher rows, _backward_into).  Non-finite logits raise DivergenceError."""
-    if labels is None and teacher_probs is None:
-        raise ValueError("need labels, teacher_probs, or both")
+    by the training step's own path (probs, logit_delta toward the target blocks,
+    _backward_into).  Non-finite logits raise DivergenceError."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
         raise ValueError(f"features must be N x {net.arch.input_dim}, got {x.shape}")
-    targets = [] if labels is None else [onehot(labels, net.arch.num_classes)]
-    if teacher_probs is not None:
-        targets.append(np.asarray(teacher_probs, dtype=np.float64))
-        if targets[-1].shape != (len(x), net.arch.num_classes):
-            raise ValueError("teacher_probs shape mismatch")
+    targets = _targets((len(x), net.arch.num_classes), labels, teacher_probs)
     trainer = Trainer([net], 1.0, guard={})
     layers, grad_layers, _, grad = views = trainer.views(slice(1))
     q, layer_inputs, pre_acts = trainer.probs(x[None], None, "logits", views=views)
@@ -250,19 +253,16 @@ def logit_delta(q, *targets):
     return delta
 
 
-def row_terms(q, labels=None, teacher_probs=None):
-    """Per-row loss terms of the softmax rows `q`, in loss order.
+def row_terms(q, *targets):
+    """Per-row loss terms of the softmax rows `q`: each target block's KL(target || q), in
+    target order.
 
-    CE toward `labels` (if given), then KL from `teacher_probs` (if given).
-    The training loss of a batch is the sum over terms of each term's batch
-    mean; see batch_means.
+    The targets are logit_delta's: a one-hot block's KL is the CE toward its
+    labels, -log of the floored true-class probability, bit for bit (an
+    exactly-zero term is +0.0).  The training loss of a batch is the sum over
+    terms of each term's batch mean; see batch_means.
     """
-    terms = []
-    if labels is not None:
-        terms.append(_ce_terms(q, labels))
-    if teacher_probs is not None:
-        terms.append(_kl_terms(teacher_probs, q))
-    return terms
+    return [_kl_terms(target, q) for target in targets]
 
 
 def batch_means(terms, batch_size):

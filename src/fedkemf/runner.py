@@ -10,7 +10,7 @@ import numpy as np
 from . import checkpoint, nets
 from .client import ClientState
 from .config import ExperimentConfig
-from .costs import MB, RoundRecord, WireAudit, emit_metrics
+from .costs import MB, RoundRecord, WireAudit, emit_metrics, write_metrics_rows
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .seeding import (
@@ -96,8 +96,10 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Run all rounds, writing metrics, checkpoints, and the partition map.  The round_*.fkmf
-    files already in out_dir are removed first.  `jobs` has no effect; it stays in this public
-    signature because acceptance criterion 8 calls run_experiment(cfg, jobs=4)."""
+    and metrics files already in out_dir are removed first.  Each round's metrics.csv row is
+    on disk when the round ends; metrics.json follows the last round.  `jobs` has no effect;
+    it stays in this public signature because acceptance criterion 8 calls
+    run_experiment(cfg, jobs=4)."""
     data, test = build_datasets(config)
     server_indices, partition = build_partition(config, data)
     if config.mode == "fedkemf" and config.distill_epochs and not server_indices:
@@ -107,9 +109,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     clients, server = build_states(config, data, server_indices, partition)
 
     os.makedirs(config.out_dir, exist_ok=True)
-    # out_dir's checkpoints are this run's own, also after a crash: drop any earlier run's first
-    for stale in glob.glob(os.path.join(glob.escape(config.out_dir), "round_*.fkmf")):
-        os.remove(stale)
+    csv_path = os.path.join(config.out_dir, "metrics.csv")
+    # out_dir's checkpoints and metrics are this run's own, also after a crash: drop any
+    # earlier run's first
+    for pattern in ("round_*.fkmf", "metrics.csv", "metrics.json"):
+        for stale in glob.glob(os.path.join(glob.escape(config.out_dir), pattern)):
+            os.remove(stale)
     with open(os.path.join(config.out_dir, "partition.json"), "w") as f:
         f.write(partition.to_json())
         f.write("\n")
@@ -138,10 +143,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
             cumulative_bytes=audit.total_bytes(),
             wall_seconds=wall,
         ))
+        write_metrics_rows(csv_path, records[-1:], first=len(records) == 1)
 
     summary = emit_metrics(
-        records, os.path.join(config.out_dir, "metrics.csv"),
-        target_accuracy=config.target_accuracy,
+        records, csv_path, target_accuracy=config.target_accuracy,
         extra_summary={"initial_acc": initial_accuracy},
     )
     return RunResult(records, summary, initial_accuracy, server, clients, audit)

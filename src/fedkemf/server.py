@@ -132,12 +132,13 @@ def run_round(server: ServerState, clients, data: Dataset, audit=None):
     sampled clients in lockstep, commit their new local models,
     ensemble-distill the returned knowledge copies.
     fedavg: sample, broadcast, plain-CE local training of the shared-arch
-    model (all sampled clients in lockstep), shard-size weighted averaging.
+    model (all sampled clients in lockstep), shard-size weighted averaging;
+    every client deploys the aggregate as its local model.
     The mode and every sampled client's recipe are the server's config.
     Returns per-round stats: sampled ids, mean train loss over sampled
-    clients, mean val accuracy over ALL clients' deployed models (in fedkemf
-    mode each client's cached val_accuracy, scored here whenever its model
-    changed), and the distillation loss (0.0 in fedavg mode).
+    clients, mean val accuracy over ALL clients' deployed models (each
+    client's cached val_accuracy, scored here whenever its model changed),
+    and the distillation loss (0.0 in fedavg mode).
     """
     config = server.config
     round_index = server.round + 1
@@ -159,21 +160,19 @@ def run_round(server: ServerState, clients, data: Dataset, audit=None):
         for cid, (_, _, local) in zip(sampled, results):
             clients[cid].local_model, clients[cid].val_accuracy = local, None
         server.global_knowledge, distill_loss = distill(server, members, data)
-        for st in clients:
-            if st.val_accuracy is None:
-                st.val_accuracy = st.accuracy(st.local_model, data, round_index=round_index)
-        val_accs = [st.val_accuracy for st in clients]
     else:
         weights = [len(clients[cid].train_indices) for cid in sampled]
         server.global_knowledge = fedavg_aggregate(members, weights)
-        # Clients deploy the aggregated model; score it on each local val split.
-        val_accs = [st.accuracy(server.global_knowledge, data, round_index=round_index)
-                    for st in clients]
+        for st in clients:  # every client deploys the aggregate
+            st.local_model, st.val_accuracy = server.global_knowledge, None
+    for st in clients:
+        if st.val_accuracy is None:
+            st.val_accuracy = st.accuracy(st.local_model, data, round_index=round_index)
 
     server.round = round_index
     return {
         "sampled": sampled,
         "mean_train_loss": float(np.mean(train_losses)) if train_losses else 0.0,
-        "mean_client_val_accuracy": float(np.mean(val_accs)),
+        "mean_client_val_accuracy": float(np.mean([st.val_accuracy for st in clients])),
         "distill_loss": distill_loss,
     }

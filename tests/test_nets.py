@@ -111,8 +111,54 @@ class TestSoftmax:
             assert np.allclose(p, shifted, atol=1e-12)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DivergenceError, match=r"^non-finite logits$"):
             nets.softmax([np.nan, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_every_loss_entry_point_raises_divergence_on_non_finite_logits(bad):
+    """softmax, cross_entropy, kl_divergence, loss_value and loss_gradient check logits in
+    one place (check_finite) and raise the same typed error."""
+    logits = np.array([[0.0, 1.0], [bad, 0.0]])
+    net = nets.Network(nets.ArchSpec(2, (), 2), np.array([1.0, -1.0, 2.0, 0.5, 0.0, 0.0]))
+    x = np.array([[0.0, 1.0], [bad, 0.0]])  # the second row's logits are non-finite
+    calls = (lambda: nets.softmax(logits), lambda: nets.cross_entropy(logits, [0, 1]),
+             lambda: nets.kl_divergence(logits, np.zeros((2, 2))),
+             lambda: nets.kl_divergence(np.zeros((2, 2)), logits),
+             lambda: nets.loss_value(net, x, [0, 1]),
+             lambda: nets.loss_value(net, x, teacher_probs=np.full((2, 2), 0.5)),
+             lambda: nets.loss_gradient(net, x, [0, 1]))
+    for call in calls:
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DivergenceError, match=r"^non-finite logits$"):
+            call()
+
+
+# below range, = num_classes, too short, and one label that would broadcast over the rows
+BAD_LABELS = ([0, -1, 1], [0, 3, 1], [0, 1], [1])
+
+
+@pytest.mark.parametrize("labels", BAD_LABELS)
+def test_every_label_entry_point_rejects_bad_labels(labels):
+    """loss_value, loss_gradient and cross_entropy build their targets through one check:
+    a label outside range(num_classes) or a label vector of the wrong length is refused,
+    never read as another class or broadcast over the rows."""
+    net = nets.init_network(nets.ArchSpec(2, (4,), 3), 0)
+    x = np.random.default_rng(0).standard_normal((3, 2))
+    teacher = np.full((3, 3), 1 / 3)
+    calls = (lambda: nets.loss_value(net, x, labels), lambda: nets.loss_gradient(net, x, labels),
+             lambda: nets.loss_value(net, x, labels, teacher),
+             lambda: nets.loss_gradient(net, x, labels, teacher),
+             lambda: nets.cross_entropy(nets.forward(net, x), labels))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_loss_value_needs_a_target():
+    net = nets.init_network(nets.ArchSpec(2, (), 2), 0)
+    with pytest.raises(ValueError, match="need labels, teacher_probs, or both"):
+        nets.loss_value(net, np.zeros((3, 2)))
 
 
 # Any finite logit, with the extremes drawn often: a row holding both makes the
@@ -138,8 +184,42 @@ def test_loss_terms_of_finite_logits_are_finite(drawn):
     z, labels, other = drawn
     with np.errstate(over="ignore"):
         q, p = nets.softmax_finite(z), nets.softmax_finite(other)
-    terms = nets.row_terms(q, labels, p)
+    terms = nets.row_terms(q, nets.onehot(labels, z.shape[1]), p)
     assert len(terms) == 2 and all(np.isfinite(t).all() for t in terms)
+
+
+def old_ce_terms(q, labels):
+    """The per-row CE term row_terms computed before a one-hot block's KL replaced it."""
+    return -np.log(np.maximum(q[np.arange(len(labels)), labels], nets.LOG_FLOOR))
+
+
+# A probability drawn anywhere in [0, 1], with the edges drawn often: exactly 0 or 1,
+# LOG_FLOOR itself and values below it down to the smallest subnormal.
+PROB = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    [0.0, 1.0, nets.LOG_FLOOR, 5e-13, 1e-300, 5e-324, 1.0 - 2 ** -53, 0.5]))
+
+
+@st.composite
+def rows_and_labels(draw):
+    """(q, labels): each row a saturated one (1.0 at its label, 0 elsewhere) or drawn
+    entry by entry."""
+    n, c = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    q = draw(hnp.arrays(np.float64, (n, c), elements=PROB))
+    saturated = draw(hnp.arrays(np.bool_, n))
+    q[saturated] = nets.onehot(labels[saturated], c)
+    return q, labels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows_and_labels())
+def test_kl_from_a_onehot_block_is_the_old_ce_term(drawn):
+    """row_terms toward a one-hot block gives the old CE term bit for bit, except that an
+    exactly-zero term may be +0.0 where the old term was -0.0."""
+    q, labels = drawn
+    (got,) = nets.row_terms(q, nets.onehot(labels, q.shape[1]))
+    want = old_ce_terms(q, labels)
+    assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
 
 class TestCrossEntropy:

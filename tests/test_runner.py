@@ -9,7 +9,7 @@ import pytest
 from fedkemf import checkpoint, nets, runner
 from fedkemf.config import ExperimentConfig
 from fedkemf.data import PartitionMap
-from fedkemf.errors import InfeasiblePartitionError
+from fedkemf.errors import DivergenceError, InfeasiblePartitionError
 from fedkemf.runner import build_datasets, run_experiment
 from fedkemf.seeding import SALT_CLIENT, stream
 
@@ -125,6 +125,36 @@ def test_fedavg_mode_runs(tmp_path):
     result = run_experiment(cfg)
     assert result.records[-1].distill_loss == 0.0
     assert len(result.records) == 3
+
+
+def test_fedavg_clients_hold_the_final_aggregate(tmp_path):
+    cfg = make_config(tmp_path, tag="deployed", mode="fedavg", client_archs=[(8,)],
+                      sample_ratio=0.25)
+    result = run_experiment(cfg)
+    final = checkpoint.load(tmp_path / "deployed" / "round_3.fkmf")
+    for st in result.clients:
+        assert st.local_model is result.server.global_knowledge
+        assert np.array_equal(st.local_model.params, final.params)
+        assert st.val_accuracy == st.accuracy(final, build_datasets(cfg)[0])
+
+
+def test_metrics_rows_survive_a_later_divergence(tmp_path, monkeypatch):
+    """Each round's metrics.csv row is on disk when the round ends: a run that diverges in
+    round 3 keeps the header and rows 1-2, and writes no metrics.json."""
+    calls = []
+
+    def diverging(*args, _run_round=runner.run_round, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DivergenceError("non-finite logits")
+        return _run_round(*args, **kwargs)
+    monkeypatch.setattr(runner, "run_round", diverging)
+    with pytest.raises(DivergenceError):
+        run_experiment(make_config(tmp_path, tag="crash", rounds=5))
+    rows = read_csv_without_wall(tmp_path / "crash" / "metrics.csv")
+    reference = read_csv_without_wall(run_and_csv(tmp_path, "whole", jobs=1))
+    assert len(rows) == 3 and rows == reference[:3]
+    assert not (tmp_path / "crash" / "metrics.json").exists()
 
 
 def test_partition_json_pinned_after_redraws(tmp_path, monkeypatch):
