@@ -48,7 +48,7 @@ def _cmd_run(args):
     # and the evaluation checks raise DivergenceError, so numpy's overflow and
     # invalid warnings would only add noise to stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        result = run_experiment(config, jobs=max(1, args.jobs))
+        result = run_experiment(config)
     print(f"rounds: {len(result.records)}")
     print(f"initial_acc: {result.initial_accuracy:.4f}")
     print(f"final_acc: {result.summary['final_acc']:.4f}")

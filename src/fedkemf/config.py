@@ -4,9 +4,14 @@ import math
 import os
 from dataclasses import MISSING, dataclass, fields
 
-from .costs import DIRECTIONS, MB
+from .costs import MB
 from .errors import ConfigError
-from .server import INIT_MODES, MODES, STRATEGIES
+
+# Each setting's allowed values; the checks below are the only ones made on them.
+MODES = ("fedkemf", "fedavg")
+STRATEGIES = ("max_logits", "avg_logits", "majority_vote")  # server.ensemble_logits
+INIT_MODES = ("avg_members", "warm_start")  # server.distill's student start
+DIRECTIONS = ("upload_only", "up_and_down")  # costs.WireAudit.directions
 
 
 def _parse_hidden_dims(text):

@@ -9,7 +9,6 @@ from .checkpoint import checkpoint_nbytes
 
 MB = 1024 ** 2
 GB = 1024 ** 3
-DIRECTIONS = ("upload_only", "up_and_down")  # WireAudit.directions
 
 
 @dataclass
@@ -101,10 +100,8 @@ def write_metrics_rows(csv_path, records, first):
             ])
 
 
-def emit_metrics(records, csv_path, target_accuracy=None, extra_summary=None):
-    """Write the per-round CSV, whole, and a sibling JSON summary; returns the summary dict."""
-    write_metrics_rows(csv_path, records, first=True)
-
+def emit_metrics(records, json_path, target_accuracy=None, extra_summary=None):
+    """Write the run's JSON summary to `json_path`; returns the summary dict."""
     rounds_to_target = None
     if target_accuracy is not None:
         for r in records:
@@ -119,8 +116,7 @@ def emit_metrics(records, csv_path, target_accuracy=None, extra_summary=None):
     }
     if extra_summary:
         summary.update(extra_summary)
-    summary_path = str(csv_path).rsplit(".", 1)[0] + ".json"
-    with open(summary_path, "w") as f:
+    with open(json_path, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     return summary

@@ -145,10 +145,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
         ))
         write_metrics_rows(csv_path, records[-1:], first=len(records) == 1)
 
-    summary = emit_metrics(
-        records, csv_path, target_accuracy=config.target_accuracy,
-        extra_summary={"initial_acc": initial_accuracy},
-    )
+    summary = emit_metrics(records, os.path.join(config.out_dir, "metrics.json"),
+                           target_accuracy=config.target_accuracy,
+                           extra_summary={"initial_acc": initial_accuracy})
     return RunResult(records, summary, initial_accuracy, server, clients, audit)
 
 

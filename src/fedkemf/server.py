@@ -2,28 +2,21 @@
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nets
 from .client import batch_iterator, client_update, fit, local_train
+from .config import ExperimentConfig
 from .data import Dataset
 from .seeding import SALT_DISTILL, SALT_SAMPLING, stream
-
-if TYPE_CHECKING:  # config.py imports the enums below
-    from .config import ExperimentConfig
-
-STRATEGIES = ("max_logits", "avg_logits", "majority_vote")
-INIT_MODES = ("avg_members", "warm_start")
-MODES = ("fedkemf", "fedavg")
 
 
 @dataclass
 class ServerState:
     global_knowledge: nets.Network
     distill_indices: np.ndarray  # sorted int64 rows of the distillation split
-    config: "ExperimentConfig"  # the run's settings, validated once when parsed
+    config: ExperimentConfig  # the run's settings, validated once when parsed
     round: int = 0
 
 
@@ -39,16 +32,10 @@ def ensemble_logits(member_logits, strategy):
 
     max_logits / avg_logits return combined logits; majority_vote returns
     per-row vote fractions (each member votes its argmax, ties to the lowest
-    class index).
+    class index).  The strategy is a config.STRATEGIES entry and the members share one shape.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown ensemble strategy {strategy!r}")
     members = [np.asarray(m, dtype=np.float64) for m in member_logits]
-    if not members:
-        raise ValueError("need at least one ensemble member")
     shape = members[0].shape
-    if any(m.shape != shape for m in members):
-        raise ValueError("member logits must share one shape")
     if strategy == "max_logits":
         return functools.reduce(np.maximum, members[1:], members[0].copy())
     if strategy == "avg_logits":
@@ -67,7 +54,10 @@ def ensemble_logits(member_logits, strategy):
 
 
 def teacher_distributions(member_logits, strategy, **context):
-    """Teacher probability rows for distillation; overflowing logits raise DivergenceError."""
+    """Teacher probability rows for distillation.  The one check of the teacher: a non-finite
+    member's logits, then non-finite combined logits, raise DivergenceError."""
+    for logits in member_logits:
+        nets.check_finite(logits, "teacher logits", context)
     combined = ensemble_logits(member_logits, strategy)
     if strategy == "majority_vote":
         return combined
@@ -108,8 +98,6 @@ def distill(server: ServerState, members, data: Dataset):
     context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
     x_split = data.features[server.distill_indices]
     member_logits = [nets.forward(m, x_split) for m in members]
-    for logits in member_logits:
-        nets.check_finite(logits, "teacher logits", context)
     teacher = teacher_distributions(member_logits, config.strategy, **context)
     positions = np.arange(len(x_split))
     last = config.distill_epochs - 1

@@ -9,7 +9,8 @@ any client arch but `knowledge_arch`; that refusal is an example of its own.
 
 The round's internal functions do not re-check what set-up validated (one
 weight of at least 1 per member, one architecture, a non-empty index list,
-labels in range, a positive learning rate).  Spies at those functions assert
+labels in range, a positive learning rate, a known ensemble strategy over
+members of one shape).  Spies at those functions assert
 these premises on every call that such runs make.
 """
 
@@ -26,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fedkemf import client, nets, server
 from fedkemf.cli import main
+from fedkemf.config import STRATEGIES
 
 NAN, INF = math.nan, math.inf
 
@@ -158,6 +160,10 @@ def premise_spies(reached):
     def teacher_distributions(teacher):
         assert teacher.shape == teacher_shape[0]
 
+    def ensemble_logits(member_logits, strategy):
+        assert len(member_logits) >= 1 and strategy in STRATEGIES
+        assert {np.shape(m) for m in member_logits} == {teacher_shape[0]}
+
     def client_update(states, knowledge_net, data, *args, **kwargs):
         assert knowledge_net.arch.num_classes == data.num_classes
         assert all(st.local_model.arch.num_classes == data.num_classes for st in states)
@@ -189,6 +195,7 @@ def premise_spies(reached):
             spy(server, "average_init", average_init),
             spy(server, "distill", distill),
             spy(server, "teacher_distributions", after=teacher_distributions),
+            spy(server, "ensemble_logits", ensemble_logits),
             spy(server, "client_update", client_update),
             spy(client, "batch_iterator", batch_iterator),
             spy(server, "batch_iterator", batch_iterator),
@@ -224,6 +231,7 @@ def test_every_single_edge_keeps_the_premises():
     assert reached == {f"{owner}.{name}" for owner, name in [
         ("fedkemf.server", "fedavg_aggregate"), ("fedkemf.server", "average_init"),
         ("fedkemf.server", "distill"), ("fedkemf.server", "teacher_distributions"),
+        ("fedkemf.server", "ensemble_logits"),
         ("fedkemf.server", "client_update"), ("fedkemf.client", "batch_iterator"),
         ("fedkemf.server", "batch_iterator"), ("fedkemf.nets", "onehot"),
         ("Trainer", "__init__")]}

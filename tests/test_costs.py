@@ -6,7 +6,7 @@ import pytest
 from fedkemf.checkpoint import checkpoint_nbytes
 from fedkemf.costs import (
     GB, MB, RoundRecord, WireAudit, communication_cost,
-    emit_metrics, format_gb, speedup,
+    emit_metrics, format_gb, speedup, write_metrics_rows,
 )
 from fedkemf.nets import ArchSpec
 
@@ -113,26 +113,35 @@ def make_records(accs, bytes_per_round=1000):
 
 
 class TestEmitMetrics:
+    """write_metrics_rows writes metrics.csv; emit_metrics writes only metrics.json."""
+
     def test_empty_records(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        summary = emit_metrics([], path)
-        with open(path) as f:
-            rows = list(csv.reader(f))
-        assert len(rows) == 1  # header only
+        summary = emit_metrics([], tmp_path / "metrics.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+        assert json.loads((tmp_path / "metrics.json").read_text()) == summary
         assert summary["final_acc"] is None
         assert summary["best_acc"] is None
         assert summary["rounds_to_target"] is None
         assert summary["total_bytes"] == 0
+        path = tmp_path / "metrics.csv"
+        write_metrics_rows(path, [], first=True)
+        with open(path) as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 1  # header only
 
     def test_rows_and_summary(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        summary = emit_metrics(make_records([0.5, 0.66, 0.7]), path, target_accuracy=0.65)
+        write_metrics_rows(path, make_records([0.5, 0.66, 0.7]), first=True)
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["round", "sampled_clients", "global_test_acc",
                            "mean_client_val_acc", "mean_train_loss", "distill_loss",
                            "cumulative_bytes", "wall_seconds"]
+        assert rows[1] == ["1", "4", "0.500000", "0.500000", "0.500000", "0.100000", "1000",
+                           "0.500"]
         assert len(rows) == 4
+        summary = emit_metrics(make_records([0.5, 0.66, 0.7]), tmp_path / "metrics.json",
+                               target_accuracy=0.65)
         assert summary["rounds_to_target"] == 2
         assert summary["final_acc"] == pytest.approx(0.7)
         assert summary["best_acc"] == pytest.approx(0.7)
@@ -147,9 +156,13 @@ class TestEmitMetrics:
         records = make_records([0.25, 0.5])
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        emit_metrics(records, a)
-        emit_metrics(records, b)
+        write_metrics_rows(a, records, first=True)
+        for i, record in enumerate(records):  # a row per round, as the runner writes them
+            write_metrics_rows(b, [record], first=i == 0)
         assert a.read_bytes() == b.read_bytes()
+        emit_metrics(records, tmp_path / "a.json")
+        emit_metrics(records, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_format_gb():

@@ -5,7 +5,9 @@ import pytest
 
 from fedkemf import nets, server as server_module
 from fedkemf.client import ClientState
+from fedkemf.config import STRATEGIES
 from fedkemf.data import synth_blobs
+from fedkemf.errors import DivergenceError
 from fedkemf.server import (
     ServerState, average_init, distill, ensemble_logits, fedavg_aggregate,
     run_round, sample_clients, teacher_distributions,
@@ -25,6 +27,39 @@ def brute_force_max(member_logits):
                 if m[i, j] > out[i, j]:
                     out[i, j] = m[i, j]
     return out
+
+
+def brute_force_avg(member_logits):
+    """Independent mean oracle: explicit loops, members summed in the order given."""
+    members = [np.asarray(m) for m in member_logits]
+    n, c = members[0].shape
+    out = np.zeros((n, c))
+    for i in range(n):
+        for j in range(c):
+            for m in members:
+                out[i, j] += m[i, j]
+            out[i, j] /= len(members)
+    return out
+
+
+def brute_force_vote(member_logits):
+    """Independent vote oracle: each member's first largest column per row gets one vote."""
+    members = [np.asarray(m) for m in member_logits]
+    n, c = members[0].shape
+    out = np.zeros((n, c))
+    for i in range(n):
+        for m in members:
+            best = 0
+            for j in range(1, c):
+                if m[i, j] > m[i, best]:
+                    best = j
+            out[i, best] += 1
+    return out / len(members)
+
+
+# one by-hand oracle per strategy the config accepts
+ORACLES = {"max_logits": brute_force_max, "avg_logits": brute_force_avg,
+           "majority_vote": brute_force_vote}
 
 
 class TestSampleClients:
@@ -104,15 +139,29 @@ class TestEnsembleLogits:
         column_max = stacked.max(axis=0)
         assert np.array_equal(np.argmax(combined, axis=1), np.argmax(column_max, axis=1))
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ensemble_logits([np.zeros((2, 3)), np.zeros((2, 4))], "max_logits")
+    def test_oracles_are_keyed_by_every_strategy(self):
+        # a strategy the config accepts without its own branch would fall through to the vote
+        assert tuple(ORACLES) == STRATEGIES
 
-    def test_rejects_empty_and_unknown(self):
-        with pytest.raises(ValueError):
-            ensemble_logits([], "max_logits")
-        with pytest.raises(ValueError):
-            ensemble_logits([np.zeros((1, 2))], "median_logits")
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_matches_its_oracle(self, strategy):
+        rng = np.random.default_rng(34)
+        for k in (1, 2, 5):
+            members = [rng.standard_normal((4, 5)) for _ in range(k)]
+            members[0][0] = 0.0  # a row whose columns tie: its vote goes to column 0
+            expected = ORACLES[strategy](members)
+            assert np.allclose(ensemble_logits(members, strategy), expected, rtol=1e-15, atol=0)
+
+
+class TestTeacherDistributions:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_non_finite_member_raises_divergence(self, strategy):
+        finite = np.array([[0.0, 1.0], [2.0, -1.0]])
+        hidden = finite.copy()
+        hidden[1, 1] = -np.inf  # below the other member's entry, so max_logits drops it
+        with pytest.raises(DivergenceError) as caught:
+            teacher_distributions([finite, hidden], strategy, round_index=1)
+        assert str(caught.value) == "non-finite teacher logits (round_index=1)"
 
 
 class TestAggregation:

@@ -30,7 +30,8 @@ Compared per case: the exit status and, when a run fails, its last stderr line;
 then metrics.csv without its wall_seconds column, metrics.json, partition.json
 and every round_*.fkmf checkpoint the runs wrote.  A case fails when either run
 fails and the two failures differ.  One line per case names the first differing
-file.  The summary names, per pass, the OpenBLAS core a child process reports.
+file.  The summary names, per pass, the OpenBLAS core a child process reports,
+and ends with the line count of src/fedkemf/*.py in each tree.
 Exit status 0 when every case is identical under every pass, 1 otherwise.
 """
 
@@ -192,6 +193,14 @@ def child_core(coretype=None):
     return child.stdout.strip()
 
 
+def size_line(trees, rev):
+    """The summary's last line: the lines of each tree's fedkemf/*.py modules, as `wc -l`
+    counts them, in this tree and in `rev`."""
+    here, there = (sum(p.read_bytes().count(b"\n") for p in (trees[t] / "fedkemf").glob("*.py"))
+                   for t in ("this", "against"))
+    return f"src/fedkemf: {here:,} lines here, {there:,} at {rev}"
+
+
 def _git(*args):
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True).stdout
 
@@ -252,6 +261,7 @@ def main(argv=None):
                            f"(OpenBLAS core {core})")
         if not forced:
             summary.append(f"{NEHALEM} pass skipped: needs x86-64 and numpy's OpenBLAS")
+        summary.append(size_line(trees, args.against))
         print("\n".join(summary))
     return 1 if differing else 0
 
