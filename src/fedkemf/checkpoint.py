@@ -20,7 +20,7 @@ def serialize(net: Network) -> bytes:
     arch = net.arch
     head = MAGIC + struct.pack("<H", VERSION)
     head += struct.pack("<II", arch.input_dim, len(arch.hidden_dims))
-    head += struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims) if arch.hidden_dims else b""
+    head += struct.pack(f"<{len(arch.hidden_dims)}I", *arch.hidden_dims)
     head += struct.pack("<I", arch.num_classes)
     return head + net.params.astype("<f8").tobytes()
 

@@ -110,7 +110,7 @@ def _lockstep_epochs(members, batch_size, step, score, n_probs, trainers, scored
             for b, block_rows in sliced:
                 step(epoch, b, views, *block_rows)
         if check:
-            nets.check_epoch(probs, trainers)
+            nets.check_epoch(probs)
         if epoch in scored:
             terms.append(score(take, t_rows, *probs))
     if not terms:

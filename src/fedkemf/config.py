@@ -158,8 +158,6 @@ def parse_config_text(text) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[field.name] = _PARSERS.get(field.type, field.type)(val)
-        except ConfigError:
-            raise
         except (ValueError, TypeError):
             raise ConfigError(f"line {lineno}: bad value {val!r} for key {key!r}") from None
     missing = [k for k, f in _FIELDS.items() if f.default is MISSING and f.name not in values]

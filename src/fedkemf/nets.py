@@ -163,9 +163,9 @@ def onehot(labels, num_classes):
 
 
 def _targets(shape, labels=None, teacher_probs=None):
-    """The loss's checked target blocks for an (n, num_classes) `shape` of rows, in loss order:
-    a one-hot block of `labels` (n integers in range(num_classes)), then `teacher_probs`
-    (n x num_classes).  At least one target is required."""
+    """loss_value's, loss_gradient's and evaluate's checked target blocks for n x num_classes
+    rows, in loss order: a one-hot block of `labels` (n integers in range(num_classes)), then
+    `teacher_probs` (n x num_classes).  At least one target is required."""
     if len(shape) != 2:
         raise ValueError(f"logits must be n x num_classes, got shape {shape}")
     n, num_classes = shape
@@ -185,34 +185,20 @@ def _targets(shape, labels=None, teacher_probs=None):
     return targets
 
 
-def cross_entropy(logits: np.ndarray, labels) -> float:
-    """Mean over the batch of -log softmax probability of the true class."""
-    logits = np.asarray(logits, dtype=np.float64)
-    return float(row_terms(softmax(logits), *_targets(logits.shape, labels))[0].mean())
-
-
 def kl_divergence(teacher_logits: np.ndarray, student_logits: np.ndarray) -> float:
     """Mean row-wise KL(softmax(teacher) || softmax(student)); teacher is constant."""
     t = np.asarray(teacher_logits, dtype=np.float64)
     s = np.asarray(student_logits, dtype=np.float64)
     if t.shape != s.shape:
         raise ValueError("teacher and student logits must have identical shapes")
-    return kl_from_probs(softmax(t), softmax(s))
-
-
-def kl_from_probs(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
-    """Mean row-wise KL between probability rows; zero teacher entries contribute 0."""
-    p = np.asarray(teacher_probs, dtype=np.float64)
-    q = np.asarray(student_probs, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("probability arrays must have identical shapes")
-    return float(_kl_terms(p, q).mean())
+    return float(_kl_terms(softmax(t), softmax(s)).mean())
 
 
 def _kl_terms(p, q):
-    """Per-row KL(p || q); zero entries of p contribute 0."""
+    """Per-row KL(p || q) of probability rows; zero entries of p contribute 0 (both logs are
+    floored, so each ratio is finite, and a row's largest entry keeps its sum off -0.0)."""
     ratio = np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR))
-    return np.where(p > 0.0, p * ratio, 0.0).sum(axis=-1)
+    return (p * ratio).sum(axis=-1)
 
 
 def loss_value(net: Network, features, labels=None, teacher_probs=None) -> float:
@@ -291,10 +277,10 @@ def check_finite(value, what, context=None, epoch=None, batch_index=None):
     """The per-step finiteness guard: DivergenceError carrying the `context` dict unless all
     finite.  A batch's epoch and batch_index join the context only when the check fails.
 
-    Training runs these per-step guards only in a guarded Trainer, in the
-    replay of a call whose once-per-epoch check failed (per_epoch_checked),
-    so that the error names the first failing step; evaluations and teachers
-    call it directly.
+    nets' one finiteness scan: a guarded Trainer's per-step guards, run only in
+    the replay of a failed unguarded pass (per_epoch_checked) so that the
+    error names the first failing step; Trainer.trained(), in both passes;
+    and the checks of evaluations and teachers.
     """
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         where = {} if epoch is None else {"epoch": epoch, "batch_index": batch_index}
@@ -303,31 +289,30 @@ def check_finite(value, what, context=None, epoch=None, batch_index=None):
         raise DivergenceError(f"non-finite {what}" + (f" ({named})" if named else ""), **context)
 
 
-def check_epoch(probs, trainers):
-    """Raise EpochCheckFailed unless every softmax block in `probs` is > 0 and every
-    trainer's parameters are finite.
+def check_epoch(probs):
+    """Raise EpochCheckFailed unless every softmax block in `probs` is > 0.
 
-    This fails on every epoch in which a per-step guard would have: a NaN,
-    +inf or -inf logit leaves a NaN or an exact 0 in its softmax row, and a
-    non-finite gradient leaves non-finite parameters that no later step makes
-    finite again.  A healthy softmax that underflows to an exact 0 fails it
-    too; its guarded replay then returns the same result.
+    A NaN, +inf or -inf logit leaves a NaN or an exact 0 in its softmax row,
+    so this fails on every epoch whose logits a per-step guard would refuse.
+    Non-finite parameters stay non-finite under SGD, so Trainer.trained() sees
+    them at the end of the call.  A healthy softmax that underflows to an
+    exact 0 fails too; its guarded replay then returns the same result.
     """
-    if not (all(q.min() > 0.0 for q in probs)
-            and all(np.logical_and.reduce(np.isfinite(t.params), axis=None) for t in trainers)):
+    if not all(q.min() > 0.0 for q in probs):
         raise EpochCheckFailed
 
 
 def per_epoch_checked(call):
     """call(guarded) unguarded, and again guarded only if needed.
 
-    call(False) runs under np.errstate(all="ignore") without per-step guards
-    and checks once per epoch (check_epoch).  If that check fails, or the
-    pass raises a DivergenceError, call(True) runs again from the same
-    unchanged inputs, with guarded Trainers and under the caller's errstate:
-    it raises exactly the per-step error, with numpy's warnings, or returns
-    the guarded result.  An unguarded pass's errors never reach the caller,
-    so they need not name anything.
+    call(False) runs under np.errstate(all="ignore") without per-step guards,
+    checks its softmax blocks once per epoch (check_epoch) and its parameters
+    once, in Trainer.trained().  If a check fails, or the pass raises any
+    DivergenceError, call(True) runs again from the same unchanged inputs,
+    with guarded Trainers and under the caller's errstate: it raises exactly
+    the per-step error, with numpy's warnings, or returns the guarded result.
+    An unguarded pass's errors never reach the caller, so they need not name
+    anything.
     """
     try:
         with np.errstate(all="ignore"):
@@ -359,9 +344,10 @@ class Trainer:
     A guarded trainer checks every step's logits and gradient (check_finite),
     and its errors carry `guard`, the context dict that names the client and
     round.  An unguarded trainer (guard None) has no per-step checks: its
-    epoch loop checks once per epoch (check_epoch), and a failed check or any
-    error replays the call guarded (per_epoch_checked), which raises the
-    first failing step's error.
+    epoch loop checks the softmax blocks once per epoch (check_epoch).  In
+    both kinds, trained() is the one check of the parameters.  An unguarded
+    trainer's failed check or any error replays the call guarded
+    (per_epoch_checked), which raises the first failing step's error.
     """
 
     def __init__(self, members, lr: float, guard=None):
@@ -398,8 +384,8 @@ class Trainer:
         params -= grad
 
     def trained(self):
-        """The trained networks, one per member, once their parameters are checked finite
-        (a finite gradient can still overflow lr * grad on the last step)."""
+        """The trained networks, one per member, once their parameters are checked finite: the
+        call's one parameter check (a finite gradient can still overflow lr * grad)."""
         check_finite(self.params, "parameters", self.guard)
         return self.nets
 
@@ -421,6 +407,6 @@ def accuracy(net: Network, features, labels, **context) -> float:
 
 
 def evaluate(net: Network, features, labels, **context):
-    """Top-1 accuracy and mean CE loss, from one forward."""
+    """Top-1 accuracy and mean CE loss, from one forward and one finiteness check."""
     acc, logits = _scored(net, features, labels, context)
-    return acc, cross_entropy(logits, labels)
+    return acc, float(row_terms(softmax_finite(logits), *_targets(logits.shape, labels))[0].mean())

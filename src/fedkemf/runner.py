@@ -77,7 +77,7 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
     for cid, shard in enumerate(partition.client_indices):
         rng = stream(config.experiment_seed, SALT_CLIENT, cid)
         order = rng.permutation(np.asarray(shard, dtype=np.int64))
-        n_val = int(len(order) * config.val_fraction) if len(order) >= 2 else 0
+        n_val = int(len(order) * config.val_fraction)
         clients.append(ClientState(
             client_id=cid,
             local_model=nets.init_network(archs[cid % len(archs)], rng),

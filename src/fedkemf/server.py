@@ -160,7 +160,7 @@ def run_round(server: ServerState, clients, data: Dataset, audit=None):
     server.round = round_index
     return {
         "sampled": sampled,
-        "mean_train_loss": float(np.mean(train_losses)) if train_losses else 0.0,
+        "mean_train_loss": float(np.mean(train_losses)),
         "mean_client_val_accuracy": float(np.mean([st.val_accuracy for st in clients])),
         "distill_loss": distill_loss,
     }

@@ -81,6 +81,17 @@ def test_bad_value_type():
         parse_config_text(GOOD.replace("rounds = 10", "rounds = ten"))
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("16,x", "bad architecture spec '16,x'"),
+    ("16,0", "hidden dims must be positive in '16,0'"),
+])
+def test_bad_architecture_keeps_its_own_message(spec, message):
+    # the architecture parser's ConfigError passes through, not the generic "bad value" line
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(GOOD.replace("knowledge_arch = 16", f"knowledge_arch = {spec}"))
+    assert str(err.value) == message
+
+
 def test_fedavg_requires_homogeneous_archs():
     broken = GOOD.replace("mode = fedkemf", "mode = fedavg")
     with pytest.raises(ConfigError, match="fedavg"):

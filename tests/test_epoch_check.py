@@ -1,10 +1,11 @@
 """The per-epoch check against the per-step guards it stands in for.
 
-Training runs without per-step finiteness guards and checks once per epoch
-(nets.check_epoch); a failed check replays the call with the guards on
-(nets.per_epoch_checked).  Each case here runs a call both ways, the normal
-pass and the guarded pass alone, and requires the same error or the same
-bits, and the same numpy warnings.
+Training runs without per-step finiteness guards, checks its softmax blocks
+once per epoch (nets.check_epoch) and its parameters once, when the call hands
+its networks back (Trainer.trained()); a failed check replays the call with the
+guards on (nets.per_epoch_checked).  Each case here runs a call both ways, the
+normal pass and the guarded pass alone, and requires the same error or the
+same bits, and the same numpy warnings.
 """
 
 import warnings
@@ -125,6 +126,16 @@ def test_lr_times_gradient_overflowing_on_the_final_step(passes):
     assert kind == "error" and err[2:4] == (None, None) and "non-finite parameters" in err[4]
 
 
+def test_parameters_overflowing_before_a_later_epoch(passes):
+    # Two epochs of one batch: epoch 0's softmax is healthy and its lr * gradient overflows
+    # the weights to -inf and +inf.  The epoch check reads only softmax blocks, so the
+    # unguarded pass goes on into epoch 1, whose logits the guarded pass refuses first.
+    data, state = shard_data([10.0, 10.0], [0, 1])
+    fn = train(data, [state], [0.5, -0.5, 0.0, 0.0], lr=1e308, epochs=2, batch_size=2)
+    (kind, err), _ = assert_same_as_strict(passes, fn)
+    assert kind == "error" and err[2:4] == (1, 0) and "non-finite logits" in err[4]
+
+
 @pytest.mark.parametrize("clients", [1, 2], ids=["one_client", "two_clients"])
 def test_healthy_softmax_underflow_returns_the_strict_result(passes, clients):
     # W = [0, -100]: the x = 10 rows' logits are [0, -1000], softmax exactly [1, 0].  Nothing
@@ -160,17 +171,13 @@ def test_diverging_call_warns_as_the_strict_path(passes):
 
 
 def test_check_epoch_sees_each_kind_of_failure():
-    trainer = nets.Trainer([nets.init_network(nets.ArchSpec(2, (), 2), 0)], 0.1)
     with np.errstate(all="ignore"):
         rows = {name: nets.softmax_finite(np.array([[0.0, v]]))
                 for name, v in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))}
     for q in rows.values():
         with pytest.raises(nets.EpochCheckFailed):
-            nets.check_epoch([np.ones((2, 2)), q], [trainer])
-    nets.check_epoch([np.full((2, 2), 0.5)], [trainer])
-    trainer.params[0, 1] = np.inf
-    with pytest.raises(nets.EpochCheckFailed):
-        nets.check_epoch([np.full((2, 2), 0.5)], [trainer])
+            nets.check_epoch([np.ones((2, 2)), q])
+    nets.check_epoch([np.full((2, 2), 0.5)])
 
 
 def test_guarded_replay_draws_the_orders_of_the_unguarded_pass(monkeypatch):

@@ -183,3 +183,33 @@ def test_child_core_reads_the_forced_core():
         assert default == identity.blas_core_name()
     if identity.nehalem_runs():
         assert identity.child_core(identity.NEHALEM) == identity.NEHALEM
+
+
+# A stand-in for the package's eval: prints the checkpoint's name, the config's text and the
+# MARK file beside its module, so that two trees can print alike or differently.
+STUB_EVAL_CLI = """from pathlib import Path
+
+def main(argv):
+    mark = (Path(__file__).parent / "MARK").read_text()
+    print(argv[0], Path(argv[1]).name, Path(argv[2]).read_text(), mark)
+    return 0
+"""
+
+
+def test_eval_verdict_compares_each_trees_eval_of_its_last_checkpoint(tmp_path):
+    trees, runs = {}, tmp_path / "runs"
+    runs.mkdir()
+    for tree in ("this", "against"):
+        package = tmp_path / tree / "fedkemf"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(STUB_EVAL_CLI)
+        (package / "MARK").write_text("same")
+        trees[tree] = tmp_path / tree
+        write_run(runs / tree, rounds=(1, 2, 10, 9))
+        (runs / f"{tree}.cfg").write_text("cfg")
+    assert identity.eval_verdict(trees, runs) == "eval identical"
+    (trees["against"] / "fedkemf" / "MARK").write_text("other")
+    assert identity.eval_verdict(trees, runs) == (
+        "eval DIFFERS  this exit 0: 'eval round_10.fkmf cfg same'; "
+        "against exit 0: 'eval round_10.fkmf cfg other'")

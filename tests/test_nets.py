@@ -117,13 +117,13 @@ class TestSoftmax:
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_every_loss_entry_point_raises_divergence_on_non_finite_logits(bad):
-    """softmax, cross_entropy, kl_divergence, loss_value and loss_gradient check logits in
-    one place (check_finite) and raise the same typed error."""
+    """softmax, kl_divergence, loss_value and loss_gradient check logits in one place
+    (check_finite) and raise the same typed error; evaluate and accuracy check theirs in
+    _scored (test_accuracy_names_context_on_divergence)."""
     logits = np.array([[0.0, 1.0], [bad, 0.0]])
     net = nets.Network(nets.ArchSpec(2, (), 2), np.array([1.0, -1.0, 2.0, 0.5, 0.0, 0.0]))
     x = np.array([[0.0, 1.0], [bad, 0.0]])  # the second row's logits are non-finite
-    calls = (lambda: nets.softmax(logits), lambda: nets.cross_entropy(logits, [0, 1]),
-             lambda: nets.kl_divergence(logits, np.zeros((2, 2))),
+    calls = (lambda: nets.softmax(logits), lambda: nets.kl_divergence(logits, np.zeros((2, 2))),
              lambda: nets.kl_divergence(np.zeros((2, 2)), logits),
              lambda: nets.loss_value(net, x, [0, 1]),
              lambda: nets.loss_value(net, x, teacher_probs=np.full((2, 2), 0.5)),
@@ -140,7 +140,7 @@ BAD_LABELS = ([0, -1, 1], [0, 3, 1], [0, 1], [1])
 
 @pytest.mark.parametrize("labels", BAD_LABELS)
 def test_every_label_entry_point_rejects_bad_labels(labels):
-    """loss_value, loss_gradient and cross_entropy build their targets through one check:
+    """loss_value, loss_gradient and evaluate build their targets through one check:
     a label outside range(num_classes) or a label vector of the wrong length is refused,
     never read as another class or broadcast over the rows."""
     net = nets.init_network(nets.ArchSpec(2, (4,), 3), 0)
@@ -149,7 +149,7 @@ def test_every_label_entry_point_rejects_bad_labels(labels):
     calls = (lambda: nets.loss_value(net, x, labels), lambda: nets.loss_gradient(net, x, labels),
              lambda: nets.loss_value(net, x, labels, teacher),
              lambda: nets.loss_gradient(net, x, labels, teacher),
-             lambda: nets.cross_entropy(nets.forward(net, x), labels))
+             lambda: nets.evaluate(net, x, labels))
     for call in calls:
         with pytest.raises(ValueError):
             call()
@@ -222,23 +222,94 @@ def test_kl_from_a_onehot_block_is_the_old_ce_term(drawn):
     assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
 
+def old_kl_terms(p, q):
+    """The per-row KL _kl_terms computed before it dropped its mask of p's zero entries."""
+    ratio = np.log(np.maximum(p, nets.LOG_FLOOR)) - np.log(np.maximum(q, nets.LOG_FLOOR))
+    return np.where(p > 0.0, p * ratio, 0.0).sum(axis=-1)
+
+
+@st.composite
+def probability_rows(draw, n, c):
+    """n rows of c probabilities, each row drawn as a softmax (whose extreme logits leave
+    exact zeros, and logits within 800 of each other entries below LOG_FLOOR), a one-hot
+    row or a vote-fraction teacher row (majority_vote's)."""
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["softmax", "onehot", "votes"]))
+        if kind == "softmax":
+            z = draw(hnp.arrays(np.float64, c, elements=st.one_of(FINITE_LOGIT,
+                                                                  st.floats(-800.0, 800.0))))
+            with np.errstate(over="ignore"):
+                rows.append(nets.softmax_finite(z))
+        elif kind == "onehot":
+            rows.append(nets.onehot([draw(st.integers(0, c - 1))], c)[0])
+        else:
+            votes = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=10))
+            rows.append(np.bincount(votes, minlength=c) / len(votes))
+    return np.array(rows)
+
+
+@st.composite
+def two_probability_blocks(draw):
+    n, c = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+    return draw(probability_rows(n, c)), draw(probability_rows(n, c))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(two_probability_blocks())
+def test_kl_terms_without_the_mask_are_the_masked_terms(drawn):
+    """Without np.where, every row of probabilities keeps its old KL bit for bit, the sign
+    of a zero included, in both argument orders."""
+    p, q = drawn
+    for a, b in ((p, q), (q, p)):
+        assert nets._kl_terms(a, b).tobytes() == old_kl_terms(a, b).tobytes()
+
+
+@st.composite
+def nets_rows_labels(draw):
+    """(net, x, labels): a net of 0-2 hidden layers with bounded parameters, 1-20 rows."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5))
+    arch = nets.ArchSpec(dims[0], tuple(dims[1:-1]), max(dims[-1], 2))
+    bounded = st.floats(-4.0, 4.0, allow_nan=False)
+    params = draw(hnp.arrays(np.float64, arch.parameter_count(), elements=bounded))
+    n = draw(st.integers(1, 20))
+    x = draw(hnp.arrays(np.float64, (n, arch.input_dim), elements=bounded))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, arch.num_classes - 1)))
+    return nets.Network(arch, params), x, labels
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(nets_rows_labels())
+def test_evaluate_loss_is_the_training_loss(drawn):
+    """evaluate's mean CE is loss_value's toward the labels alone, bit for bit."""
+    net, x, labels = drawn
+    loss = nets.evaluate(net, x, labels)[1]
+    assert np.float64(loss).tobytes() == np.float64(nets.loss_value(net, x, labels)).tobytes()
+
+
+def evaluated_ce(logits_row, labels):
+    """evaluate's mean CE on a bias-only net (zero weights, biases = `logits_row`) over one
+    zero input row per label, so that every row's logits are `logits_row`."""
+    net = nets.Network(nets.ArchSpec(1, (), 2), np.array([0.0, 0.0, *logits_row]))
+    return nets.evaluate(net, np.zeros((len(labels), 1)), labels)[1]
+
+
 class TestCrossEntropy:
     def test_uniform_prediction(self):
-        assert nets.cross_entropy(np.array([[0.0, 0.0]]), [0]) == pytest.approx(np.log(2))
+        assert evaluated_ce([0.0, 0.0], [0]) == pytest.approx(np.log(2))
 
     def test_certain_prediction_goes_to_zero(self):
-        assert nets.cross_entropy(np.array([[50.0, 0.0]]), [0]) == pytest.approx(0.0, abs=1e-12)
+        assert evaluated_ce([50.0, 0.0], [0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        assert nets.cross_entropy(np.array([[1.0, 2.0]]), [1]) == pytest.approx(0.31326, abs=1e-5)
+        assert evaluated_ce([1.0, 2.0], [1]) == pytest.approx(0.31326, abs=1e-5)
 
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
-            nets.cross_entropy(np.array([[0.0, 0.0]]), [2])
+            evaluated_ce([0.0, 0.0], [2])
 
     def test_mean_over_batch(self):
-        logits = np.array([[0.0, 0.0], [0.0, 0.0]])
-        assert nets.cross_entropy(logits, [0, 1]) == pytest.approx(np.log(2))
+        assert evaluated_ce([0.0, 0.0], [0, 1]) == pytest.approx(np.log(2))
 
 
 class TestKlDivergence:

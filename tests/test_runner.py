@@ -188,6 +188,19 @@ def test_client_splits_are_int64_index_arrays(tmp_path):
         assert sorted(np.concatenate([st.val_indices, st.train_indices]).tolist()) == sorted(shard)
 
 
+def test_one_row_shard_has_no_val_split_and_is_scored_on_its_train_row(tmp_path):
+    cfg = make_config(tmp_path, num_clients=2, val_fraction=0.9)
+    data, _ = build_datasets(cfg)
+    partition = PartitionMap([[3], list(range(4, 14))], cfg.alpha, cfg.experiment_seed)
+    clients, _ = runner.build_states(cfg, data, [0, 1, 2], partition)
+    one, other = clients
+    assert one.val_indices.tolist() == [] and one.train_indices.tolist() == [3]
+    assert len(other.val_indices) == 9 and len(other.train_indices) == 1
+    assert one.eval_indices.tolist() == [3]
+    net = one.local_model
+    assert one.accuracy(net, data) == nets.accuracy(net, data.features[[3]], data.labels[[3]])
+
+
 def test_build_states_draws_split_then_init_from_one_stream_per_client(tmp_path):
     num_clients = 16
     cfg = make_config(tmp_path, num_clients=num_clients, val_fraction=0.2, experiment_seed=-3,

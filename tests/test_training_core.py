@@ -1,13 +1,15 @@
 """The lean training loops against the straightforward loops they replaced.
 
 The reference loops below are built only from the public, pure primitives
-(`forward`, `loss_gradient`, `sgd_step` and `teacher_distributions`), one
-fresh forward per use; only the distillation teacher is built once per call,
-over the whole split, as distill defines it.  The fused loops must reproduce
-them bit for bit.  `loss_gradient` is itself a one-member Trainer's gradient,
-so these serial references check the stacking and the lockstep order against
-one-member steps; test_nets pins that gradient to the scalar one it replaced,
-and acceptance criterion 1 to finite differences.
+(`forward`, `loss_value`, `loss_gradient`, `sgd_step` and
+`teacher_distributions`), one fresh forward per use; each batch's loss is
+`loss_value`, the training loss acceptance criterion 1 gates.  Only the
+distillation teacher is built once per call, over the whole split, as distill
+defines it.  The fused loops must reproduce them bit for bit.  `loss_gradient`
+is itself a one-member Trainer's gradient, so these serial references check the
+stacking and the lockstep order against one-member steps; test_nets pins that
+gradient to the scalar one it replaced, and acceptance criterion 1 to finite
+differences.
 """
 
 import math
@@ -37,11 +39,8 @@ def reference_client_update(state, knowledge_net, data, round_index=0, *, lr, ep
     for _ in range(epochs):
         for batch_idx in batch_iterator(state.train_indices, batch_size, orders):
             x, y = data.features[batch_idx], data.labels[batch_idx]
-            g_logits = nets.forward(kn, x)
-            t_logits = nets.forward(theta, x)
-            teacher = nets.softmax(g_logits)
-            loss = nets.cross_entropy(t_logits, y) + nets.kl_from_probs(
-                teacher, nets.softmax(t_logits))
+            teacher = nets.softmax(nets.forward(kn, x))
+            loss = nets.loss_value(theta, x, y, teacher)
             theta = nets.sgd_step(theta, nets.loss_gradient(theta, x, y, teacher), lr)
             losses.append(loss)
             teacher = nets.softmax(nets.forward(theta, x))
@@ -58,7 +57,7 @@ def reference_local_train(state, model, data, round_index=0, *, lr, epochs, batc
     for _ in range(epochs):
         for batch_idx in batch_iterator(state.train_indices, batch_size, orders):
             x, y = data.features[batch_idx], data.labels[batch_idx]
-            losses.append(nets.cross_entropy(nets.forward(net, x), y))
+            losses.append(nets.loss_value(net, x, y))
             net = nets.sgd_step(net, nets.loss_gradient(net, x, y), lr)
     return net, float(np.mean(losses)) if losses else 0.0
 
@@ -83,7 +82,7 @@ def reference_distill(server, members, data):
         epoch_losses = []
         for batch in batch_iterator(np.arange(len(split)), config.batch_size, orders):
             x, t = data.features[split[batch]], teacher[batch]
-            epoch_losses.append(nets.kl_from_probs(t, nets.softmax(nets.forward(student, x))))
+            epoch_losses.append(nets.loss_value(student, x, teacher_probs=t))
             student = nets.sgd_step(
                 student, nets.loss_gradient(student, x, teacher_probs=t), config.distill_lr)
         last_loss = float(np.mean(epoch_losses))

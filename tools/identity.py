@@ -29,9 +29,13 @@ OpenBLAS.  The two trees' runs of a case start together.
 Compared per case: the exit status and, when a run fails, its last stderr line;
 then metrics.csv without its wall_seconds column, metrics.json, partition.json
 and every round_*.fkmf checkpoint the runs wrote.  A case fails when either run
-fails and the two failures differ.  One line per case names the first differing
-file.  The summary names, per pass, the OpenBLAS core a child process reports,
-and ends with the line count of src/fedkemf/*.py in each tree.
+fails and the two failures differ.  When both runs exit 0, each tree then runs
+`fedkemf eval` on its own last checkpoint and config, the two evals at once, and
+the case fails unless their exit statuses and stdout are equal; no `run` reaches
+nets.evaluate, so this is the only check of it.  One line per case names the
+first differing file, then the eval's verdict.  The summary names, per pass, the
+OpenBLAS core a child process reports and how many evals matched, and ends with
+the line count of src/fedkemf/*.py in each tree.
 Exit status 0 when every case is identical under every pass, 1 otherwise.
 """
 
@@ -64,8 +68,8 @@ VARIANTS = (("configs/blobs_fedkemf.cfg", "strategy", "avg_logits"),
 WORKLOADS = ("kemf-many", "avg-small")
 SEEDS = (1, 2, 3)
 TIMING_COLUMN = "wall_seconds"
-RUN = ("import sys; sys.path.insert(0, sys.argv[1]); from fedkemf.cli import main; "
-       "sys.exit(main(['run', sys.argv[2]]))")
+CLI = ("import sys; sys.path.insert(0, sys.argv[1]); from fedkemf.cli import main; "
+       "sys.exit(main(sys.argv[2:]))")
 CORE = ("import sys; sys.path.insert(0, sys.argv[1]); from identity import blas_core_name; "
         "print(blas_core_name())")
 NEHALEM = "Nehalem"
@@ -213,23 +217,47 @@ def export(rev, dest: Path):
     return commit[:12]
 
 
+def _cli(trees, args, runs: Path, coretype):
+    """Run `fedkemf <args[tree]>` on each tree's package at once, in `runs`, under the OpenBLAS
+    `coretype` (None: the default); returns {tree: (exit status, stdout, stderr)}."""
+    procs = {tree: subprocess.Popen(
+        [sys.executable, "-c", CLI, str(src), *args[tree]], env=_env(coretype), cwd=runs,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for tree, src in trees.items()}
+    results = {}
+    for tree, proc in procs.items():
+        out, err = proc.communicate()
+        results[tree] = proc.returncode, out, err
+    return results
+
+
 def run(trees, config_text, runs: Path, coretype=None):
-    """Run one config on each tree's package at once, tree t writing to runs/t, under the
-    OpenBLAS `coretype` (None: the default); returns {tree: (exit status, last stderr line)}."""
-    procs = {}
-    for tree, src in trees.items():
+    """Run one config on each tree's package at once, tree t writing to runs/t with its config
+    in runs/t.cfg; returns {tree: (exit status, last stderr line)}."""
+    args = {}
+    for tree in trees:
         out_dir = runs / tree
         out_dir.mkdir(parents=True)
         cfg = out_dir.with_suffix(".cfg")
         cfg.write_text(config_text(out_dir))
-        procs[tree] = subprocess.Popen(
-            [sys.executable, "-c", RUN, str(src), str(cfg)], env=_env(coretype), cwd=runs,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    results = {}
-    for tree, proc in procs.items():
-        err = proc.communicate()[1]
-        results[tree] = proc.returncode, (err.strip().splitlines() or [""])[-1]
-    return results
+        args[tree] = ["run", str(cfg)]
+    return {tree: (code, (err.strip().splitlines() or [""])[-1])
+            for tree, (code, _, err) in _cli(trees, args, runs, coretype).items()}
+
+
+def eval_verdict(trees, runs: Path, coretype=None):
+    """`fedkemf eval` of each tree's last checkpoint in runs/t on its config runs/t.cfg, the
+    trees at once: "eval identical" when both give the same exit status and stdout, else
+    "eval DIFFERS" and what each printed."""
+    args = {}
+    for tree in trees:
+        last = max((runs / tree).glob("round_*.fkmf"), key=lambda p: _artifact_order(p.name))
+        args[tree] = ["eval", str(last), str((runs / tree).with_suffix(".cfg"))]
+    printed = {tree: (code, out)
+               for tree, (code, out, _) in _cli(trees, args, runs, coretype).items()}
+    if len(set(printed.values())) == 1:
+        return "eval identical"
+    return "eval DIFFERS  " + "; ".join(f"{tree} exit {code}: {out.strip()!r}"
+                                        for tree, (code, out) in printed.items())
 
 
 def main(argv=None):
@@ -249,16 +277,24 @@ def main(argv=None):
             named = "default core" if coretype is None else f"OPENBLAS_CORETYPE={coretype}"
             core = child_core(coretype)
             print(f"-- {named}, OpenBLAS core {core}")
-            same, total = 0, len(cases())
+            same, total, evals, evals_same = 0, len(cases()), 0, 0
             for name, config_text in cases():
                 runs = tmp / "runs" / (coretype or "default") / name
-                found = verdict(run(trees, config_text, runs, coretype),
-                                runs / "this", runs / "against")
-                same += found == "identical"
+                results = run(trees, config_text, runs, coretype)
+                found = verdict(results, runs / "this", runs / "against")
+                ok = found == "identical"
+                if all(code == 0 for code, _ in results.values()):
+                    evaluated = eval_verdict(trees, runs, coretype)
+                    evals += 1
+                    evals_same += evaluated == "eval identical"
+                    ok = ok and evaluated == "eval identical"
+                    found += f"; {evaluated}"
+                same += ok
                 print(f"{name:<27} {found}", flush=True)
             differing += total - same
             summary.append(f"{same} of {total} cases byte-identical under {named} "
-                           f"(OpenBLAS core {core})")
+                           f"(OpenBLAS core {core}); eval output identical in "
+                           f"{evals_same} of {evals}")
         if not forced:
             summary.append(f"{NEHALEM} pass skipped: needs x86-64 and numpy's OpenBLAS")
         summary.append(size_line(trees, args.against))
