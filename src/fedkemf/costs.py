@@ -84,24 +84,23 @@ CSV_HEADER = [
 ]
 
 
-def write_metrics_rows(csv_path, records, first):
-    """Write `records` as per-round CSV rows, flushed and closed when this returns; the `first`
-    write starts the file with the header, a later one appends."""
+def write_metrics_row(csv_path, record, first):
+    """Write one round's CSV row, flushed and closed when this returns; the `first` write
+    starts the file with the header, a later one appends."""
     with open(csv_path, "w" if first else "a", newline="") as f:
         writer = csv.writer(f)
         if first:
             writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.round, r.sampled_clients,
-                f"{r.global_test_accuracy:.6f}", f"{r.mean_client_val_accuracy:.6f}",
-                f"{r.mean_train_loss:.6f}", f"{r.distill_loss:.6f}",
-                r.cumulative_bytes, f"{r.wall_seconds:.3f}",
-            ])
+        writer.writerow([
+            record.round, record.sampled_clients,
+            f"{record.global_test_accuracy:.6f}", f"{record.mean_client_val_accuracy:.6f}",
+            f"{record.mean_train_loss:.6f}", f"{record.distill_loss:.6f}",
+            record.cumulative_bytes, f"{record.wall_seconds:.3f}",
+        ])
 
 
-def emit_metrics(records, json_path, target_accuracy=None, extra_summary=None):
-    """Write the run's JSON summary to `json_path`; returns the summary dict."""
+def emit_metrics(records, json_path, target_accuracy, initial_accuracy):
+    """Write the JSON summary of a run's records (at least one) to `json_path`; returns it."""
     rounds_to_target = None
     if target_accuracy is not None:
         for r in records:
@@ -109,13 +108,12 @@ def emit_metrics(records, json_path, target_accuracy=None, extra_summary=None):
                 rounds_to_target = r.round
                 break
     summary = {
-        "final_acc": records[-1].global_test_accuracy if records else None,
-        "best_acc": max((r.global_test_accuracy for r in records), default=None),
+        "final_acc": records[-1].global_test_accuracy,
+        "best_acc": max(r.global_test_accuracy for r in records),
         "rounds_to_target": rounds_to_target,
-        "total_bytes": records[-1].cumulative_bytes if records else 0,
+        "total_bytes": records[-1].cumulative_bytes,
+        "initial_acc": initial_accuracy,
     }
-    if extra_summary:
-        summary.update(extra_summary)
     with open(json_path, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")

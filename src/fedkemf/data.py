@@ -38,23 +38,13 @@ class Dataset:
 
 @dataclass
 class PartitionMap:
-    client_indices: list  # per-client lists of Python int indices into one Dataset
+    client_indices: list  # per-client 1-d int64 index arrays into one Dataset
     alpha: float
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "seed": self.seed,
-                "clients": self.client_indices,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        d = json.loads(text)
-        return cls([list(map(int, c)) for c in d["clients"]], d["alpha"], d["seed"])
+        clients = [shard.tolist() for shard in self.client_indices]
+        return json.dumps({"alpha": self.alpha, "seed": self.seed, "clients": clients})
 
 
 def _read_exact(f, n, path):
@@ -136,8 +126,8 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
     min_per_client samples, draw `attempt` from stream(seed, SALT_PARTITION, 0,
     attempt).  Each draw permutes every non-empty class's indices and cuts them
     at the draw's cumulative shares, so a client's shard is its piece of each
-    class in class order; its shards are lists of Python ints.  Only an accepted draw's
-    shards are built, with one stable sort of its rows by owning client.
+    class in class order; its shards are int64 views of one array.  Only an accepted
+    draw's shards are built, with one stable sort of its rows by owning client.
     """
     if num_clients < 1:
         raise ValueError("need at least 1 client")
@@ -165,8 +155,7 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
         # piece of each class in class order.  universe[:0] types a draw with no rows.
         owner = np.repeat(np.tile(np.arange(num_clients), sizes.shape[0]), sizes.ravel())
         by_client = np.concatenate([universe[:0], *rows])[np.argsort(owner, kind="stable")]
-        shards = [piece.tolist() for piece in np.split(by_client, np.cumsum(counts)[:-1])]
-        return PartitionMap(shards, float(alpha), int(seed))
+        return PartitionMap(np.split(by_client, np.cumsum(counts)[:-1]), float(alpha), int(seed))
     raise InfeasiblePartitionError(
         f"could not give every client {min_per_client} samples in {max_attempts} draws"
     )

@@ -162,20 +162,26 @@ def onehot(labels, num_classes):
     return y
 
 
+def _labels(labels, n, num_classes):
+    """`labels` as an array, once they are n integers in range(num_classes): the one label
+    rule of every loss and every evaluation."""
+    labels = np.asarray(labels)
+    if (labels.shape != (n,) or labels.dtype.kind not in "iu"
+            or ((labels < 0) | (labels >= num_classes)).any()):
+        raise ValueError(f"labels must be {n} integers in range({num_classes})")
+    return labels
+
+
 def _targets(shape, labels=None, teacher_probs=None):
     """loss_value's, loss_gradient's and evaluate's checked target blocks for n x num_classes
-    rows, in loss order: a one-hot block of `labels` (n integers in range(num_classes)), then
+    rows, in loss order: a one-hot block of `labels` (checked by _labels), then
     `teacher_probs` (n x num_classes).  At least one target is required."""
     if len(shape) != 2:
         raise ValueError(f"logits must be n x num_classes, got shape {shape}")
     n, num_classes = shape
     targets = []
     if labels is not None:
-        labels = np.asarray(labels)
-        if (labels.shape != (n,) or labels.dtype.kind not in "iu"
-                or np.any(labels < 0) or np.any(labels >= num_classes)):
-            raise ValueError(f"labels must be {n} integers in range({num_classes})")
-        targets.append(onehot(labels, num_classes))
+        targets.append(onehot(_labels(labels, n, num_classes), num_classes))
     if teacher_probs is not None:
         targets.append(np.asarray(teacher_probs, dtype=np.float64))
         if targets[-1].shape != shape:
@@ -391,14 +397,15 @@ class Trainer:
 
 
 def _scored(net: Network, features, labels, context):
-    """(top-1 accuracy, logits) of one forward; argmax ties go to the lowest class index."""
+    """(top-1 accuracy, logits) of one forward; argmax ties go to the lowest class index, and
+    the labels are checked by _labels before they are compared."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     logits = forward(net, features)
     # Finite parameters can still overflow the logits on unseen rows.
     check_finite(logits, "evaluation logits", context)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels))), logits
+    return float(np.mean(np.argmax(logits, axis=1) == _labels(labels, *logits.shape))), logits
 
 
 def accuracy(net: Network, features, labels, **context) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 from . import checkpoint, nets
 from .client import ClientState
 from .config import ExperimentConfig
-from .costs import MB, RoundRecord, WireAudit, emit_metrics, write_metrics_rows
+from .costs import MB, RoundRecord, WireAudit, emit_metrics, write_metrics_row
 from .data import Dataset, dirichlet_partition, label_histogram, load_idx, synth_blobs
 from .errors import ConfigError, DataError, ShapeMismatchError
 from .seeding import (
@@ -57,7 +57,7 @@ def build_partition(config: ExperimentConfig, data: Dataset):
     """Reserve the server's distillation split, then Dirichlet-partition the rest."""
     order = stream(config.experiment_seed, SALT_SERVER_SPLIT).permutation(len(data))
     n_server = int(len(data) * config.server_fraction)
-    server_indices = np.sort(order[:n_server]).tolist()
+    server_indices = np.sort(order[:n_server])
     partition = dirichlet_partition(
         data, config.num_clients, config.alpha, seed=config.experiment_seed,
         min_per_client=config.min_per_client, indices=order[n_server:],
@@ -76,7 +76,7 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
     clients = []
     for cid, shard in enumerate(partition.client_indices):
         rng = stream(config.experiment_seed, SALT_CLIENT, cid)
-        order = rng.permutation(np.asarray(shard, dtype=np.int64))
+        order = rng.permutation(shard)
         n_val = int(len(order) * config.val_fraction)
         clients.append(ClientState(
             client_id=cid,
@@ -88,7 +88,7 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
         global_knowledge=nets.init_network(
             knowledge_arch, stream(config.experiment_seed, SALT_GLOBAL_INIT)
         ),
-        distill_indices=np.asarray(server_indices, dtype=np.int64),
+        distill_indices=server_indices,
         config=config,
     )
     return clients, server
@@ -102,7 +102,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     run_experiment(cfg, jobs=4)."""
     data, test = build_datasets(config)
     server_indices, partition = build_partition(config, data)
-    if config.mode == "fedkemf" and config.distill_epochs and not server_indices:
+    if config.mode == "fedkemf" and config.distill_epochs and not len(server_indices):
         raise ConfigError(
             f"server_fraction {config.server_fraction} leaves no distillation samples"
         )
@@ -143,11 +143,10 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
             cumulative_bytes=audit.total_bytes(),
             wall_seconds=wall,
         ))
-        write_metrics_rows(csv_path, records[-1:], first=len(records) == 1)
+        write_metrics_row(csv_path, records[-1], first=len(records) == 1)
 
     summary = emit_metrics(records, os.path.join(config.out_dir, "metrics.json"),
-                           target_accuracy=config.target_accuracy,
-                           extra_summary={"initial_acc": initial_accuracy})
+                           config.target_accuracy, initial_accuracy)
     return RunResult(records, summary, initial_accuracy, server, clients, audit)
 
 
@@ -158,8 +157,8 @@ def partition_report(config: ExperimentConfig) -> dict:
     return {
         "alpha": partition.alpha,
         "seed": partition.seed,
-        "server_indices": server_indices,
-        "clients": partition.client_indices,
+        "server_indices": server_indices.tolist(),
+        "clients": [shard.tolist() for shard in partition.client_indices],
         "histograms": [
             label_histogram(data, shard).tolist()
             for shard in partition.client_indices

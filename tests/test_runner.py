@@ -36,8 +36,8 @@ def read_csv_without_wall(path):
 def test_partition_file_and_disjoint_server_split(tmp_path):
     cfg = make_config(tmp_path, tag="split")
     result = run_experiment(cfg)
-    pm = PartitionMap.from_json((tmp_path / "split" / "partition.json").read_text())
-    client_flat = set(i for shard in pm.client_indices for i in shard)
+    written = json.loads((tmp_path / "split" / "partition.json").read_text())
+    client_flat = set(i for shard in written["clients"] for i in shard)
     server_set = set(result.server.distill_indices)
     data, _ = build_datasets(cfg)
     assert client_flat.isdisjoint(server_set)
@@ -191,8 +191,8 @@ def test_client_splits_are_int64_index_arrays(tmp_path):
 def test_one_row_shard_has_no_val_split_and_is_scored_on_its_train_row(tmp_path):
     cfg = make_config(tmp_path, num_clients=2, val_fraction=0.9)
     data, _ = build_datasets(cfg)
-    partition = PartitionMap([[3], list(range(4, 14))], cfg.alpha, cfg.experiment_seed)
-    clients, _ = runner.build_states(cfg, data, [0, 1, 2], partition)
+    partition = PartitionMap([np.array([3]), np.arange(4, 14)], cfg.alpha, cfg.experiment_seed)
+    clients, _ = runner.build_states(cfg, data, np.arange(3), partition)
     one, other = clients
     assert one.val_indices.tolist() == [] and one.train_indices.tolist() == [3]
     assert len(other.val_indices) == 9 and len(other.train_indices) == 1

@@ -32,10 +32,13 @@ and every round_*.fkmf checkpoint the runs wrote.  A case fails when either run
 fails and the two failures differ.  When both runs exit 0, each tree then runs
 `fedkemf eval` on its own last checkpoint and config, the two evals at once, and
 the case fails unless their exit statuses and stdout are equal; no `run` reaches
-nets.evaluate, so this is the only check of it.  One line per case names the
-first differing file, then the eval's verdict.  The summary names, per pass, the
-OpenBLAS core a child process reports and how many evals matched, and ends with
-the line count of src/fedkemf/*.py in each tree.
+nets.evaluate, so this is the only check of it.  Every case also runs
+`fedkemf partition` on each tree's config, the two at once, and fails unless
+their exit statuses and stdout are equal; no `run` reaches
+runner.partition_report.  One line per case names the first differing file,
+then the eval's and the partition's verdicts.  The summary names, per pass, the
+OpenBLAS core a child process reports and how many evals and partition outputs
+matched, and ends with the line count of src/fedkemf/*.py in each tree.
 Exit status 0 when every case is identical under every pass, 1 otherwise.
 """
 
@@ -244,20 +247,32 @@ def run(trees, config_text, runs: Path, coretype=None):
             for tree, (code, _, err) in _cli(trees, args, runs, coretype).items()}
 
 
+def _printed_verdict(command, trees, args, runs: Path, coretype):
+    """Run `fedkemf <args[tree]>` on each tree at once: "<command> identical" when both give
+    the same exit status and stdout, else "<command> DIFFERS" and what each printed."""
+    printed = {tree: (code, out)
+               for tree, (code, out, _) in _cli(trees, args, runs, coretype).items()}
+    if len(set(printed.values())) == 1:
+        return f"{command} identical"
+    return f"{command} DIFFERS  " + "; ".join(f"{tree} exit {code}: {out.strip()!r}"
+                                              for tree, (code, out) in printed.items())
+
+
 def eval_verdict(trees, runs: Path, coretype=None):
     """`fedkemf eval` of each tree's last checkpoint in runs/t on its config runs/t.cfg, the
-    trees at once: "eval identical" when both give the same exit status and stdout, else
-    "eval DIFFERS" and what each printed."""
+    trees at once, compared by _printed_verdict."""
     args = {}
     for tree in trees:
         last = max((runs / tree).glob("round_*.fkmf"), key=lambda p: _artifact_order(p.name))
         args[tree] = ["eval", str(last), str((runs / tree).with_suffix(".cfg"))]
-    printed = {tree: (code, out)
-               for tree, (code, out, _) in _cli(trees, args, runs, coretype).items()}
-    if len(set(printed.values())) == 1:
-        return "eval identical"
-    return "eval DIFFERS  " + "; ".join(f"{tree} exit {code}: {out.strip()!r}"
-                                        for tree, (code, out) in printed.items())
+    return _printed_verdict("eval", trees, args, runs, coretype)
+
+
+def partition_verdict(trees, runs: Path, coretype=None):
+    """`fedkemf partition` of each tree's config runs/t.cfg, the trees at once, compared by
+    _printed_verdict."""
+    args = {tree: ["partition", str((runs / tree).with_suffix(".cfg"))] for tree in trees}
+    return _printed_verdict("partition", trees, args, runs, coretype)
 
 
 def main(argv=None):
@@ -277,7 +292,7 @@ def main(argv=None):
             named = "default core" if coretype is None else f"OPENBLAS_CORETYPE={coretype}"
             core = child_core(coretype)
             print(f"-- {named}, OpenBLAS core {core}")
-            same, total, evals, evals_same = 0, len(cases()), 0, 0
+            same, total, evals, evals_same, partitions_same = 0, len(cases()), 0, 0, 0
             for name, config_text in cases():
                 runs = tmp / "runs" / (coretype or "default") / name
                 results = run(trees, config_text, runs, coretype)
@@ -289,12 +304,16 @@ def main(argv=None):
                     evals_same += evaluated == "eval identical"
                     ok = ok and evaluated == "eval identical"
                     found += f"; {evaluated}"
+                partitioned = partition_verdict(trees, runs, coretype)
+                partitions_same += partitioned == "partition identical"
+                ok = ok and partitioned == "partition identical"
                 same += ok
-                print(f"{name:<27} {found}", flush=True)
+                print(f"{name:<27} {found}; {partitioned}", flush=True)
             differing += total - same
             summary.append(f"{same} of {total} cases byte-identical under {named} "
                            f"(OpenBLAS core {core}); eval output identical in "
-                           f"{evals_same} of {evals}")
+                           f"{evals_same} of {evals}, partition output in "
+                           f"{partitions_same} of {total}")
         if not forced:
             summary.append(f"{NEHALEM} pass skipped: needs x86-64 and numpy's OpenBLAS")
         summary.append(size_line(trees, args.against))
