@@ -91,17 +91,24 @@ def init_network(arch: ArchSpec, seed) -> Network:
     return Network(arch, np.concatenate(chunks))
 
 
+def _features(net: Network, features):
+    """The feature rule of forward, every loss and every evaluation: float64 N x D rows, N >= 1."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or not len(x) or x.shape[1] != net.arch.input_dim:
+        raise ValueError(f"features must be N >= 1 rows of {net.arch.input_dim}, got {x.shape}")
+    return x
+
+
 def _forward_cached(net: Network, features: np.ndarray, layers=None):
     """Forward pass keeping per-layer inputs and pre-activations for backprop.
 
-    This is the one forward primitive: every other forward goes through it.
-    `layers` may pass precomputed (W, b) views of `net`, or of a stack of K
-    nets like it, which then take K x N x input_dim float64 features, unchecked.
+    This is the one forward primitive: every other forward goes through it, and
+    without `layers` it checks `features` by the feature rule (_features).  `layers`
+    may pass precomputed (W, b) views of `net`, or of a stack of K nets like it,
+    which then take K x N x input_dim float64 features, unchecked.
     """
     if layers is None:
-        a = np.asarray(features, dtype=np.float64)
-        if a.ndim not in (2, 3) or a.shape[-1] != net.arch.input_dim:
-            raise ValueError(f"features must be N x {net.arch.input_dim}, got {a.shape}")
+        a = _features(net, features)
         layers = net.layers()
     else:
         a = features  # a Trainer's own float64 (K, N, input_dim) block
@@ -173,11 +180,9 @@ def _labels(labels, n, num_classes):
 
 
 def _targets(shape, labels=None, teacher_probs=None):
-    """loss_value's, loss_gradient's and evaluate's checked target blocks for n x num_classes
-    rows, in loss order: a one-hot block of `labels` (checked by _labels), then
+    """loss_value's and loss_gradient's checked target blocks for n x num_classes logits of rows
+    _features passed, in loss order: a one-hot block of `labels` (checked by _labels), then
     `teacher_probs` (n x num_classes).  At least one target is required."""
-    if len(shape) != 2:
-        raise ValueError(f"logits must be n x num_classes, got shape {shape}")
     n, num_classes = shape
     targets = []
     if labels is not None:
@@ -192,12 +197,11 @@ def _targets(shape, labels=None, teacher_probs=None):
 
 
 def kl_divergence(teacher_logits: np.ndarray, student_logits: np.ndarray) -> float:
-    """Mean row-wise KL(softmax(teacher) || softmax(student)); teacher is constant."""
-    t = np.asarray(teacher_logits, dtype=np.float64)
-    s = np.asarray(student_logits, dtype=np.float64)
-    if t.shape != s.shape:
+    """Mean row-wise KL(softmax(teacher) || softmax(student)), shapes compared after softmax."""
+    p, q = softmax(teacher_logits), softmax(student_logits)
+    if p.shape != q.shape:
         raise ValueError("teacher and student logits must have identical shapes")
-    return float(_kl_terms(softmax(t), softmax(s)).mean())
+    return float(_kl_terms(p, q).mean())
 
 
 def _kl_terms(p, q):
@@ -218,10 +222,8 @@ def loss_value(net: Network, features, labels=None, teacher_probs=None) -> float
 def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np.ndarray:
     """Flat gradient of loss_value w.r.t. net.params: a guarded one-member Trainer's gradient,
     by the training step's own path (probs, logit_delta toward the target blocks,
-    _backward_into).  Non-finite logits raise DivergenceError."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.arch.input_dim:
-        raise ValueError(f"features must be N x {net.arch.input_dim}, got {x.shape}")
+    _backward_into) on rows _features passed.  Non-finite logits raise DivergenceError."""
+    x = _features(net, features)
     targets = _targets((len(x), net.arch.num_classes), labels, teacher_probs)
     trainer = Trainer([net], 1.0, guard={})
     layers, grad_layers, _, grad = views = trainer.views(slice(1))
@@ -397,15 +399,13 @@ class Trainer:
 
 
 def _scored(net: Network, features, labels, context):
-    """(top-1 accuracy, logits) of one forward; argmax ties go to the lowest class index, and
-    the labels are checked by _labels before they are compared."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
+    """(top-1 accuracy, logits, labels) of one forward; argmax ties go to the lowest class index,
+    and the returned labels are the ones _labels checked before they were compared."""
     logits = forward(net, features)
     # Finite parameters can still overflow the logits on unseen rows.
     check_finite(logits, "evaluation logits", context)
-    return float(np.mean(np.argmax(logits, axis=1) == _labels(labels, *logits.shape))), logits
+    labels = _labels(labels, *logits.shape)
+    return float(np.mean(np.argmax(logits, axis=1) == labels)), logits, labels
 
 
 def accuracy(net: Network, features, labels, **context) -> float:
@@ -414,6 +414,6 @@ def accuracy(net: Network, features, labels, **context) -> float:
 
 
 def evaluate(net: Network, features, labels, **context):
-    """Top-1 accuracy and mean CE loss, from one forward and one finiteness check."""
-    acc, logits = _scored(net, features, labels, context)
-    return acc, float(row_terms(softmax_finite(logits), *_targets(logits.shape, labels))[0].mean())
+    """Top-1 accuracy and mean CE loss, from _scored's one forward, finiteness and label check."""
+    acc, logits, labels = _scored(net, features, labels, context)
+    return acc, float(row_terms(softmax_finite(logits), onehot(labels, logits.shape[1]))[0].mean())

@@ -45,6 +45,17 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def idx_keys(tmp_path, splits):
+    """The dataset keys of an IDX config whose file pairs hold `splits`, {split: Dataset}, each
+    written with save_idx (which stores round(features * 255) as bytes)."""
+    keys = {"dataset.kind": "idx"}
+    for split, data in splits.items():
+        keys[f"dataset.{split}_images"] = tmp_path / f"{split}-images.idx"
+        keys[f"dataset.{split}_labels"] = tmp_path / f"{split}-labels.idx"
+        save_idx(data, keys[f"dataset.{split}_images"], keys[f"dataset.{split}_labels"])
+    return keys
+
+
 class TestCost:
     def test_flagship_total(self, capsys):
         assert main(["cost", "--rounds", "163", "--payload-mb", "2.1", "--clients", "12"]) == 0
@@ -128,16 +139,13 @@ class TestRun:
         ids=["different_widths", "one_class", "zero_items", "test_classes_train_lacks",
              "zero_width"])
     def test_idx_data_that_cannot_train_is_data_error(self, tmp_path, capsys, train, test):
-        paths = {}
+        splits = {}
         for split, (classes, dim) in (("train", train), ("test", test)):
             blobs = synth_blobs(5, 60, max(dim, 1), 1.0, seed=1)
             keep = blobs.labels < classes
-            data = Dataset(np.clip(blobs.features[keep, :dim] / 8 + 0.5, 0, 1),
-                           blobs.labels[keep], max(classes, 1))
-            paths[f"dataset.{split}_images"] = tmp_path / f"{split}-images.idx"
-            paths[f"dataset.{split}_labels"] = tmp_path / f"{split}-labels.idx"
-            save_idx(data, paths[f"dataset.{split}_images"], paths[f"dataset.{split}_labels"])
-        cfg = write_config(tmp_path, min_per_client=1, **{"dataset.kind": "idx", **paths})
+            splits[split] = Dataset(np.clip(blobs.features[keep, :dim] / 8 + 0.5, 0, 1),
+                                    blobs.labels[keep], max(classes, 1))
+        cfg = write_config(tmp_path, min_per_client=1, **idx_keys(tmp_path, splits))
         ck = tmp_path / "fresh.fkmf"  # any valid checkpoint: the data is rejected first
         checkpoint.save(nets.init_network(nets.ArchSpec(1, (), 3), 0), ck)
         for argv in (["run", str(cfg)], ["partition", str(cfg)], ["eval", str(ck), str(cfg)]):
@@ -158,6 +166,21 @@ class TestRun:
             assert main(argv) == 3
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_idx_data_runs_evals_and_partitions(self, tmp_path, capsys):
+        # save_idx stores bytes, so the features are scaled into [0, 1]
+        splits = {split: Dataset(np.clip(blobs.features / 8 + 0.5, 0, 1), blobs.labels, 3)
+                  for split, blobs in (("train", synth_blobs(3, 60, 4, 1.0, seed=1)),
+                                       ("test", synth_blobs(3, 60, 4, 1.0, seed=2)))}
+        cfg = write_config(tmp_path, **idx_keys(tmp_path, splits))
+        assert main(["run", str(cfg)]) == 0
+        out_dir = tmp_path / "out"
+        final_acc = json.loads((out_dir / "metrics.json").read_text())["final_acc"]
+        assert (out_dir / "round_2.fkmf").exists()
+        capsys.readouterr()
+        assert main(["eval", str(out_dir / "round_2.fkmf"), str(cfg)]) == 0
+        assert f"test_accuracy: {final_acc:.4f}\n" in capsys.readouterr().out
+        assert main(["partition", str(cfg)]) == 0
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lr="1e12", local_epochs=20)

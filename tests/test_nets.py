@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,47 @@ def test_every_label_entry_point_rejects_bad_labels(labels):
     for call in calls:
         with pytest.raises(ValueError, match=r"^labels must be 3 integers in range\(3\)$"):
             call()
+
+
+FEATURE_ENTRY_POINTS = {
+    "forward": lambda net, x, y: nets.forward(net, x),
+    "accuracy": nets.accuracy,
+    "evaluate": nets.evaluate,
+    "loss_value": lambda net, x, y: nets.loss_value(net, x, labels=y),
+    "loss_gradient": lambda net, x, y: nets.loss_gradient(net, x, labels=y),
+}
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 3), (3,), (5, 4), (0, 3)],
+                         ids=["stacked", "one_row_1d", "wrong_width", "empty"])
+@pytest.mark.parametrize("entry", list(FEATURE_ENTRY_POINTS))
+def test_every_entry_point_refuses_bad_features_by_one_rule(entry, shape):
+    """forward, accuracy, evaluate, loss_value and loss_gradient check their features through
+    one rule: float64 N x input_dim rows with N >= 1, else one ValueError and no warning."""
+    net = nets.init_network(nets.ArchSpec(3, (4,), 2), 0)
+    x = np.random.default_rng(0).standard_normal(shape)
+    labels = np.zeros(shape[-2] if len(shape) > 1 else 1, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^features must"):
+            FEATURE_ENTRY_POINTS[entry](net, x, labels)
+
+
+def test_evaluate_checks_its_labels_once(monkeypatch):
+    """evaluate scores the labels _scored checked; its loss stays loss_value's, bit for bit
+    (test_evaluate_loss_is_the_training_loss)."""
+    checked = []
+    rule = nets._labels
+
+    def counting(*args):
+        checked.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(nets, "_labels", counting)
+    net = nets.init_network(nets.ArchSpec(3, (4,), 3), 2)
+    rng = np.random.default_rng(2)
+    nets.evaluate(net, rng.standard_normal((9, 3)), rng.integers(0, 3, 9))
+    assert len(checked) == 1
 
 
 def test_loss_value_needs_a_target():

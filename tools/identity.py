@@ -12,12 +12,15 @@ byte-ledger paths no other case takes; blobs_fedkemf with `local_epochs = 0`,
 where the clients draw no batch orders but distillation does; blobs_fedkemf
 with `batch_size = 100000`, where every client and the distillation split
 score only a partial batch; both shipped configs with `lr = 1e12`,
-which diverge (exit 4); and the benchmark workloads kemf-many and avg-small at
-seeds 1-3, whose configs are generated from bench/workloads.py (read, never
-edited).  Both trees run on the same config text, taken from this tree.  The
-revision is exported with `git archive` into a temporary directory under DIR
-(default: the system's temp directory), which is removed at the end; this tree
-runs from its working files, uncommitted changes included.  Each run is a fresh
+which diverge (exit 4); blobs_fedkemf with `dataset.kind = idx` on a fixed pair
+of IDX files of 4 x 4-pixel images that the case writes into its run directory
+(the same bytes for both trees), the MNIST-style loader path no other case
+takes; and the benchmark workloads kemf-many and avg-small at seeds 1-3, whose
+configs are generated from bench/workloads.py (read, never edited).  Both trees
+run on the same config text, taken from this tree.  The revision is exported
+with `git archive` into a temporary directory under DIR (default: the system's
+temp directory), which is removed at the end; this tree runs from its working
+files, uncommitted changes included.  Each run is a fresh
 `fedkemf run` process with FEDKEMF_SEED unset.
 
 Every case runs in two passes, since checkpoints differ between OpenBLAS cores:
@@ -50,11 +53,14 @@ import io
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ("configs/blobs_fedkemf.cfg", "configs/blobs_fedavg.cfg")
@@ -68,6 +74,7 @@ VARIANTS = (("configs/blobs_fedkemf.cfg", "strategy", "avg_logits"),
             ("configs/blobs_fedkemf.cfg", "batch_size", "100000"),
             ("configs/blobs_fedkemf.cfg", "lr", "1e12"),
             ("configs/blobs_fedavg.cfg", "lr", "1e12"))
+IDX_SEED = 803  # the IDX case's data: default_rng(IDX_SEED), the same for both trees
 WORKLOADS = ("kemf-many", "avg-small")
 SEEDS = (1, 2, 3)
 TIMING_COLUMN = "wall_seconds"
@@ -98,6 +105,30 @@ def _setting(text, key, value):
     return text
 
 
+def _write_idx(images, labels, count, rng, side=4):
+    """An IDX image/label file pair of `count` side x side images, one of `side` classes each:
+    class k brightens pixel row k of a noisy grey image."""
+    classes = rng.integers(0, side, count)
+    pixels = 64.0 + 32.0 * rng.standard_normal((count, side, side))
+    pixels[np.arange(count), classes] += 96.0
+    images.write_bytes(struct.pack(">IIII", 0x803, count, side, side)
+                       + np.clip(np.rint(pixels), 0, 255).astype(np.uint8).tobytes())
+    labels.write_bytes(struct.pack(">II", 0x801, count) + classes.astype(np.uint8).tobytes())
+
+
+def _idx_config(out_dir):
+    """The IDX case's config text: blobs_fedkemf with `dataset.kind = idx`, on one IDX pair
+    per split that each call writes, the same bytes, into out_dir's parent, the run directory."""
+    rng = np.random.default_rng(IDX_SEED)
+    text = _setting((ROOT / SHIPPED[0]).read_text(), "dataset.kind", "idx")
+    for split, count in (("train", 2000), ("test", 500)):
+        paths = [Path(out_dir).parent / f"{split}-{kind}.idx" for kind in ("images", "labels")]
+        _write_idx(*paths, count, rng)
+        for kind, path in zip(("images", "labels"), paths):
+            text = _setting(text, f"dataset.{split}_{kind}", path)
+    return _setting(text, "out_dir", out_dir)
+
+
 def cases():
     """[(name, config text for an out_dir)] in report order."""
     found = []
@@ -107,6 +138,7 @@ def cases():
                         _setting((ROOT / path).read_text(), key, value)))
     for name, text in shipped:
         found.append((name, lambda out_dir, text=text: _setting(text, "out_dir", out_dir)))
+    found.append(("blobs_fedkemf-idx", _idx_config))
     workloads = _workloads()
     for name in WORKLOADS:
         for seed in SEEDS:
