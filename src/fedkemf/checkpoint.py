@@ -33,7 +33,7 @@ def deserialize(blob: bytes) -> Network:
         (version,) = struct.unpack_from("<H", blob, off)
         off += 2
         if version != VERSION:
-            raise BadMagicError(f"unsupported checkpoint version {version}")
+            raise BadHeaderError(f"unsupported checkpoint version {version}")
         input_dim, n_hidden = struct.unpack_from("<II", blob, off)
         off += 8
         hidden = struct.unpack_from(f"<{n_hidden}I", blob, off)

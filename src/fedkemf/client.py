@@ -40,14 +40,14 @@ def batch_iterator(indices, batch_size, epoch_seed):
     return [idx[i:i + batch_size] for i in range(0, idx.size, batch_size)]
 
 
-def _shard(state: ClientState, data: Dataset, round_index, num_classes, epochs, batch_size, seed):
-    """(x, onehot, orders) of the train shard; orders yields each epoch's row order, all drawn
-    from the client's stream of the round."""
+def _shard(state: ClientState, data: Dataset, round_index, epochs, batch_size, seed):
+    """(x, onehot, orders) of the train shard, one-hot over data.num_classes; orders yields each
+    epoch's row order, all drawn from the client's stream of the round."""
     train = state.train_indices
     positions = np.arange(len(train))
     rng = stream(seed, SALT_ORDERS, state.client_id, round_index)
     orders = (np.concatenate(batch_iterator(positions, batch_size, rng)) for _ in range(epochs))
-    return data.features[train], nets.onehot(data.labels[train], num_classes), orders
+    return data.features[train], nets.onehot(data.labels[train], data.num_classes), orders
 
 
 def step_plan(sizes, batch_size):
@@ -120,18 +120,16 @@ def _lockstep_epochs(members, batch_size, step, score, n_probs, trainers, scored
             for n, end in zip(sizes, np.cumsum(sizes))]
 
 
-def fit(trainer: nets.Trainer, members, batch_size, scored, what=""):
+def fit(trainer: nets.Trainer, members, batch_size, scored):
     """Lockstep single-student SGD: each trainer member steps toward its own fixed target block.
 
     `members`, `scored` and the result are _lockstep_epochs'; the steps
     follow step_plan.  A scored epoch keeps each row's KL from its target
     row (nets.row_terms), which toward a one-hot block is the CE toward its
-    labels; `what` prefixes the names in errors.
+    labels.  Errors name the logits as the trainer does.
     """
-    logits = what + "logits"
-
     def step(epoch, b, views, x, t, q_out):
-        q, inputs, pre = trainer.probs(x, q_out, logits, epoch, b, views=views[0])
+        q, inputs, pre = trainer.probs(x, q_out, epoch, b, views=views[0])
         trainer.step(inputs, pre, nets.logit_delta(q, t), epoch, b, views=views[0])
 
     def score(take, t, q):
@@ -152,10 +150,10 @@ def _mutual_learning(kn, theta, members, batch_size, scored):
     """
     def step(epoch, b, views, x, y, g_out, q_out, p):
         k_views, own = views
-        g, g_inputs, g_pre = kn.probs(x, g_out, "logits", epoch, b, views=k_views)
-        q, inputs, pre = theta.probs(x, q_out, "logits", epoch, b, views=own)
+        g, g_inputs, g_pre = kn.probs(x, g_out, epoch, b, views=k_views)
+        q, inputs, pre = theta.probs(x, q_out, epoch, b, views=own)
         theta.step(inputs, pre, nets.logit_delta(q, y, g), epoch, b, views=own)
-        theta.probs(x, p, "logits", epoch, b, views=own)
+        theta.probs(x, p, epoch, b, views=own)
         kn.step(g_inputs, g_pre, nets.logit_delta(g, y, p), epoch, b, views=k_views)
 
     def score(take, y, g, q, p):
@@ -163,10 +161,9 @@ def _mutual_learning(kn, theta, members, batch_size, scored):
     return _lockstep_epochs(members, batch_size, step, score, 3, [kn, theta], scored)
 
 
-def _lockstep(states, num_classes, data: Dataset, round_index, train, stack_key, *, epochs,
-              batch_size, seed):
+def _lockstep(states, data: Dataset, round_index, train, stack_key, *, epochs, batch_size, seed):
     """The driver of both entry points, under nets.per_epoch_checked: train(stack, shards,
-    guard) trains a stack of states on their shards and returns their results in stack order.
+    guard) trains a stack of states on their _shard()s and returns their results in stack order.
 
     The states of each stack_key(state) are one stack, largest shard first,
     ties by client id, and the stack of the largest shard trains first; the
@@ -187,8 +184,7 @@ def _lockstep(states, num_classes, data: Dataset, round_index, train, stack_key,
             stack = [states[k] for k in ks]
             guard = ({"client_id": stack[0].client_id, "round_index": round_index}
                      if guarded else None)
-            shards = [_shard(st, data, round_index, num_classes, epochs, batch_size, seed)
-                      for st in stack]
+            shards = [_shard(st, data, round_index, epochs, batch_size, seed) for st in stack]
             results.update(zip(ks, train(stack, shards, guard)))
         return [results[k] for k in range(len(states))]
     return nets.per_epoch_checked(call)
@@ -197,8 +193,8 @@ def _lockstep(states, num_classes, data: Dataset, round_index, train, stack_key,
 def client_update(states, knowledge_net: nets.Network, data: Dataset, round_index: int = 0, *,
                   lr, epochs, batch_size, seed):
     """[(updated_knowledge, mean_train_loss, local_model)] of each state's round of deep
-    mutual learning, in lockstep; no state changes.  Every local model has the knowledge
-    net's num_classes.
+    mutual learning, in lockstep; no state changes.  The knowledge net and every local model
+    have data.num_classes classes, the width of the one-hot targets.
 
     Per batch, the local model steps on CE plus KL toward the knowledge net's
     distribution, then the knowledge net on CE plus KL toward the stepped
@@ -208,25 +204,24 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
     orders derive from).  _lockstep stacks the clients by local
     architecture; each stack trains as one pair of stacks, their knowledge
     copies and their local models, row for row (_mutual_learning).  Each
-    result equals the client's run alone; its local model is a copy, as a
-    row view would keep its whole stack alive.  A failed per-epoch check, or
-    any divergence, replays the clients alone and guarded (_lockstep).
+    result equals the client's run alone, and its networks own their
+    parameters (nets.Trainer.trained).  A failed per-epoch check, or any
+    divergence, replays the clients alone and guarded (_lockstep).
     """
     def train(stack, shards, guard):
         kn = nets.Trainer([knowledge_net] * len(stack), lr, guard)
         theta = nets.Trainer([st.local_model for st in stack], lr, guard)
         means = _mutual_learning(kn, theta, shards, batch_size, range(epochs))
-        return [(knowledge, mean, local.copy())
+        return [(knowledge, mean, local)
                 for local, knowledge, mean in zip(theta.trained(), kn.trained(), means)]
-    return _lockstep(states, knowledge_net.arch.num_classes, data, round_index, train,
-                     lambda st: st.local_model.arch,
+    return _lockstep(states, data, round_index, train, lambda st: st.local_model.arch,
                      epochs=epochs, batch_size=batch_size, seed=seed)
 
 
 def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0, *,
                 lr, epochs, batch_size, seed):
     """[(trained_model, mean_train_loss)] of each state's plain-CE local training (the
-    weighted-averaging baseline) from the shared-architecture `model`, in lockstep.
+    weighted-averaging baseline) from the shared `model` (data.num_classes classes), in lockstep.
 
     The clients are one fit stack (_lockstep); each result equals the
     client's run alone, and `model` is not changed.  A failed per-epoch
@@ -236,5 +231,5 @@ def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0
         trainer = nets.Trainer([model] * len(stack), lr, guard)
         means = fit(trainer, shards, batch_size, range(epochs))
         return list(zip(trainer.trained(), means))
-    return _lockstep(states, model.arch.num_classes, data, round_index, train,
-                     lambda st: None, epochs=epochs, batch_size=batch_size, seed=seed)
+    return _lockstep(states, data, round_index, train, lambda st: None,
+                     epochs=epochs, batch_size=batch_size, seed=seed)

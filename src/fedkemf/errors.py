@@ -29,7 +29,7 @@ class TruncatedFileError(DataError):
 
 
 class BadHeaderError(DataError):
-    """A checkpoint header that describes no valid network."""
+    """A checkpoint header of an unsupported version, or one that describes no valid network."""
 
 
 class ShapeMismatchError(DataError):

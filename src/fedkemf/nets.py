@@ -104,8 +104,8 @@ def _forward_cached(net: Network, features: np.ndarray, layers=None):
 
     This is the one forward primitive: every other forward goes through it, and
     without `layers` it checks `features` by the feature rule (_features).  `layers`
-    may pass precomputed (W, b) views of `net`, or of a stack of K nets like it,
-    which then take K x N x input_dim float64 features, unchecked.
+    may pass precomputed (W, b) views of a stack of K nets, which then take
+    K x N x input_dim float64 features, unchecked; `net` is then unused.
     """
     if layers is None:
         a = _features(net, features)
@@ -227,7 +227,7 @@ def loss_gradient(net: Network, features, labels=None, teacher_probs=None) -> np
     targets = _targets((len(x), net.arch.num_classes), labels, teacher_probs)
     trainer = Trainer([net], 1.0, guard={})
     layers, grad_layers, _, grad = views = trainer.views(slice(1))
-    q, layer_inputs, pre_acts = trainer.probs(x[None], None, "logits", views=views)
+    q, layer_inputs, pre_acts = trainer.probs(x[None], None, views=views)
     _backward_into(grad_layers, layers, layer_inputs, pre_acts, logit_delta(q, *targets))
     return grad[0]
 
@@ -345,9 +345,9 @@ class Trainer:
     """K >= 1 private network copies: the rows of one (K, P) block, stepped in place by SGD.
 
     Steps use (W, b) views into the block (views()) and one reused gradient
-    block, so a step allocates no Network.  A stacked step is, member by
-    member, a one-member trainer's step (np.matmul runs each slice as a 2-D
-    call would), and loss_gradient is a one-member trainer's gradient.
+    block, so no Network exists until trained().  A stacked step is, member
+    by member, a one-member trainer's step (np.matmul runs each slice as a
+    2-D call would), and loss_gradient is a one-member trainer's gradient.
 
     A guarded trainer checks every step's logits and gradient (check_finite),
     and its errors carry `guard`, the context dict that names the client and
@@ -358,27 +358,27 @@ class Trainer:
     (per_epoch_checked), which raises the first failing step's error.
     """
 
-    def __init__(self, members, lr: float, guard=None):
+    def __init__(self, members, lr: float, guard=None, logits="logits"):
         """`members`: same-architecture Networks, one member each; [net] * k holds k copies.
-        `lr` is positive and finite, as the config requires."""
+        `lr` is positive and finite, as the config requires; errors call the logits `logits`."""
         self.lr = lr
         self.guard = guard
+        self.logits = logits
         self.arch = members[0].arch
         self.params = np.stack([m.params for m in members])
         self._grad = np.empty_like(self.params)
-        self.nets = [Network(self.arch, p) for p in self.params]
 
     def views(self, rows):
         """(layers, grad_layers, params, grad) of the members `rows`, a slice, as one stack."""
         p, g = self.params[rows], self._grad[rows]
         return _layer_views(self.arch, p), _layer_views(self.arch, g), p, g
 
-    def probs(self, features, out, what, epoch=None, batch_index=None, *, views):
+    def probs(self, features, out, epoch=None, batch_index=None, *, views):
         """(softmax rows into `out` or a new array, layer_inputs, pre_acts) of the (K, N, .)
         `features` through the members of `views`; a guarded trainer checks the logits."""
-        logits, layer_inputs, pre_acts = _forward_cached(self.nets[0], features, views[0])
+        logits, layer_inputs, pre_acts = _forward_cached(None, features, views[0])
         if self.guard is not None:
-            check_finite(logits, what, self.guard, epoch, batch_index)
+            check_finite(logits, self.logits, self.guard, epoch, batch_index)
         return softmax_finite(logits, out=out), layer_inputs, pre_acts
 
     def step(self, layer_inputs, pre_acts, delta, epoch=None, batch_index=None, *, views):
@@ -392,10 +392,10 @@ class Trainer:
         params -= grad
 
     def trained(self):
-        """The trained networks, one per member, once their parameters are checked finite: the
-        call's one parameter check (a finite gradient can still overflow lr * grad)."""
+        """One network per member, owning a copy of its row, once the rows are checked finite:
+        the call's one parameter check (a finite gradient can still overflow lr * grad)."""
         check_finite(self.params, "parameters", self.guard)
-        return self.nets
+        return [Network(self.arch, p.copy()) for p in self.params]
 
 
 def _scored(net: Network, features, labels, context):

@@ -103,12 +103,12 @@ def distill(server: ServerState, members, data: Dataset):
     last = config.distill_epochs - 1
 
     def call(guarded):
-        student = nets.Trainer([start], config.distill_lr, context if guarded else None)
+        student = nets.Trainer([start], config.distill_lr, context if guarded else None,
+                               logits="distillation logits")
         rng = stream(config.experiment_seed, SALT_DISTILL, 0, context["round_index"])
         epochs = (np.concatenate(batch_iterator(positions, config.batch_size, rng))
                   for _ in range(config.distill_epochs))
-        (loss,) = fit(student, [(x_split, teacher, epochs)], config.batch_size, (last,),
-                      what="distillation ")
+        (loss,) = fit(student, [(x_split, teacher, epochs)], config.batch_size, (last,))
         return student.trained()[0], loss
     return nets.per_epoch_checked(call)
 

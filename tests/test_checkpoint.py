@@ -59,3 +59,13 @@ def test_header_describing_no_network(arch_fields):
     with pytest.raises(BadHeaderError) as err:
         checkpoint.deserialize(blob)
     assert isinstance(err.value, DataError) and err.value.exit_code == 3
+
+
+def test_unsupported_version_is_a_header_fault():
+    # The magic was read correctly, so the fault is the header's.
+    blob = bytearray(checkpoint.serialize(nets.init_network(nets.ArchSpec(3, (), 2), 0)))
+    blob[4:6] = struct.pack("<H", 2)
+    with pytest.raises(BadHeaderError) as err:
+        checkpoint.deserialize(bytes(blob))
+    assert not isinstance(err.value, BadMagicError) and err.value.exit_code == 3
+    assert str(err.value) == "unsupported checkpoint version 2"

@@ -56,6 +56,14 @@ def idx_keys(tmp_path, splits):
     return keys
 
 
+def blob_splits():
+    """Train and test blobs of 3 classes and 4 features, scaled into [0, 1], since save_idx
+    stores bytes."""
+    return {split: Dataset(np.clip(blobs.features / 8 + 0.5, 0, 1), blobs.labels, 3)
+            for split, blobs in (("train", synth_blobs(3, 60, 4, 1.0, seed=1)),
+                                 ("test", synth_blobs(3, 60, 4, 1.0, seed=2)))}
+
+
 class TestCost:
     def test_flagship_total(self, capsys):
         assert main(["cost", "--rounds", "163", "--payload-mb", "2.1", "--clients", "12"]) == 0
@@ -69,16 +77,22 @@ class TestCost:
         assert "total: 1.60 GB" in out
         assert "speedup: 51.0" in out
 
-    @pytest.mark.parametrize("argv", [
-        ["--rounds", "-1", "--payload-mb", "1", "--clients", "1"],
-        ["--rounds", "0", "--payload-mb", "1", "--clients", "1", "--baseline-gb", "1"],
-        ["--rounds", "1", "--payload-mb", "nan", "--clients", "1"],
-        ["--rounds", "1", "--payload-mb", "1", "--clients", "1", "--baseline-gb", "-2"],
-    ], ids=["negative_rounds", "zero_total_speedup", "nan_payload", "negative_baseline"])
-    def test_bad_value_is_one_error_line(self, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["--rounds", "-1", "--payload-mb", "1", "--clients", "1"],
+         "cost inputs must be finite and non-negative"),
+        (["--rounds", "0", "--payload-mb", "1", "--clients", "1", "--baseline-gb", "1"],
+         "speedup needs finite positive costs, got baseline 1.0 and method 0.0"),
+        (["--rounds", "1", "--payload-mb", "nan", "--clients", "1"],
+         "cost inputs must be finite and non-negative"),
+        (["--rounds", "1", "--payload-mb", "1", "--clients", "1", "--baseline-gb", "-2"],
+         "speedup needs finite positive costs, got baseline -2.0 and method 0.0009765625"),
+        (["--rounds", "1000000", "--payload-mb", "1e300", "--clients", "1000000"],
+         "total cost overflows"),
+    ], ids=["negative_rounds", "zero_total_speedup", "nan_payload", "negative_baseline",
+            "overflowing_total"])
+    def test_bad_value_is_one_error_line(self, capsys, argv, message):
         assert main(["cost", *argv]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_usage_error_nonzero(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -120,6 +134,25 @@ class TestRun:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert str(cfg) in err
+
+    @pytest.mark.parametrize("command", [["run"], ["partition"], ["eval", "any.fkmf"]],
+                             ids=["run", "partition", "eval"])
+    def test_line_without_equals_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text() + "  no equals sign  \n")
+        lineno = len(cfg.read_text().splitlines())
+        assert main(command + [str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: line {lineno}: expected key=value, got 'no equals sign'\n")
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_bad_labels_magic_is_data_error(self, tmp_path, capsys, command):
+        keys = idx_keys(tmp_path, blob_splits())
+        labels = keys["dataset.train_labels"]
+        labels.write_bytes(struct.pack(">I", 0x802) + labels.read_bytes()[4:])
+        cfg = write_config(tmp_path, **keys)
+        assert main([command, str(cfg)]) == 3
+        assert capsys.readouterr() == ("", f"error: {labels}: bad labels magic 0x00000802\n")
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.idx"
@@ -168,11 +201,7 @@ class TestRun:
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_idx_data_runs_evals_and_partitions(self, tmp_path, capsys):
-        # save_idx stores bytes, so the features are scaled into [0, 1]
-        splits = {split: Dataset(np.clip(blobs.features / 8 + 0.5, 0, 1), blobs.labels, 3)
-                  for split, blobs in (("train", synth_blobs(3, 60, 4, 1.0, seed=1)),
-                                       ("test", synth_blobs(3, 60, 4, 1.0, seed=2)))}
-        cfg = write_config(tmp_path, **idx_keys(tmp_path, splits))
+        cfg = write_config(tmp_path, **idx_keys(tmp_path, blob_splits()))
         assert main(["run", str(cfg)]) == 0
         out_dir = tmp_path / "out"
         final_acc = json.loads((out_dir / "metrics.json").read_text())["final_acc"]
@@ -316,18 +345,21 @@ class TestEval:
         assert main(["eval", str(tmp_path / "out" / "round_2.fkmf"), str(cfg)]) == 0
         assert "test_accuracy:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("blob", [
-        b"FKMF",  # too short to hold the version
-        b"FKMF" + struct.pack("<HIII", 1, 0, 0, 3),  # input_dim 0
-        b"FKMF" + struct.pack("<HIIII", 1, 4, 1, 0, 3),  # a hidden width of 0
-    ], ids=["four_bytes", "input_dim_0", "hidden_width_0"])
-    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, blob):
+    @pytest.mark.parametrize("blob, message", [
+        (b"FKMF", "checkpoint header truncated"),  # too short to hold the version
+        (b"FKMF" + struct.pack("<HIII", 1, 0, 0, 3),  # input_dim 0
+         "checkpoint header: input_dim must be positive"),
+        (b"FKMF" + struct.pack("<HIIII", 1, 4, 1, 0, 3),  # a hidden width of 0
+         "checkpoint header: hidden dims must be positive"),
+        (b"FKMF" + struct.pack("<HIIII", 2, 4, 1, 8, 3) + bytes(8 * 67),  # a whole 4-8-3 net
+         "unsupported checkpoint version 2"),
+    ], ids=["four_bytes", "input_dim_0", "hidden_width_0", "version_2"])
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, blob, message):
         cfg = write_config(tmp_path)
         ck = tmp_path / "bad.fkmf"
         ck.write_bytes(blob)
         assert main(["eval", str(ck), str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("arch", [nets.ArchSpec(16, (8,), 3), nets.ArchSpec(4, (8,), 10),
                                       nets.ArchSpec(4, (8,), 2)],

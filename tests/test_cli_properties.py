@@ -176,7 +176,7 @@ def premise_spies(reached):
         assert np.issubdtype(labels.dtype, np.integer)
         assert labels.min() >= 0 and labels.max() < num_classes
 
-    def trainer_init(trainer, members, lr, guard=None):
+    def trainer_init(trainer, members, lr, guard=None, logits="logits"):
         assert 0 < lr < math.inf
 
     def spy(owner, name, before=None, after=None):

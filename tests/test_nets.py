@@ -530,12 +530,21 @@ class TestTrainer:
         target = np.eye(2)[[0, 1, 1, 0, 1]]
         stack = nets.Trainer(members, 0.1)
         views = stack.views(slice(2))
-        q, inputs, pre = stack.probs(x, None, "logits", views=views)
+        q, inputs, pre = stack.probs(x, None, views=views)
         stack.step(inputs, pre, nets.logit_delta(q, target), views=views)
         for m, params, xk, trained in zip(members, before, x, stack.trained()):
             assert np.array_equal(m.params, params)  # the inputs are copied, not stepped
             alone = nets.sgd_step(m, nets.loss_gradient(m, xk, [0, 1, 1, 0, 1]), 0.1)
             assert np.array_equal(trained.params, alone.params)
+
+    def test_trained_networks_own_their_parameters(self):
+        members = [nets.init_network(nets.ArchSpec(3, (4,), 2), s) for s in (1, 2)]
+        stack = nets.Trainer(members, 0.1)
+        trained = stack.trained()
+        before = [t.params.copy() for t in trained]
+        stack.params[...] = 7.0  # the block a later step would write
+        for t, params in zip(trained, before):
+            assert t.params.flags.owndata and np.array_equal(t.params, params)
 
 
 class TestEvaluate:

@@ -562,7 +562,7 @@ def test_trained_rejects_overflowed_parameters():
     trainer = nets.Trainer([nets.init_network(nets.ArchSpec(2, (), 2), 0)], 1e308,
                            guard={"client_id": 3})
     views = trainer.views(slice(1))
-    _, inputs, pre = trainer.probs(np.array([[[4.0, 4.0]]]), None, "logits", views=views)
+    _, inputs, pre = trainer.probs(np.array([[[4.0, 4.0]]]), None, views=views)
     with np.errstate(over="ignore", invalid="ignore"):
         # finite gradient, lr * grad = inf
         trainer.step(inputs, pre, np.array([[[-1.0, 1.0]]]), views=views)
@@ -580,3 +580,6 @@ def test_distill_divergence_is_typed():
             distill(server, trained_members(data), data)
     assert err.value.round_index == server.round + 1
     assert err.value.epoch is not None and err.value.batch_index is not None
+    # the student Trainer names its logits
+    assert str(err.value) == (f"non-finite distillation logits (round_index={server.round + 1}, "
+                              "epoch=0, batch_index=1)")
