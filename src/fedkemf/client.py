@@ -23,10 +23,10 @@ class ClientState:
         """The val split, or the train split when the shard had no room for one."""
         return self.val_indices if len(self.val_indices) else self.train_indices
 
-    def accuracy(self, net: nets.Network, data: Dataset, **context) -> float:
-        """Top-1 accuracy of `net` on this client's eval_indices; errors name the client."""
+    def accuracy(self, data: Dataset, **context) -> float:
+        """Top-1 accuracy of local_model on this client's eval_indices; errors name the client."""
         idx = self.eval_indices
-        return nets.accuracy(net, data.features[idx], data.labels[idx],
+        return nets.accuracy(self.local_model, data.features[idx], data.labels[idx],
                              client_id=self.client_id, **context)
 
 

@@ -27,7 +27,7 @@ class WireAudit:
     """The byte ledger: every crossing of the client/server boundary, each charged
     `payload_bytes`, or the serialized size of the network that crosses when that is None."""
 
-    def __init__(self, payload_bytes=None, directions="upload_only"):
+    def __init__(self, payload_bytes, directions):
         self.payload_bytes = payload_bytes
         self.directions = directions
         self.uploads = []    # (round, client_id, arch, nbytes)
@@ -84,12 +84,12 @@ CSV_HEADER = [
 ]
 
 
-def write_metrics_row(csv_path, record, first):
-    """Write one round's CSV row, flushed and closed when this returns; the `first` write
-    starts the file with the header, a later one appends."""
-    with open(csv_path, "w" if first else "a", newline="") as f:
+def write_metrics_row(csv_path, record):
+    """Write one round's CSV row, flushed and closed when this returns; round 1's row starts
+    the file with the header, a later round's row appends."""
+    with open(csv_path, "w" if record.round == 1 else "a", newline="") as f:
         writer = csv.writer(f)
-        if first:
+        if record.round == 1:
             writer.writerow(CSV_HEADER)
         writer.writerow([
             record.round, record.sampled_clients,

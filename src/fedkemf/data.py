@@ -117,8 +117,8 @@ def synth_blobs(num_classes, per_class, dim, spread, seed) -> Dataset:
     return Dataset(features.reshape(-1, dim), labels, num_classes)
 
 
-def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed,
-                        min_per_client=10, indices=None, max_attempts=100) -> PartitionMap:
+def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed, min_per_client,
+                        indices=None, max_attempts=100) -> PartitionMap:
     """Label-skew partition: per class, split its indices by a Dirichlet(alpha) draw.
 
     Partitions `indices` (defaults to the whole dataset) disjointly and

@@ -277,10 +277,6 @@ def batch_means(terms, batch_size):
     return sum(means[1:], means[0])
 
 
-class EpochCheckFailed(Exception):
-    """A pass without per-step guards failed its once-per-epoch check (check_epoch)."""
-
-
 def check_finite(value, what, context=None, epoch=None, batch_index=None):
     """The per-step finiteness guard: DivergenceError carrying the `context` dict unless all
     finite.  A batch's epoch and batch_index join the context only when the check fails.
@@ -298,7 +294,7 @@ def check_finite(value, what, context=None, epoch=None, batch_index=None):
 
 
 def check_epoch(probs):
-    """Raise EpochCheckFailed unless every softmax block in `probs` is > 0.
+    """Raise DivergenceError unless every softmax block in `probs` is > 0.
 
     A NaN, +inf or -inf logit leaves a NaN or an exact 0 in its softmax row,
     so this fails on every epoch whose logits a per-step guard would refuse.
@@ -307,7 +303,7 @@ def check_epoch(probs):
     exact 0 fails too; its guarded replay then returns the same result.
     """
     if not all(q.min() > 0.0 for q in probs):
-        raise EpochCheckFailed
+        raise DivergenceError("a softmax block failed its per-epoch check")
 
 
 def per_epoch_checked(call):
@@ -315,8 +311,8 @@ def per_epoch_checked(call):
 
     call(False) runs under np.errstate(all="ignore") without per-step guards,
     checks its softmax blocks once per epoch (check_epoch) and its parameters
-    once, in Trainer.trained().  If a check fails, or the pass raises any
-    DivergenceError, call(True) runs again from the same unchanged inputs,
+    once, in Trainer.trained(), and both raise DivergenceError.  If the pass
+    raises any DivergenceError, call(True) runs again from the same unchanged inputs,
     with guarded Trainers and under the caller's errstate: it raises exactly
     the per-step error, with numpy's warnings, or returns the guarded result.
     An unguarded pass's errors never reach the caller, so they need not name
@@ -325,7 +321,7 @@ def per_epoch_checked(call):
     try:
         with np.errstate(all="ignore"):
             return call(False)
-    except (EpochCheckFailed, DivergenceError):
+    except DivergenceError:
         pass
     return call(True)
 

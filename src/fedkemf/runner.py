@@ -127,7 +127,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     records = []
     for _ in range(config.rounds):
         t0 = time.perf_counter()
-        stats = run_round(server, clients, data, audit=audit)
+        stats = run_round(server, clients, data, audit)
         wall = time.perf_counter() - t0
         acc = nets.accuracy(server.global_knowledge, test.features, test.labels,
                             round_index=server.round)
@@ -143,7 +143,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
             cumulative_bytes=audit.total_bytes(),
             wall_seconds=wall,
         ))
-        write_metrics_row(csv_path, records[-1], first=len(records) == 1)
+        write_metrics_row(csv_path, records[-1])
 
     summary = emit_metrics(records, os.path.join(config.out_dir, "metrics.json"),
                            config.target_accuracy, initial_accuracy)

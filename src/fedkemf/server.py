@@ -113,8 +113,9 @@ def distill(server: ServerState, members, data: Dataset):
     return nets.per_epoch_checked(call)
 
 
-def run_round(server: ServerState, clients, data: Dataset, audit=None):
-    """Execute one communication round; mutates server and client states.
+def run_round(server: ServerState, clients, data: Dataset, audit):
+    """Execute one communication round; mutates server and client states and records each
+    sampled client's two crossings in the byte ledger `audit` (costs.WireAudit).
 
     fedkemf: sample, broadcast the global knowledge network, mutual-train the
     sampled clients in lockstep, commit their new local models,
@@ -139,9 +140,8 @@ def run_round(server: ServerState, clients, data: Dataset, audit=None):
                     seed=config.experiment_seed)
     members = [r[0] for r in results]  # in sampled, id-sorted, order
     train_losses = [r[1] for r in results]
-    if audit is not None:
-        for cid, member in zip(sampled, members):
-            audit.record(round_index, cid, broadcast.arch, member.arch)
+    for cid, member in zip(sampled, members):
+        audit.record(round_index, cid, broadcast.arch, member.arch)
 
     distill_loss = 0.0
     if config.mode == "fedkemf":
@@ -155,7 +155,7 @@ def run_round(server: ServerState, clients, data: Dataset, audit=None):
             st.local_model, st.val_accuracy = server.global_knowledge, None
     for st in clients:
         if st.val_accuracy is None:
-            st.val_accuracy = st.accuracy(st.local_model, data, round_index=round_index)
+            st.val_accuracy = st.accuracy(data, round_index=round_index)
 
     server.round = round_index
     return {

@@ -67,7 +67,7 @@ SMALL, LARGE = ArchSpec(4, (8,), 3), ArchSpec(4, (64, 32), 3)
 
 class TestWireAudit:
     def test_measured_charge_is_each_crossing_networks_checkpoint_size(self):
-        audit = WireAudit()
+        audit = WireAudit(None, "upload_only")
         audit.record(1, 0, SMALL, SMALL)
         audit.record(1, 3, SMALL, LARGE)
         assert audit.crossing_archs() == [SMALL, LARGE, SMALL, SMALL]
@@ -75,13 +75,13 @@ class TestWireAudit:
         assert audit.total_bytes() == audit.uploaded_bytes()
 
     def test_payload_override_charges_every_crossing_the_same(self):
-        audit = WireAudit(payload_bytes=100)
+        audit = WireAudit(100, "upload_only")
         for cid in range(12):
             audit.record(1, cid, SMALL, LARGE)
         assert audit.uploaded_bytes() == audit.total_bytes() == 1200
 
     def test_up_and_down_doubles(self):
-        audit = WireAudit(payload_bytes=100, directions="up_and_down")
+        audit = WireAudit(100, "up_and_down")
         for cid in range(12):
             audit.record(1, cid, SMALL, SMALL)
         assert audit.uploaded_bytes() == 1200
@@ -91,7 +91,7 @@ class TestWireAudit:
     @pytest.mark.parametrize("payload, directions", [
         (None, "upload_only"), (None, "up_and_down"), (100, "upload_only"), (100, "up_and_down")])
     def test_running_totals_equal_the_ledger_sums(self, payload, directions):
-        audit = WireAudit(payload_bytes=payload, directions=directions)
+        audit = WireAudit(payload, directions)
         for r in range(1, 6):
             for cid, (down, up) in enumerate([(SMALL, SMALL), (SMALL, LARGE), (LARGE, SMALL)]):
                 audit.record(r, cid, down, up)
@@ -119,8 +119,8 @@ class TestEmitMetrics:
     def test_rows_and_summary(self, tmp_path):
         path = tmp_path / "metrics.csv"
         records = make_records([0.5, 0.66, 0.7])
-        for i, record in enumerate(records):  # a row per round, as the runner writes them
-            write_metrics_row(path, record, first=i == 0)
+        for record in records:  # a row per round, as the runner writes them
+            write_metrics_row(path, record)
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["round", "sampled_clients", "global_test_acc",
@@ -139,6 +139,18 @@ class TestEmitMetrics:
         missed = emit_metrics(records, tmp_path / "metrics.json", 0.9, 0.25)
         assert missed["rounds_to_target"] is None
 
+    def test_round_one_starts_the_file(self, tmp_path):
+        # a run's round 1 row replaces whatever an earlier run left; later rounds append
+        path = tmp_path / "metrics.csv"
+        first, second = make_records([0.5, 0.75])
+        for record in (first, second, first):
+            write_metrics_row(path, record)
+        with open(path) as f:
+            rows = list(csv.reader(f))
+        assert [row[0] for row in rows] == ["round", "1"]
+        write_metrics_row(path, second)
+        assert path.read_text().count("\n") == 3
+
     def test_cumulative_bytes_linear_under_constant_sampling(self, tmp_path):
         records = make_records([0.1, 0.2, 0.3], bytes_per_round=250)
         assert [r.cumulative_bytes for r in records] == [250, 500, 750]
@@ -146,8 +158,8 @@ class TestEmitMetrics:
     def test_byte_stable_given_identical_records(self, tmp_path):
         records = make_records([0.25, 0.5])
         for name in ("a", "b"):  # a row per round, as the runner writes them
-            for i, record in enumerate(records):
-                write_metrics_row(tmp_path / f"{name}.csv", record, first=i == 0)
+            for record in records:
+                write_metrics_row(tmp_path / f"{name}.csv", record)
             summary = emit_metrics(records, tmp_path / f"{name}.json", None, 0.125)
             assert summary["rounds_to_target"] is None and summary["initial_acc"] == 0.125
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

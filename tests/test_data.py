@@ -78,6 +78,11 @@ class TestIdx:
         assert np.array_equal(back.labels, ds.labels)
 
 
+def test_dataset_refuses_feature_and_label_counts_that_differ():
+    with pytest.raises(ValueError, match="disagree on sample count"):
+        Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), 2)
+
+
 class TestSynthBlobs:
     def test_construction(self):
         ds = synth_blobs(2, 50, 2, 0.5, seed=1)
@@ -168,6 +173,13 @@ class TestDirichletPartition:
         flat = sorted(i for shard in pm.client_indices for i in shard)
         assert flat == universe.tolist()
 
+    @pytest.mark.parametrize("num_clients, alpha, message", [
+        (0, 1.0, "need at least 1 client"), (-2, 1.0, "need at least 1 client"),
+        (4, 0.0, "alpha must be positive"), (4, -0.5, "alpha must be positive")])
+    def test_refuses_no_clients_and_a_non_positive_alpha(self, num_clients, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            dirichlet_partition(balanced_dataset(), num_clients, alpha, seed=0, min_per_client=1)
+
     def test_single_client_gets_everything(self):
         ds = balanced_dataset(per_class=20)
         pm = dirichlet_partition(ds, 1, 0.1, seed=0, min_per_client=1)
@@ -229,6 +241,13 @@ def test_partition_equals_per_class_split_reference():
     shards = dirichlet_partition(*no_rows).client_indices
     assert all(s.ndim == 1 and s.dtype == np.int64 for s in shards)
     assert [s.tolist() for s in shards] == split_per_class(*no_rows) == [[]] * 3
+
+
+@pytest.mark.parametrize("histogram, entropy", [
+    ([0, 0, 0], 0.0), ([5, 0, 0], 0.0), ([2, 0, 2], float(np.log(2)))])
+def test_label_entropy(histogram, entropy):
+    # an empty histogram has no distribution and scores 0, like a single-class one
+    assert label_entropy(histogram) == entropy
 
 
 def test_partition_map_json_round_trip():

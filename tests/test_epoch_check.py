@@ -175,7 +175,7 @@ def test_check_epoch_sees_each_kind_of_failure():
         rows = {name: nets.softmax_finite(np.array([[0.0, v]]))
                 for name, v in (("nan", np.nan), ("+inf", np.inf), ("-inf", -np.inf))}
     for q in rows.values():
-        with pytest.raises(nets.EpochCheckFailed):
+        with pytest.raises(DivergenceError, match="per-epoch check"):
             nets.check_epoch([np.ones((2, 2)), q])
     nets.check_epoch([np.full((2, 2), 0.5)])
 

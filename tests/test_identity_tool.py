@@ -57,16 +57,23 @@ def test_checkpoints_are_compared_byte_for_byte_in_round_order(tmp_path):
 
 def test_size_line_counts_each_trees_package_modules(tmp_path):
     trees = {"this": tmp_path / "this", "against": tmp_path / "against"}
-    for tree, modules in (("this", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
-                          ("against", {"a.py": "x = 1\n" * 1200, "c.py": "last = 1"})):
+    for tree, modules in (("this", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n",
+                                    "same.py": "s = 1\n"}),
+                          ("against", {"a.py": "x = 1\n" * 1200, "c.py": "last = 1",
+                                       "same.py": "s = 2\n"})):
         package = trees[tree] / "fedkemf"
         (package / "sub").mkdir(parents=True)
         for name, text in modules.items():
             (package / name).write_text(text)
         (package / "notes.txt").write_text("not\ncounted\n")
         (package / "sub" / "deep.py").write_text("not\ncounted\n")
-    # a last line without a newline is not counted, as `wc -l` does not count it
-    assert identity.size_line(trees, "HEAD~1") == "src/fedkemf: 3 lines here, 1,200 at HEAD~1"
+    # a last line without a newline is not counted, as `wc -l` does not count it; a module of
+    # equal counts is not named, and one that a tree lacks is "none" there
+    assert identity.size_line(trees, "HEAD~1").splitlines() == [
+        "src/fedkemf: 4 lines here, 1,201 at HEAD~1",
+        "  a.py: 2 here, 1,200 at HEAD~1",
+        "  b.py: 1 here, none at HEAD~1",
+        "  c.py: none here, 0 at HEAD~1"]
 
 
 def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):

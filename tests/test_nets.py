@@ -65,6 +65,13 @@ class TestInit:
             assert np.all(np.abs(w) <= 1.0 / np.sqrt(w.shape[0]))
 
 
+@pytest.mark.parametrize("params", [np.zeros(5), np.zeros(7), np.zeros((1, 6))],
+                         ids=["short", "long", "two_dimensional"])
+def test_network_refuses_params_of_the_wrong_shape(params):
+    with pytest.raises(ValueError, match=r"^params length \d+ != 6$"):
+        nets.Network(nets.ArchSpec(2, (), 2), params)
+
+
 class TestForward:
     def test_zero_params_zero_logits(self):
         arch = nets.ArchSpec(3, (), 2)
@@ -512,6 +519,14 @@ class TestSgdStep:
         g = np.ones_like(net.params)
         twice = nets.sgd_step(nets.sgd_step(net, g, 0.1), g, 0.1)
         assert np.allclose(twice.params, net.params - 0.2 * g)
+
+    @pytest.mark.parametrize("grad_size, lr, message", [
+        (5, 0.1, "gradient length mismatch"), (7, 0.1, "gradient length mismatch"),
+        (6, 0.0, "learning rate must be positive"), (6, -0.1, "learning rate must be positive")])
+    def test_rejects_bad_arguments(self, grad_size, lr, message):
+        net = nets.init_network(nets.ArchSpec(2, (), 2), 0)
+        with pytest.raises(ValueError, match=message):
+            nets.sgd_step(net, np.zeros(grad_size), lr)
 
     def test_rejects_non_finite_grad(self):
         net = nets.init_network(nets.ArchSpec(2, (), 2), 0)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -132,10 +133,11 @@ def test_fedavg_clients_hold_the_final_aggregate(tmp_path):
                       sample_ratio=0.25)
     result = run_experiment(cfg)
     final = checkpoint.load(tmp_path / "deployed" / "round_3.fkmf")
+    data, _ = build_datasets(cfg)
     for st in result.clients:
         assert st.local_model is result.server.global_knowledge
         assert np.array_equal(st.local_model.params, final.params)
-        assert st.val_accuracy == st.accuracy(final, build_datasets(cfg)[0])
+        assert st.val_accuracy == dataclasses.replace(st, local_model=final).accuracy(data)
 
 
 def test_metrics_rows_survive_a_later_divergence(tmp_path, monkeypatch):
@@ -198,7 +200,7 @@ def test_one_row_shard_has_no_val_split_and_is_scored_on_its_train_row(tmp_path)
     assert len(other.val_indices) == 9 and len(other.train_indices) == 1
     assert one.eval_indices.tolist() == [3]
     net = one.local_model
-    assert one.accuracy(net, data) == nets.accuracy(net, data.features[[3]], data.labels[[3]])
+    assert one.accuracy(data) == nets.accuracy(net, data.features[[3]], data.labels[[3]])
 
 
 def test_build_states_draws_split_then_init_from_one_stream_per_client(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from fedkemf import nets, server as server_module
 from fedkemf.client import ClientState
 from fedkemf.config import STRATEGIES
+from fedkemf.costs import WireAudit
 from fedkemf.data import synth_blobs
 from fedkemf.errors import DivergenceError
 from fedkemf.server import (
@@ -289,7 +290,7 @@ class TestRunRound:
         (twin,), _ = make_clients(data, [100], epochs=1)
         expected, _, _ = client_update([twin], server.global_knowledge, data, round_index=1,
                                        **recipe)[0]
-        stats = run_round(server, clients, data)
+        stats = run_round(server, clients, data, WireAudit(None, "upload_only"))
         assert stats["sampled"] == [0]
         assert np.array_equal(server.global_knowledge.params, expected.params)
         assert server.round == 1
@@ -300,7 +301,7 @@ class TestRunRound:
         server = make_server(data, distill_count=20, local_epochs=0, mode="fedavg")
         server.distill_indices = list(range(100, 120))
         before = server.global_knowledge.params.copy()
-        run_round(server, clients, data)
+        run_round(server, clients, data, WireAudit(None, "upload_only"))
         # zero epochs: every member equals the broadcast model
         assert np.array_equal(server.global_knowledge.params, before)
 
@@ -320,7 +321,8 @@ class TestRunRound:
                 calls[_name].append([id(st) for st in states])
                 return _train(states, *args, **kwargs)
             monkeypatch.setattr(server_module, name, recording)
-        sampled = [run_round(server, clients, data)["sampled"] for _ in range(2)]
+        audit = WireAudit(None, "upload_only")
+        sampled = [run_round(server, clients, data, audit)["sampled"] for _ in range(2)]
         other = "local_train" if entry == "client_update" else "client_update"
         assert calls[other] == []
         assert calls[entry] == [[id(clients[cid]) for cid in ids] for ids in sampled]

@@ -20,6 +20,7 @@ import pytest
 from fedkemf import nets
 from fedkemf import client
 from fedkemf.config import ExperimentConfig
+from fedkemf.costs import WireAudit
 from fedkemf.client import ClientState, batch_iterator, client_update, local_train, step_plan
 from fedkemf.data import synth_blobs
 from fedkemf.errors import DivergenceError
@@ -221,9 +222,9 @@ class TestReferenceEquivalence:
         server = make_server(data, count=40, epochs=1, recipe={"epochs": 1}, sample_ratio=0.5)
         server.round = 0
         for _ in range(3):
-            stats = run_round(server, clients, data)
+            stats = run_round(server, clients, data, WireAudit(None, "upload_only"))
             assert len(stats["sampled"]) < len(clients)
-            full = [st.accuracy(st.local_model, data) for st in clients]
+            full = [st.accuracy(data) for st in clients]
             assert stats["mean_client_val_accuracy"] == float(np.mean(full))
 
 
@@ -268,7 +269,7 @@ class TestLockstep:
             return fedavg_aggregate(members, weights)
 
         monkeypatch.setattr("fedkemf.server.fedavg_aggregate", spy)
-        stats = run_round(server, states, data)
+        stats = run_round(server, states, data, WireAudit(None, "upload_only"))
         refs = [reference_local_train(st, broadcast, data, server.round, **recipe)
                 for st in states]
         assert stats["sampled"] == list(range(len(sizes)))
@@ -296,7 +297,7 @@ class TestLockstep:
         server.global_knowledge, server.round = model, 0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_round(server, states, data)
+                run_round(server, states, data, WireAudit(None, "upload_only"))
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
@@ -357,7 +358,7 @@ class TestMutualLockstep:
             return distill(server, members, data)
 
         monkeypatch.setattr("fedkemf.server.distill", spy)
-        stats = run_round(server, states, data)
+        stats = run_round(server, states, data, WireAudit(None, "upload_only"))
         refs = [reference_client_update(twin, broadcast, data, server.round, **recipe)
                 for twin in twins]
         assert stats["sampled"] == list(range(len(sizes)))
@@ -388,7 +389,7 @@ class TestMutualLockstep:
         before = [st.local_model for st in states]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_round(server, states, data)
+                run_round(server, states, data, WireAudit(None, "upload_only"))
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
@@ -409,14 +410,14 @@ class TestMutualLockstep:
         server.global_knowledge, server.round = self.knowledge(data), 1
         scored = ClientState.accuracy
 
-        def accuracy(state, net, data, **context):
+        def accuracy(state, data, **context):
             if state.client_id == 1:
                 raise DivergenceError("non-finite evaluation logits", client_id=1, **context)
-            return scored(state, net, data, **context)
+            return scored(state, data, **context)
 
         monkeypatch.setattr(ClientState, "accuracy", accuracy)
         with pytest.raises(DivergenceError) as err:
-            run_round(server, states, data)
+            run_round(server, states, data, WireAudit(None, "upload_only"))
         assert (err.value.client_id, err.value.round_index) == (1, 2)
         # one unguarded pass per architecture, and no guarded replay
         assert training_passes == [(1, None), (1, None)]
@@ -506,10 +507,10 @@ class TestForwardCounts:
         data = synth_blobs(3, 80, 4, 0.8, seed=5)
         clients = [make_client(data, cid=c, hidden=(4,), n_train=40)[0] for c in range(6)]
         server = make_server(data, count=40, epochs=0, recipe={"epochs": 0}, sample_ratio=0.5)
-        run_round(server, clients, data)
+        run_round(server, clients, data, WireAudit(None, "upload_only"))
         assert len(forwards) == len(clients)  # all 6 in run_round
         forwards.clear()
-        run_round(server, clients, data)
+        run_round(server, clients, data, WireAudit(None, "upload_only"))
         assert len(forwards) == 3  # the sampled clients' own evaluations
 
 

@@ -41,7 +41,8 @@ their exit statuses and stdout are equal; no `run` reaches
 runner.partition_report.  One line per case names the first differing file,
 then the eval's and the partition's verdicts.  The summary names, per pass, the
 OpenBLAS core a child process reports and how many evals and partition outputs
-matched, and ends with the line count of src/fedkemf/*.py in each tree.
+matched, and ends with the line count of src/fedkemf/*.py in each tree and of
+each module whose count differs between them.
 Exit status 0 when every case is identical under every pass, 1 otherwise.
 """
 
@@ -233,11 +234,17 @@ def child_core(coretype=None):
 
 
 def size_line(trees, rev):
-    """The summary's last line: the lines of each tree's fedkemf/*.py modules, as `wc -l`
-    counts them, in this tree and in `rev`."""
-    here, there = (sum(p.read_bytes().count(b"\n") for p in (trees[t] / "fedkemf").glob("*.py"))
-                   for t in ("this", "against"))
-    return f"src/fedkemf: {here:,} lines here, {there:,} at {rev}"
+    """The summary's last lines: the lines of each tree's fedkemf/*.py modules, as `wc -l`
+    counts them, in this tree and in `rev`, then one line for each module whose count
+    differs between the trees ("none" where a tree has no such module)."""
+    here, there = ({p.name: p.read_bytes().count(b"\n")
+                    for p in (trees[t] / "fedkemf").glob("*.py")} for t in ("this", "against"))
+    lines = [f"src/fedkemf: {sum(here.values()):,} lines here, {sum(there.values()):,} at {rev}"]
+    for name in sorted(here.keys() | there.keys()):
+        if here.get(name) != there.get(name):
+            a, b = (f"{n[name]:,}" if name in n else "none" for n in (here, there))
+            lines.append(f"  {name}: {a} here, {b} at {rev}")
+    return "\n".join(lines)
 
 
 def _git(*args):
