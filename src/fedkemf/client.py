@@ -14,14 +14,9 @@ class ClientState:
     client_id: int
     local_model: nets.Network
     train_indices: np.ndarray  # int64 dataset rows; any 1-d integer sequence works
-    val_indices: np.ndarray
+    eval_indices: np.ndarray  # the rows the client is scored on, fixed at set-up
     # accuracy of local_model on eval_indices; None until run_round scores the model
     val_accuracy: float = None
-
-    @property
-    def eval_indices(self):
-        """The val split, or the train split when the shard had no room for one."""
-        return self.val_indices if len(self.val_indices) else self.train_indices
 
     def accuracy(self, data: Dataset, **context) -> float:
         """Top-1 accuracy of local_model on this client's eval_indices; errors name the client."""

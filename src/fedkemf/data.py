@@ -1,6 +1,7 @@
 """Dataset loading/synthesis and label-skewed Dirichlet partitioning."""
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -105,7 +106,7 @@ def _blob_centers(num_classes, dim, spread):
 
 def synth_blobs(num_classes, per_class, dim, spread, seed) -> Dataset:
     """Seeded Gaussian clusters, one per class, linearly separable by construction."""
-    if num_classes < 2 or per_class < 1 or dim < 1 or spread <= 0:
+    if num_classes < 2 or per_class < 1 or dim < 1 or not 0 < spread < math.inf:
         raise ValueError("invalid blob parameters")
     rng = np.random.default_rng(seed)
     centers = _blob_centers(num_classes, dim, spread)
@@ -131,8 +132,8 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed, min_per_clie
     """
     if num_clients < 1:
         raise ValueError("need at least 1 client")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     universe = np.arange(len(dataset)) if indices is None else np.asarray(indices, dtype=np.int64)
     labels = dataset.labels[universe]
     class_indices = [universe[labels == k] for k in range(dataset.num_classes)]

@@ -5,6 +5,7 @@ layer 0 weights (fan_in x fan_out, row-major), layer 0 biases, layer 1
 weights, ...  Hidden layers use ReLU; the output layer is affine.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class Network:
         self.params = np.asarray(self.params, dtype=np.float64)
         if self.params.shape != (self.arch.parameter_count(),):
             raise ValueError(
-                f"params length {self.params.size} != {self.arch.parameter_count()}"
+                f"params shape {self.params.shape} != {(self.arch.parameter_count(),)}"
             )
 
     def copy(self):
@@ -331,8 +332,8 @@ def sgd_step(net: Network, grad: np.ndarray, lr: float) -> Network:
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != net.params.shape:
         raise ValueError("gradient length mismatch")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not 0 < lr < math.inf:
+        raise ValueError("learning rate must be positive and finite")
     check_finite(grad, "gradient")
     return Network(net.arch, net.params - lr * grad)
 

@@ -69,7 +69,8 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
     """Instantiate client states (round-robin heterogeneous archs) and the server.
 
     Client cid permutes its shard into its val split and train split, then
-    draws its init, from stream(experiment_seed, SALT_CLIENT, cid).
+    draws its init, from stream(experiment_seed, SALT_CLIENT, cid).  It is
+    scored on its val split, or on its train split when the val split is empty.
     """
     knowledge_arch = nets.ArchSpec(data.dim, config.knowledge_arch, data.num_classes)
     archs = [nets.ArchSpec(data.dim, hidden, data.num_classes) for hidden in config.client_archs]
@@ -78,11 +79,12 @@ def build_states(config: ExperimentConfig, data: Dataset, server_indices, partit
         rng = stream(config.experiment_seed, SALT_CLIENT, cid)
         order = rng.permutation(shard)
         n_val = int(len(order) * config.val_fraction)
+        train = order[n_val:]
         clients.append(ClientState(
             client_id=cid,
             local_model=nets.init_network(archs[cid % len(archs)], rng),
-            train_indices=order[n_val:],
-            val_indices=order[:n_val],
+            train_indices=train,
+            eval_indices=order[:n_val] if n_val else train,
         ))
     server = ServerState(
         global_knowledge=nets.init_network(

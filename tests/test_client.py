@@ -17,7 +17,7 @@ def make_state(client_id=0, arch=(8,), epochs=5, lr=0.1, seed=0, n_train=None, d
         client_id=client_id,
         local_model=nets.init_network(nets.ArchSpec(data.dim, arch, data.num_classes), seed + 50),
         train_indices=list(idx[:n_train]),
-        val_indices=list(idx[n_train:]),
+        eval_indices=list(idx[n_train:]),
     ), {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": seed}
 
 
@@ -78,11 +78,11 @@ class TestClientUpdate:
         data, state, recipe = make_state(epochs=5, lr=0.1, batch_size=16)
         kn = knowledge_net(data)
         untrained_acc, _ = nets.evaluate(
-            state.local_model, data.features[state.val_indices], data.labels[state.val_indices]
+            state.local_model, data.features[state.eval_indices], data.labels[state.eval_indices]
         )
         _, _, local = client_update([state], kn, data, **recipe)[0]
         val_acc, _ = nets.evaluate(
-            local, data.features[state.val_indices], data.labels[state.val_indices]
+            local, data.features[state.eval_indices], data.labels[state.eval_indices]
         )
         assert val_acc >= 0.9
         assert val_acc > untrained_acc
@@ -121,7 +121,6 @@ class TestClientUpdate:
             _, state, recipe = make_state(arch=(8,), epochs=3, lr=0.05, seed=seed, data=data,
                                   batch_size=5)
             state.train_indices = list(shard)
-            state.val_indices = []
             _, _, local = client_update([state], teacher, data, round_index=0, **recipe)[0]
             with_kl, _ = nets.evaluate(local, data.features, data.labels)
             plain, _ = local_train([state], state.local_model, data, round_index=0, **recipe)[0]

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -116,8 +117,9 @@ class TestSynthBlobs:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             synth_blobs(1, 10, 2, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            synth_blobs(2, 10, 2, 0.0, seed=0)
+        for spread in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                synth_blobs(2, 10, 2, spread, seed=0)
 
 
 def balanced_dataset(num_classes=10, per_class=100, seed=0):
@@ -175,7 +177,9 @@ class TestDirichletPartition:
 
     @pytest.mark.parametrize("num_clients, alpha, message", [
         (0, 1.0, "need at least 1 client"), (-2, 1.0, "need at least 1 client"),
-        (4, 0.0, "alpha must be positive"), (4, -0.5, "alpha must be positive")])
+        (4, 0.0, "alpha must be positive"), (4, -0.5, "alpha must be positive"),
+        (4, math.inf, "alpha must be positive and finite"),
+        (4, math.nan, "alpha must be positive and finite")])
     def test_refuses_no_clients_and_a_non_positive_alpha(self, num_clients, alpha, message):
         with pytest.raises(ValueError, match=message):
             dirichlet_partition(balanced_dataset(), num_clients, alpha, seed=0, min_per_client=1)

@@ -62,10 +62,10 @@ def outcome(fn):
 
 
 def shard_data(x, labels):
-    """A 1-feature, 2-class dataset whose client trains on every row, with no val split."""
+    """A 1-feature, 2-class dataset whose client trains and is scored on every row."""
     data = Dataset(np.asarray(x, dtype=np.float64).reshape(-1, 1), np.asarray(labels), 2)
-    state = ClientState(CLIENT, nets.init_network(nets.ArchSpec(1, (), 2), 0),
-                        np.arange(len(labels)), np.array([], dtype=np.int64))
+    rows = np.arange(len(labels))
+    state = ClientState(CLIENT, nets.init_network(nets.ArchSpec(1, (), 2), 0), rows, rows)
     return data, state
 
 
@@ -142,7 +142,7 @@ def test_healthy_softmax_underflow_returns_the_strict_result(passes, clients):
     # is non-finite, yet the check cannot tell, so the call is replayed (with two clients, as
     # the serial loop) and must return the same bits (and the same underflow warnings).
     data, state = shard_data([10.0, 0.0, 10.0, 1.0, 10.0], [0, 1, 0, 1, 0])
-    other = ClientState(CLIENT + 1, state.local_model, np.arange(3), np.array([], dtype=np.int64))
+    other = ClientState(CLIENT + 1, state.local_model, np.arange(3), np.arange(3))
     states = [state, other][:clients]
     params = [0.0, -100.0, 0.0, 0.0]
     (kind, result), _ = assert_same_as_strict(passes, train(data, states, params))

@@ -81,7 +81,8 @@ def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
     assert names == ["blobs_fedkemf", "blobs_fedavg", "blobs_fedkemf-avg_logits",
                      "blobs_fedkemf-majority_vote", "blobs_fedkemf-warm_start",
                      "blobs_fedkemf-up_and_down", "blobs_fedkemf-2.1", "blobs_fedkemf-0",
-                     "blobs_fedkemf-100000", "blobs_fedkemf-1e12", "blobs_fedavg-1e12",
+                     "blobs_fedkemf-100000", "blobs_fedkemf-0.0", "blobs_fedkemf-1e12",
+                     "blobs_fedavg-1e12",
                      "blobs_fedkemf-idx"] + [
         f"{w}-seed{s}" for w in ("kemf-many", "avg-small") for s in (1, 2, 3)]
     texts = {name: config_text(tmp_path / "out") for name, config_text in identity.cases()}
@@ -94,6 +95,7 @@ def test_cases_cover_shipped_configs_and_both_workloads(tmp_path):
                        ("blobs_fedkemf-2.1", "payload_mb = 2.1"),
                        ("blobs_fedkemf-0", "local_epochs = 0"),
                        ("blobs_fedkemf-100000", "batch_size = 100000"),
+                       ("blobs_fedkemf-0.0", "val_fraction = 0.0"),
                        ("blobs_fedkemf-1e12", "lr = 1e12"),
                        ("blobs_fedavg-1e12", "lr = 1e12")]:
         shipped = texts[name.split("-")[0]].splitlines()

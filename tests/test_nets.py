@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -68,7 +70,8 @@ class TestInit:
 @pytest.mark.parametrize("params", [np.zeros(5), np.zeros(7), np.zeros((1, 6))],
                          ids=["short", "long", "two_dimensional"])
 def test_network_refuses_params_of_the_wrong_shape(params):
-    with pytest.raises(ValueError, match=r"^params length \d+ != 6$"):
+    message = rf"^params shape {re.escape(str(params.shape))} != \(6,\)$"
+    with pytest.raises(ValueError, match=message):
         nets.Network(nets.ArchSpec(2, (), 2), params)
 
 
@@ -522,7 +525,9 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("grad_size, lr, message", [
         (5, 0.1, "gradient length mismatch"), (7, 0.1, "gradient length mismatch"),
-        (6, 0.0, "learning rate must be positive"), (6, -0.1, "learning rate must be positive")])
+        (6, 0.0, "learning rate must be positive"), (6, -0.1, "learning rate must be positive"),
+        (6, math.nan, "learning rate must be positive and finite"),
+        (6, math.inf, "learning rate must be positive and finite")])
     def test_rejects_bad_arguments(self, grad_size, lr, message):
         net = nets.init_network(nets.ArchSpec(2, (), 2), 0)
         with pytest.raises(ValueError, match=message):

@@ -184,10 +184,10 @@ def test_client_splits_are_int64_index_arrays(tmp_path):
     server_indices, partition = runner.build_partition(cfg, data)
     clients, _ = runner.build_states(cfg, data, server_indices, partition)
     for st, shard in zip(clients, partition.client_indices):
-        for idx in (st.train_indices, st.val_indices):
+        for idx in (st.train_indices, st.eval_indices):
             assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
-        assert len(st.val_indices) == int(len(shard) * 0.2)
-        assert sorted(np.concatenate([st.val_indices, st.train_indices]).tolist()) == sorted(shard)
+        assert len(st.eval_indices) == int(len(shard) * 0.2)
+        assert sorted(np.concatenate([st.eval_indices, st.train_indices]).tolist()) == sorted(shard)
 
 
 def test_one_row_shard_has_no_val_split_and_is_scored_on_its_train_row(tmp_path):
@@ -196,9 +196,8 @@ def test_one_row_shard_has_no_val_split_and_is_scored_on_its_train_row(tmp_path)
     partition = PartitionMap([np.array([3]), np.arange(4, 14)], cfg.alpha, cfg.experiment_seed)
     clients, _ = runner.build_states(cfg, data, np.arange(3), partition)
     one, other = clients
-    assert one.val_indices.tolist() == [] and one.train_indices.tolist() == [3]
-    assert len(other.val_indices) == 9 and len(other.train_indices) == 1
-    assert one.eval_indices.tolist() == [3]
+    assert one.eval_indices.tolist() == [3] and one.train_indices.tolist() == [3]
+    assert len(other.eval_indices) == 9 and len(other.train_indices) == 1
     net = one.local_model
     assert one.accuracy(data) == nets.accuracy(net, data.features[[3]], data.labels[[3]])
 
@@ -219,5 +218,6 @@ def test_build_states_draws_split_then_init_from_one_stream_per_client(tmp_path)
         model = nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes), rng)
         assert st.client_id == cid and st.local_model.arch == model.arch
         assert st.local_model.params.tobytes() == model.params.tobytes()
-        assert st.val_indices.tolist() == order[:n_val].tolist()
         assert st.train_indices.tolist() == order[n_val:].tolist()
+        # scored on the val split, or on the train split when the val split is empty
+        assert st.eval_indices.tolist() == (order[:n_val] if n_val else order[n_val:]).tolist()

@@ -272,7 +272,7 @@ def make_clients(data, partition_sizes, hidden=(8,), epochs=2, lr=0.1, seed=0):
             client_id=cid,
             local_model=nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes), seed + cid),
             train_indices=idx[n_val:],
-            val_indices=idx[:n_val],
+            eval_indices=idx[:n_val],
         ))
     return clients, {"lr": lr, "epochs": epochs, "batch_size": 16, "seed": seed}
 

@@ -46,7 +46,7 @@ def reference_client_update(state, knowledge_net, data, round_index=0, *, lr, ep
             losses.append(loss)
             teacher = nets.softmax(nets.forward(theta, x))
             kn = nets.sgd_step(kn, nets.loss_gradient(kn, x, y, teacher), lr)
-    idx = state.val_indices if len(state.val_indices) else state.train_indices
+    idx = state.eval_indices
     acc, _ = nets.evaluate(theta, data.features[idx], data.labels[idx])
     return kn, theta, float(np.mean(losses)) if losses else 0.0, acc
 
@@ -102,7 +102,7 @@ def make_client(data, cid=0, hidden=(8, 4), n_train=90, n_val=20, epochs=3, batc
         client_id=cid,
         local_model=nets.init_network(nets.ArchSpec(data.dim, hidden, data.num_classes), 50 + cid),
         train_indices=list(idx[:n_train]),
-        val_indices=list(idx[n_train:n_train + n_val]),
+        eval_indices=list(idx[n_train:n_train + n_val]),
     ), {"lr": lr, "epochs": epochs, "batch_size": batch_size, "seed": 5}
 
 
@@ -219,6 +219,8 @@ class TestReferenceEquivalence:
         clients = [make_client(data, cid=c, hidden=(8,) if c % 2 else (4,), n_train=40,
                                n_val=8 if c != 3 else 0)[0]
                    for c in range(6)]
+        # set-up scores a client whose val split is empty on its train rows
+        clients[3].eval_indices = clients[3].train_indices
         server = make_server(data, count=40, epochs=1, recipe={"epochs": 1}, sample_ratio=0.5)
         server.round = 0
         for _ in range(3):

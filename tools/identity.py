@@ -11,7 +11,8 @@ blobs_fedkemf with `directions = up_and_down` and with `payload_mb = 2.1`, the
 byte-ledger paths no other case takes; blobs_fedkemf with `local_epochs = 0`,
 where the clients draw no batch orders but distillation does; blobs_fedkemf
 with `batch_size = 100000`, where every client and the distillation split
-score only a partial batch; both shipped configs with `lr = 1e12`,
+score only a partial batch; blobs_fedkemf with `val_fraction = 0.0`, where
+every client is scored on its train split; both shipped configs with `lr = 1e12`,
 which diverge (exit 4); blobs_fedkemf with `dataset.kind = idx` on a fixed pair
 of IDX files of 4 x 4-pixel images that the case writes into its run directory
 (the same bytes for both trees), the MNIST-style loader path no other case
@@ -73,6 +74,7 @@ VARIANTS = (("configs/blobs_fedkemf.cfg", "strategy", "avg_logits"),
             ("configs/blobs_fedkemf.cfg", "payload_mb", "2.1"),
             ("configs/blobs_fedkemf.cfg", "local_epochs", "0"),
             ("configs/blobs_fedkemf.cfg", "batch_size", "100000"),
+            ("configs/blobs_fedkemf.cfg", "val_fraction", "0.0"),
             ("configs/blobs_fedkemf.cfg", "lr", "1e12"),
             ("configs/blobs_fedavg.cfg", "lr", "1e12"))
 IDX_SEED = 803  # the IDX case's data: default_rng(IDX_SEED), the same for both trees
