@@ -185,7 +185,7 @@ def _lockstep(states, data: Dataset, round_index, train, stack_key, *, epochs, b
     return nets.per_epoch_checked(call)
 
 
-def client_update(states, knowledge_net: nets.Network, data: Dataset, round_index: int = 0, *,
+def client_update(states, knowledge_net: nets.Network, data: Dataset, round_index, *,
                   lr, epochs, batch_size, seed):
     """[(updated_knowledge, mean_train_loss, local_model)] of each state's round of deep
     mutual learning, in lockstep; no state changes.  The knowledge net and every local model
@@ -213,7 +213,7 @@ def client_update(states, knowledge_net: nets.Network, data: Dataset, round_inde
                      epochs=epochs, batch_size=batch_size, seed=seed)
 
 
-def local_train(states, model: nets.Network, data: Dataset, round_index: int = 0, *,
+def local_train(states, model: nets.Network, data: Dataset, round_index, *,
                 lr, epochs, batch_size, seed):
     """[(trained_model, mean_train_loss)] of each state's plain-CE local training (the
     weighted-averaging baseline) from the shared `model` (data.num_classes classes), in lockstep.

@@ -12,6 +12,7 @@ MODES = ("fedkemf", "fedavg")
 STRATEGIES = ("max_logits", "avg_logits", "majority_vote")  # server.ensemble_logits
 INIT_MODES = ("avg_members", "warm_start")  # server.distill's student start
 DIRECTIONS = ("upload_only", "up_and_down")  # costs.WireAudit.directions
+DATASET_KINDS = ("synth", "idx")  # runner.build_datasets
 
 
 def _parse_hidden_dims(text):
@@ -40,7 +41,7 @@ class ExperimentConfig:
     knowledge_arch: tuple        # hidden dims of the shared knowledge network
     experiment_seed: int
     out_dir: str
-    dataset_kind: str            # "synth" or "idx"
+    dataset_kind: str            # a DATASET_KINDS entry
     client_archs: list = None    # hidden-dim tuples, assigned round-robin; default [knowledge_arch]
     local_epochs: int = 5
     distill_epochs: int = 3
@@ -109,8 +110,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown server.init {self.server_init!r}")
         if self.directions not in DIRECTIONS:
             raise ConfigError(f"unknown directions {self.directions!r}")
-        if self.dataset_kind not in ("synth", "idx"):
-            raise ConfigError(f"dataset.kind must be synth or idx, got {self.dataset_kind!r}")
+        if self.dataset_kind not in DATASET_KINDS:
+            raise ConfigError(f"dataset.kind must be {' or '.join(DATASET_KINDS)}, "
+                              f"got {self.dataset_kind!r}")
         if self.dataset_kind == "idx":
             for key, val in (("dataset.train_images", self.idx_train_images),
                              ("dataset.train_labels", self.idx_train_labels),

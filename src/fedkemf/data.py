@@ -125,7 +125,8 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed, min_per_clie
     Partitions `indices` (defaults to the whole dataset) disjointly and
     completely across clients; redraws until every client holds at least
     min_per_client samples, draw `attempt` from stream(seed, SALT_PARTITION, 0,
-    attempt).  Each draw permutes every non-empty class's indices and cuts them
+    attempt).  Fewer rows than num_clients * min_per_client are refused before
+    the first draw.  Each draw permutes every non-empty class's indices and cuts them
     at the draw's cumulative shares, so a client's shard is its piece of each
     class in class order; its shards are int64 views of one array.  Only an accepted
     draw's shards are built, with one stable sort of its rows by owning client.
@@ -135,6 +136,11 @@ def dirichlet_partition(dataset: Dataset, num_clients, alpha, seed, min_per_clie
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     universe = np.arange(len(dataset)) if indices is None else np.asarray(indices, dtype=np.int64)
+    if num_clients * min_per_client > len(universe):  # no draw can succeed
+        raise InfeasiblePartitionError(
+            f"{num_clients} clients at min_per_client {min_per_client} need "
+            f"{num_clients * min_per_client} samples, only {len(universe)} are partitioned"
+        )
     labels = dataset.labels[universe]
     class_indices = [universe[labels == k] for k in range(dataset.num_classes)]
     for attempt in range(max_attempts):

@@ -127,16 +127,16 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunResult:
     initial_accuracy = nets.accuracy(server.global_knowledge, test.features, test.labels,
                                      round_index=0)
     records = []
-    for _ in range(config.rounds):
+    for round_index in range(1, config.rounds + 1):
         t0 = time.perf_counter()
-        stats = run_round(server, clients, data, audit)
+        stats = run_round(server, clients, data, audit, round_index)
         wall = time.perf_counter() - t0
         acc = nets.accuracy(server.global_knowledge, test.features, test.labels,
-                            round_index=server.round)
+                            round_index=round_index)
         checkpoint.save(server.global_knowledge,
-                        os.path.join(config.out_dir, f"round_{server.round}.fkmf"))
+                        os.path.join(config.out_dir, f"round_{round_index}.fkmf"))
         records.append(RoundRecord(
-            round=server.round,
+            round=round_index,
             sampled_clients=len(stats["sampled"]),
             global_test_accuracy=acc,
             mean_client_val_accuracy=stats["mean_client_val_accuracy"],

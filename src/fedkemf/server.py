@@ -17,7 +17,6 @@ class ServerState:
     global_knowledge: nets.Network
     distill_indices: np.ndarray  # sorted int64 rows of the distillation split
     config: ExperimentConfig  # the run's settings, validated once when parsed
-    round: int = 0
 
 
 def sample_clients(num_clients, sample_ratio, round_index, experiment_seed):
@@ -78,9 +77,10 @@ def fedavg_aggregate(members, weights):
     return nets.Network(members[0].arch, params)
 
 
-def distill(server: ServerState, members, data: Dataset):
+def distill(server: ServerState, members, data: Dataset, round_index):
     """Distill the member ensemble, one or more networks of the global knowledge network's
-    architecture, into a student on the server's unlabeled split.
+    architecture, into a student on the server's unlabeled split in round `round_index`,
+    as the run loop numbers it: the round keys the batch orders and names the errors.
 
     The student starts from the members' parameter average (or the previous
     global network under warm_start); client.fit steps it on batch-mean KL
@@ -95,7 +95,7 @@ def distill(server: ServerState, members, data: Dataset):
         start = average_init(members)
     if config.distill_epochs == 0:
         return start.copy(), 0.0
-    context = {"round_index": server.round + 1}  # the round being run, as run_round numbers it
+    context = {"round_index": round_index}
     x_split = data.features[server.distill_indices]
     member_logits = [nets.forward(m, x_split) for m in members]
     teacher = teacher_distributions(member_logits, config.strategy, **context)
@@ -105,7 +105,7 @@ def distill(server: ServerState, members, data: Dataset):
     def call(guarded):
         student = nets.Trainer([start], config.distill_lr, context if guarded else None,
                                logits="distillation logits")
-        rng = stream(config.experiment_seed, SALT_DISTILL, 0, context["round_index"])
+        rng = stream(config.experiment_seed, SALT_DISTILL, 0, round_index)
         epochs = (np.concatenate(batch_iterator(positions, config.batch_size, rng))
                   for _ in range(config.distill_epochs))
         (loss,) = fit(student, [(x_split, teacher, epochs)], config.batch_size, (last,))
@@ -113,9 +113,9 @@ def distill(server: ServerState, members, data: Dataset):
     return nets.per_epoch_checked(call)
 
 
-def run_round(server: ServerState, clients, data: Dataset, audit):
-    """Execute one communication round; mutates server and client states and records each
-    sampled client's two crossings in the byte ledger `audit` (costs.WireAudit).
+def run_round(server: ServerState, clients, data: Dataset, audit, round_index):
+    """Execute round `round_index`, as the run loop numbers it; mutates server and client
+    states and records each sampled client's two crossings in `audit` (costs.WireAudit).
 
     fedkemf: sample, broadcast the global knowledge network, mutual-train the
     sampled clients in lockstep, commit their new local models,
@@ -123,14 +123,14 @@ def run_round(server: ServerState, clients, data: Dataset, audit):
     fedavg: sample, broadcast, plain-CE local training of the shared-arch
     model (all sampled clients in lockstep), shard-size weighted averaging;
     every client deploys the aggregate as its local model.
-    The mode and every sampled client's recipe are the server's config.
+    The mode and every sampled client's recipe are the server's config; every
+    draw of the round is keyed by round_index, and the server keeps no counter.
     Returns per-round stats: sampled ids, mean train loss over sampled
     clients, mean val accuracy over ALL clients' deployed models (each
     client's cached val_accuracy, scored here whenever its model changed),
     and the distillation loss (0.0 in fedavg mode).
     """
     config = server.config
-    round_index = server.round + 1
     sampled = sample_clients(len(clients), config.sample_ratio, round_index,
                              config.experiment_seed)
     broadcast = server.global_knowledge
@@ -147,7 +147,7 @@ def run_round(server: ServerState, clients, data: Dataset, audit):
     if config.mode == "fedkemf":
         for cid, (_, _, local) in zip(sampled, results):
             clients[cid].local_model, clients[cid].val_accuracy = local, None
-        server.global_knowledge, distill_loss = distill(server, members, data)
+        server.global_knowledge, distill_loss = distill(server, members, data, round_index)
     else:
         weights = [len(clients[cid].train_indices) for cid in sampled]
         server.global_knowledge = fedavg_aggregate(members, weights)
@@ -157,7 +157,6 @@ def run_round(server: ServerState, clients, data: Dataset, audit):
         if st.val_accuracy is None:
             st.val_accuracy = st.accuracy(data, round_index=round_index)
 
-    server.round = round_index
     return {
         "sampled": sampled,
         "mean_train_loss": float(np.mean(train_losses)),

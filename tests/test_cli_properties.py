@@ -149,7 +149,8 @@ def premise_spies(reached):
     def average_init(members):
         assert len(members) >= 1 and len({m.arch for m in members}) == 1
 
-    def distill(srv, members, data):
+    def distill(srv, members, data, round_index):
+        assert round_index >= 1
         arch = srv.global_knowledge.arch
         assert len(members) >= 1 and all(m.arch == arch for m in members)
         assert arch.num_classes == data.num_classes

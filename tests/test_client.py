@@ -49,7 +49,7 @@ class TestClientUpdate:
         data, state, recipe = make_state(epochs=0)
         theta_before = state.local_model.params.copy()
         kn = knowledge_net(data)
-        out, loss, local = client_update([state], kn, data, **recipe)[0]
+        out, loss, local = client_update([state], kn, data, 0, **recipe)[0]
         assert np.array_equal(out.params, kn.params)
         assert np.array_equal(local.params, theta_before)
         assert loss == 0.0
@@ -58,7 +58,7 @@ class TestClientUpdate:
         data, state, recipe = make_state(epochs=2)
         kn = knowledge_net(data)
         before = kn.params.copy()
-        client_update([state], kn, data, **recipe)
+        client_update([state], kn, data, 0, **recipe)
         assert np.array_equal(kn.params, before)
 
     def test_symmetric_first_step(self):
@@ -80,7 +80,7 @@ class TestClientUpdate:
         untrained_acc, _ = nets.evaluate(
             state.local_model, data.features[state.eval_indices], data.labels[state.eval_indices]
         )
-        _, _, local = client_update([state], kn, data, **recipe)[0]
+        _, _, local = client_update([state], kn, data, 0, **recipe)[0]
         val_acc, _ = nets.evaluate(
             local, data.features[state.eval_indices], data.labels[state.eval_indices]
         )
@@ -90,7 +90,7 @@ class TestClientUpdate:
     def test_strong_teacher_lifts_knowledge_net(self):
         data, state, recipe = make_state(epochs=10, lr=0.2)
         # pre-train the local model alone to act as a strong teacher
-        pre, _ = local_train([state], state.local_model, data, **recipe)[0]
+        pre, _ = local_train([state], state.local_model, data, 0, **recipe)[0]
         shard_x = data.features[state.train_indices]
         shard_y = data.labels[state.train_indices]
         acc, _ = nets.evaluate(pre, shard_x, shard_y)
@@ -99,7 +99,7 @@ class TestClientUpdate:
         recipe["epochs"] = 2
         kn = knowledge_net(data)
         before, _ = nets.evaluate(kn, shard_x, shard_y)
-        updated, _, _ = client_update([state], kn, data, **recipe)[0]
+        updated, _, _ = client_update([state], kn, data, 0, **recipe)[0]
         after, _ = nets.evaluate(updated, shard_x, shard_y)
         assert after > before
 

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from fedkemf import nets
+from fedkemf import data as data_module, nets
 from fedkemf.data import (
     Dataset, PartitionMap, dirichlet_partition, label_entropy, label_histogram,
     load_idx, save_idx, synth_blobs,
@@ -167,6 +167,21 @@ class TestDirichletPartition:
         ds = balanced_dataset(num_classes=2, per_class=10, seed=1)
         with pytest.raises(InfeasiblePartitionError):
             dirichlet_partition(ds, 4, 0.5, seed=0, min_per_client=50)
+
+    @pytest.mark.parametrize("num_clients, min_per_client, universe", [
+        (4, 1000000, None), (5000, 1, None), (3, 3, np.arange(8))])
+    def test_impossible_request_is_refused_before_the_first_draw(
+            self, monkeypatch, num_clients, min_per_client, universe):
+        # fewer rows than num_clients * min_per_client: no draw can succeed, so none is made
+        ds = balanced_dataset(num_classes=2, per_class=100)
+        draws = []
+        monkeypatch.setattr(data_module, "stream", lambda *a: draws.append(a) or stream(*a))
+        with pytest.raises(InfeasiblePartitionError) as err:
+            dirichlet_partition(ds, num_clients, 0.5, seed=0, min_per_client=min_per_client,
+                                indices=universe)
+        assert draws == []
+        rows = len(ds) if universe is None else len(universe)
+        assert f"need {num_clients * min_per_client} samples, only {rows}" in str(err.value)
 
     def test_subset_universe(self):
         ds = balanced_dataset()

@@ -165,7 +165,7 @@ def test_diverging_call_warns_as_the_strict_path(passes):
     members = trained_members(data)
 
     def fn():
-        return [distill(server, members, data)]
+        return [distill(server, members, data, 3)]
     (kind, err), warned = assert_same_as_strict(passes, fn)
     assert kind == "error" and warned and all(c is RuntimeWarning for c, _ in warned)
 
@@ -211,7 +211,7 @@ def test_guarded_replay_draws_the_orders_of_the_unguarded_pass(monkeypatch):
     states = [make_client(data, cid, n_train=n)[0] for cid, n in enumerate((40, 90, 65))]
     model = nets.init_network(states[0].local_model.arch, 3)
     local_train(states, model, data, ROUND, lr=0.1, epochs=3, batch_size=7, seed=SEED)
-    distill(make_server(data), trained_members(data), data)  # make_server runs round 3
+    distill(make_server(data), trained_members(data), data, 3)
     unguarded, guarded = drawn[0::2], drawn[1::2]
     assert [sorted(d) for d in unguarded] == [[(SALT_ORDERS, cid, ROUND) for cid in range(3)],
                                               [(SALT_DISTILL, 0, 3)]]

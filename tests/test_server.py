@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -222,7 +223,7 @@ class TestDistill:
         data = synth_blobs(3, 40, 3, 0.5, seed=2)
         server = make_server(data, distill_epochs=0)
         member = nets.init_network(server.global_knowledge.arch, 42)
-        student, loss = distill(server, [member], data)
+        student, loss = distill(server, [member], data, 1)
         assert np.array_equal(student.params, member.params)
         assert loss == 0.0
 
@@ -230,7 +231,7 @@ class TestDistill:
         data = synth_blobs(3, 60, 3, 0.5, seed=7)
         teacher = trained_member(data, (8,), seed=1)
         server = make_server(data, distill_epochs=10, distill_lr=0.2)
-        student, _ = distill(server, [teacher], data)
+        student, _ = distill(server, [teacher], data, 1)
         split = np.asarray(server.distill_indices)
         x = data.features[split]
         t_pred = np.argmax(nets.forward(teacher, x), axis=1)
@@ -244,10 +245,10 @@ class TestDistill:
             members = [trained_member(data, (8,), steps=100, seed=s) for s in (seed, seed + 10)]
             server = make_server(data, distill_epochs=1, distill_lr=0.05, seed=seed,
                                  init_mode="warm_start")
-            _, first = distill(server, members, data)
+            _, first = distill(server, members, data, 1)
             server2 = make_server(data, distill_epochs=4, distill_lr=0.05, seed=seed,
                                   init_mode="warm_start")
-            _, last = distill(server2, members, data)
+            _, last = distill(server2, members, data, 1)
             improved += last <= first
         assert improved >= 4
 
@@ -255,7 +256,7 @@ class TestDistill:
         data = synth_blobs(3, 40, 3, 0.5, seed=3)
         members = [trained_member(data, (8,), steps=50, seed=s) for s in range(3)]
         server = make_server(data, strategy="majority_vote", distill_epochs=2)
-        student, loss = distill(server, members, data)
+        student, loss = distill(server, members, data, 1)
         assert np.all(np.isfinite(student.params))
         assert loss >= 0.0
 
@@ -290,10 +291,28 @@ class TestRunRound:
         (twin,), _ = make_clients(data, [100], epochs=1)
         expected, _, _ = client_update([twin], server.global_knowledge, data, round_index=1,
                                        **recipe)[0]
-        stats = run_round(server, clients, data, WireAudit(None, "upload_only"))
+        stats = run_round(server, clients, data, WireAudit(None, "upload_only"), 1)
         assert stats["sampled"] == [0]
         assert np.array_equal(server.global_knowledge.params, expected.params)
-        assert server.round == 1
+
+    def test_round_index_keys_every_draw_of_the_round(self, monkeypatch):
+        # A fresh server runs whichever round it is handed: the sampling, the client
+        # training and the distillation all take round 5, with no counter on the server.
+        data = synth_blobs(2, 60, 2, 0.5, seed=4)
+        clients, _ = make_clients(data, [20] * 6, epochs=1)
+        server = make_server(data, distill_epochs=1, distill_count=20, local_epochs=1,
+                             sample_ratio=0.5)
+        seen = {"client_update": [], "distill": []}
+        for name in seen:
+            def recording(*args, _name=name, _fn=getattr(server_module, name), **kwargs):
+                seen[_name].append(inspect.signature(_fn).bind(*args, **kwargs)
+                                   .arguments["round_index"])
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(server_module, name, recording)
+        stats = run_round(server, clients, data, WireAudit(None, "upload_only"), 5)
+        assert stats["sampled"] == sample_clients(len(clients), 0.5, 5,
+                                                  server.config.experiment_seed)
+        assert seen == {"client_update": [5], "distill": [5]}
 
     def test_fedavg_identical_members_aggregate_identically(self):
         data = synth_blobs(2, 60, 2, 0.5, seed=4)
@@ -301,7 +320,7 @@ class TestRunRound:
         server = make_server(data, distill_count=20, local_epochs=0, mode="fedavg")
         server.distill_indices = list(range(100, 120))
         before = server.global_knowledge.params.copy()
-        run_round(server, clients, data, WireAudit(None, "upload_only"))
+        run_round(server, clients, data, WireAudit(None, "upload_only"), 1)
         # zero epochs: every member equals the broadcast model
         assert np.array_equal(server.global_knowledge.params, before)
 
@@ -322,7 +341,7 @@ class TestRunRound:
                 return _train(states, *args, **kwargs)
             monkeypatch.setattr(server_module, name, recording)
         audit = WireAudit(None, "upload_only")
-        sampled = [run_round(server, clients, data, audit)["sampled"] for _ in range(2)]
+        sampled = [run_round(server, clients, data, audit, r)["sampled"] for r in (1, 2)]
         other = "local_train" if entry == "client_update" else "client_update"
         assert calls[other] == []
         assert calls[entry] == [[id(clients[cid]) for cid in ids] for ids in sampled]

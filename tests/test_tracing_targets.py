@@ -64,7 +64,7 @@ def test_run_round_result_holds_the_sampled_ids_the_round_hook_reads(monkeypatch
         trained.extend(st.client_id for st in states)
         return _train(states, *args, **kwargs)
     monkeypatch.setattr(server, "client_update", recording)
-    args = (srv, clients, data, WireAudit(None, "upload_only"))
+    args = (srv, clients, data, WireAudit(None, "upload_only"), 3)
     result = server.run_round(*args)
     assert result["sampled"] == trained and len(trained) == 2
     tracer = load_tracing().Tracer({}, (), local_epochs=2)

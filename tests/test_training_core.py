@@ -30,7 +30,7 @@ from fedkemf.server import (
 )
 
 
-def reference_client_update(state, knowledge_net, data, round_index=0, *, lr, epochs,
+def reference_client_update(state, knowledge_net, data, round_index, *, lr, epochs,
                             batch_size, seed):
     """Deep mutual learning as five forwards per batch; returns (kn, theta, loss, acc)."""
     kn = knowledge_net.copy()
@@ -51,7 +51,7 @@ def reference_client_update(state, knowledge_net, data, round_index=0, *, lr, ep
     return kn, theta, float(np.mean(losses)) if losses else 0.0, acc
 
 
-def reference_local_train(state, model, data, round_index=0, *, lr, epochs, batch_size, seed):
+def reference_local_train(state, model, data, round_index, *, lr, epochs, batch_size, seed):
     net = model.copy()
     losses = []
     orders = stream(seed, SALT_ORDERS, state.client_id, round_index)
@@ -63,7 +63,7 @@ def reference_local_train(state, model, data, round_index=0, *, lr, epochs, batc
     return net, float(np.mean(losses)) if losses else 0.0
 
 
-def reference_distill(server, members, data):
+def reference_distill(server, members, data, round_index):
     """Ensemble distillation as serial SGD on per-batch KL.  The teacher is the one
     distill defines: one forward per member over the whole split, each batch
     taking its rows of it (under some BLAS kernels a row of X @ W depends on
@@ -77,8 +77,7 @@ def reference_distill(server, members, data):
     teacher = teacher_distributions([nets.forward(m, data.features[split]) for m in members],
                                     config.strategy)
     last_loss = 0.0
-    # the round being run
-    orders = stream(config.experiment_seed, SALT_DISTILL, 0, server.round + 1)
+    orders = stream(config.experiment_seed, SALT_DISTILL, 0, round_index)
     for _ in range(config.distill_epochs):
         epoch_losses = []
         for batch in batch_iterator(np.arange(len(split)), config.batch_size, orders):
@@ -130,7 +129,6 @@ def make_server(data, strategy="max_logits", init_mode="avg_members", count=75, 
             lr=recipe["lr"], distill_epochs=epochs, distill_lr=0.1, strategy=strategy,
             server_init=init_mode, batch_size=recipe["batch_size"],
             experiment_seed=recipe["seed"]),
-        round=2,
     )
 
 
@@ -185,7 +183,7 @@ class TestReferenceEquivalence:
         state.val_accuracy = 0.25
         local_before, kn_before = state.local_model, knowledge.params.copy()
         theta_before = local_before.params.copy()
-        (_, _, local), = client_update([state], knowledge, data, **recipe)
+        (_, _, local), = client_update([state], knowledge, data, 0, **recipe)
         assert np.array_equal(knowledge.params, kn_before)
         assert state.local_model is local_before
         assert np.array_equal(local_before.params, theta_before)
@@ -209,8 +207,8 @@ class TestReferenceEquivalence:
         data = make_data()
         members = trained_members(data)
         server = make_server(data, strategy=strategy, init_mode=init_mode)
-        student, loss = distill(server, members, data)
-        ref_student, ref_loss = reference_distill(server, members, data)
+        student, loss = distill(server, members, data, 3)
+        ref_student, ref_loss = reference_distill(server, members, data, 3)
         assert np.array_equal(student.params, ref_student.params)
         assert loss == ref_loss
 
@@ -222,9 +220,8 @@ class TestReferenceEquivalence:
         # set-up scores a client whose val split is empty on its train rows
         clients[3].eval_indices = clients[3].train_indices
         server = make_server(data, count=40, epochs=1, recipe={"epochs": 1}, sample_ratio=0.5)
-        server.round = 0
-        for _ in range(3):
-            stats = run_round(server, clients, data, WireAudit(None, "upload_only"))
+        for round_index in (1, 2, 3):
+            stats = run_round(server, clients, data, WireAudit(None, "upload_only"), round_index)
             assert len(stats["sampled"]) < len(clients)
             full = [st.accuracy(data) for st in clients]
             assert stats["mean_client_val_accuracy"] == float(np.mean(full))
@@ -271,9 +268,8 @@ class TestLockstep:
             return fedavg_aggregate(members, weights)
 
         monkeypatch.setattr("fedkemf.server.fedavg_aggregate", spy)
-        stats = run_round(server, states, data, WireAudit(None, "upload_only"))
-        refs = [reference_local_train(st, broadcast, data, server.round, **recipe)
-                for st in states]
+        stats = run_round(server, states, data, WireAudit(None, "upload_only"), 3)
+        refs = [reference_local_train(st, broadcast, data, 3, **recipe) for st in states]
         assert stats["sampled"] == list(range(len(sizes)))
         for member, (ref_net, _) in zip(aggregated[0], refs):
             assert np.array_equal(member.params, ref_net.params)
@@ -296,10 +292,10 @@ class TestLockstep:
         assert alone[1].epoch < alone[0].epoch
         del training_passes[:]
         server = make_server(data, epochs=0, recipe=recipe, mode="fedavg")
-        server.global_knowledge, server.round = model, 0
+        server.global_knowledge = model
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_round(server, states, data, WireAudit(None, "upload_only"))
+                run_round(server, states, data, WireAudit(None, "upload_only"), 1)
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
@@ -355,14 +351,13 @@ class TestMutualLockstep:
         server.global_knowledge = broadcast = self.knowledge(data)
         distilled = []
 
-        def spy(server, members, data):
+        def spy(server, members, data, round_index):
             distilled.append(members)
-            return distill(server, members, data)
+            return distill(server, members, data, round_index)
 
         monkeypatch.setattr("fedkemf.server.distill", spy)
-        stats = run_round(server, states, data, WireAudit(None, "upload_only"))
-        refs = [reference_client_update(twin, broadcast, data, server.round, **recipe)
-                for twin in twins]
+        stats = run_round(server, states, data, WireAudit(None, "upload_only"), 3)
+        refs = [reference_client_update(twin, broadcast, data, 3, **recipe) for twin in twins]
         assert stats["sampled"] == list(range(len(sizes)))
         for member, st, (ref_kn, ref_theta, _, ref_acc) in zip(distilled[0], states, refs):
             assert np.array_equal(member.params, ref_kn.params)
@@ -387,11 +382,11 @@ class TestMutualLockstep:
         assert alone[1].epoch < alone[0].epoch
         del training_passes[:]
         server = make_server(data, epochs=0, recipe=recipe)
-        server.global_knowledge, server.round = knowledge, 0
+        server.global_knowledge = knowledge
         before = [st.local_model for st in states]
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
-                run_round(server, states, data, WireAudit(None, "upload_only"))
+                run_round(server, states, data, WireAudit(None, "upload_only"), 1)
         got, want = err.value, alone[0]
         assert (got.client_id, got.round_index, got.epoch, got.batch_index, str(got)) == (
             want.client_id, want.round_index, want.epoch, want.batch_index, str(want))
@@ -409,7 +404,7 @@ class TestMutualLockstep:
         data = self.data()
         states, recipe = self.clients(data, (19, 13))
         server = make_server(data, epochs=0, recipe=recipe)
-        server.global_knowledge, server.round = self.knowledge(data), 1
+        server.global_knowledge = self.knowledge(data)
         scored = ClientState.accuracy
 
         def accuracy(state, data, **context):
@@ -419,7 +414,7 @@ class TestMutualLockstep:
 
         monkeypatch.setattr(ClientState, "accuracy", accuracy)
         with pytest.raises(DivergenceError) as err:
-            run_round(server, states, data, WireAudit(None, "upload_only"))
+            run_round(server, states, data, WireAudit(None, "upload_only"), 2)
         assert (err.value.client_id, err.value.round_index) == (1, 2)
         # one unguarded pass per architecture, and no guarded replay
         assert training_passes == [(1, None), (1, None)]
@@ -462,7 +457,7 @@ class TestForwardCounts:
         data = make_data()
         state, recipe = make_client(data)
         client_update([state], nets.init_network(
-            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, **recipe)
+            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, 0, **recipe)
         assert len(forwards) == 3 * self.batches(state, recipe)
 
     def test_client_update_mixed_architectures(self, forwards, monkeypatch):
@@ -484,7 +479,7 @@ class TestForwardCounts:
         pair_steps = recipe["epochs"] * sum(
             len(batches) for sizes in by_arch.values()
             for _, batches in step_plan(sorted(sizes, reverse=True), recipe["batch_size"]))
-        client_update(states, TestMutualLockstep.knowledge(data), data, **recipe)
+        client_update(states, TestMutualLockstep.knowledge(data), data, 0, **recipe)
         assert len(forwards) == 3 * pair_steps
         assert len(steps) == 2 * pair_steps
 
@@ -492,7 +487,7 @@ class TestForwardCounts:
         data = make_data()
         state, recipe = make_client(data)
         local_train([state], nets.init_network(
-            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, **recipe)
+            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, 0, **recipe)
         assert len(forwards) == self.batches(state, recipe)
 
     def test_distill_members_once_per_call(self, forwards):
@@ -500,7 +495,7 @@ class TestForwardCounts:
         members = trained_members(data, count=4)
         server = make_server(data)
         forwards.clear()
-        distill(server, members, data)
+        distill(server, members, data, 3)
         config = server.config
         batches = config.distill_epochs * math.ceil(len(server.distill_indices) / config.batch_size)
         assert len(forwards) == len(members) + batches
@@ -509,10 +504,10 @@ class TestForwardCounts:
         data = synth_blobs(3, 80, 4, 0.8, seed=5)
         clients = [make_client(data, cid=c, hidden=(4,), n_train=40)[0] for c in range(6)]
         server = make_server(data, count=40, epochs=0, recipe={"epochs": 0}, sample_ratio=0.5)
-        run_round(server, clients, data, WireAudit(None, "upload_only"))
+        run_round(server, clients, data, WireAudit(None, "upload_only"), 3)
         assert len(forwards) == len(clients)  # all 6 in run_round
         forwards.clear()
-        run_round(server, clients, data, WireAudit(None, "upload_only"))
+        run_round(server, clients, data, WireAudit(None, "upload_only"), 4)
         assert len(forwards) == 3  # the sampled clients' own evaluations
 
 
@@ -536,7 +531,7 @@ class TestLossTermCounts:
         data = make_data()
         state, recipe = make_client(data, batch_size=batch_size)
         client_update([state], nets.init_network(
-            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, **recipe)
+            nets.ArchSpec(data.dim, (6,), data.num_classes), 7), data, 0, **recipe)
         # the local model's CE + KL per epoch
         assert len(terms) == 2 * recipe["epochs"]
 
@@ -545,7 +540,7 @@ class TestLossTermCounts:
         data = make_data()
         state, recipe = make_client(data, batch_size=batch_size)
         local_train([state], nets.init_network(
-            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, **recipe)
+            nets.ArchSpec(data.dim, (8,), data.num_classes), 11), data, 0, **recipe)
         assert len(terms) == recipe["epochs"]
 
     @pytest.mark.parametrize("batch_size", [4, 13, 200])
@@ -555,7 +550,7 @@ class TestLossTermCounts:
         server = make_server(data)
         server.config.batch_size = batch_size
         terms.clear()
-        distill(server, members, data)
+        distill(server, members, data, 3)
         # distill reads only its last epoch's loss, so only that epoch is scored
         assert server.config.distill_epochs > 1
         assert len(terms) == 1
@@ -580,9 +575,9 @@ def test_distill_divergence_is_typed():
     server.config.distill_lr = 1e300
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as err:
-            distill(server, trained_members(data), data)
-    assert err.value.round_index == server.round + 1
+            distill(server, trained_members(data), data, 3)
+    assert err.value.round_index == 3
     assert err.value.epoch is not None and err.value.batch_index is not None
     # the student Trainer names its logits
-    assert str(err.value) == (f"non-finite distillation logits (round_index={server.round + 1}, "
+    assert str(err.value) == ("non-finite distillation logits (round_index=3, "
                               "epoch=0, batch_index=1)")
